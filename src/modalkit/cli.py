@@ -3,7 +3,9 @@
 Exit status contract, shared by every subcommand:
   0  the property holds / the formula is valid / no countermodel in range
   1  a countermodel or refutation was found
-  2  usage, parse, or model-validation error
+  2  usage, parse, or model-validation error; also a formula nested too
+     deeply for the recursive parser and evaluator, a MODALKIT_BUDGET that
+     is not a positive integer, --jobs below 1, and a closed stdout
   3  a resource limit was reached (see MODALKIT_BUDGET)
 
 With ``--json``, stdout carries exactly one JSON document and nothing else;
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .formula import FORMATS, bind_free, free_vars, is_propositional, render
@@ -291,7 +294,17 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(args, "evaluation", str(e), EXIT_USAGE)
     except ValueError as e:
         return _fail(args, "usage", str(e), EXIT_USAGE)
+    except RecursionError:
+        return _fail(args, "usage", "formula nested too deeply", EXIT_USAGE)
 
 
 def main_entry() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Nobody reads stdout any more; send what is left to devnull so the
+        # interpreter's final flush does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    raise SystemExit(code)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from functools import lru_cache
+from itertools import product
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "Frame", "PropModel", "DomainFrame", "FoModel", "FlexiblePred",
@@ -29,6 +31,44 @@ class ModelError(Exception):
         super().__init__(f"{path}: {message}")
         self.path = path
         self.message = message
+
+
+# ---------------------------------------------------------------------------
+# Bitmask codec: the one place that turns enumeration masks into worlds,
+# elements, cells and edges.  Search certificates carry these masks, so the
+# bit layouts are part of the output format.
+
+def _bits(items: Sequence, mask: int) -> tuple:
+    """The items whose bit is set in mask: bit i stands for items[i]."""
+    return tuple(x for i, x in enumerate(items) if mask >> i & 1)
+
+
+def _pairs(rows: Sequence, cols: Sequence, mask: int) -> tuple:
+    """The (row, col) pairs whose bit is set in mask, row-major: bit
+    i*len(cols)+j stands for (rows[i], cols[j])."""
+    k = len(cols)
+    return tuple((r, c) for i, r in enumerate(rows)
+                 for j, c in enumerate(cols) if mask >> (i * k + j) & 1)
+
+
+def _subsets(items: Sequence) -> list[frozenset]:
+    """Every subset of items, at the index of its mask in the _bits layout:
+    adding items[i] to the subsets built so far sets bit i."""
+    out = [frozenset()]
+    for x in items:
+        out += [s | {x} for s in out]
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _extension(domain: tuple[str, ...], worlds: tuple[str, ...], mask: int,
+               arity: int = 1) -> dict[str, frozenset[tuple[str, ...]]]:
+    """World -> extension of a flexible predicate, decoded cell-major: bit
+    ci*len(worlds)+wi puts the ci-th arity-tuple over domain (in product
+    order) in the extension at worlds[wi].  Memoised, so the returned dict
+    is shared and must not be mutated."""
+    pairs = _pairs(tuple(product(domain, repeat=arity)), worlds, mask)
+    return {w: frozenset(c for c, v in pairs if v == w) for w in worlds}
 
 
 # ---------------------------------------------------------------------------

@@ -16,16 +16,19 @@ from __future__ import annotations
 
 import multiprocessing
 import string
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from .formula import (Formula, Imp, SchemeVar, const_names, free_vars,
                       is_propositional, pred_symbols, prop_atoms, render,
                       scheme_vars)
 from .model import (DomainFrame, FlexiblePred, FoModel, Frame,
-                    FRAME_PROPERTIES, PropModel, domain_monotonicity,
-                    frame_property, is_total, model_to_dict)
+                    FRAME_PROPERTIES, PropModel, _bits, _extension, _pairs,
+                    _subsets, domain_monotonicity, frame_property, is_total,
+                    model_to_dict)
 from .semantics import (Budget, ResourceLimit, bf_readings, evaluate,
                         fo_scheme_valid, meta_implies, scheme_valid, valid)
 
@@ -55,10 +58,7 @@ def frame_from_mask(n: int, mask: int, prefix: str = "w") -> Frame:
     """The n-world frame whose accessibility bitmask is ``mask``; bit i*n+j
     set means world i sees world j."""
     worlds = tuple(f"{prefix}{i}" for i in range(n))
-    edges = tuple((worlds[i], worlds[j])
-                  for i in range(n) for j in range(n)
-                  if mask >> (i * n + j) & 1)
-    return Frame(worlds, edges)
+    return Frame(worlds, _pairs(worlds, worlds, mask))
 
 
 def frame_mask(fr: Frame) -> int:
@@ -72,17 +72,9 @@ def frame_mask(fr: Frame) -> int:
 
 
 def _canonical_mask(n: int, mask: int) -> int:
-    best = None
-    for perm in permutations(range(n)):
-        m2 = 0
-        for i in range(n):
-            row = mask >> (i * n)
-            for j in range(n):
-                if row >> j & 1:
-                    m2 |= 1 << (perm[i] * n + perm[j])
-        if best is None or m2 < best:
-            best = m2
-    return best
+    edges = _pairs(range(n), range(n), mask)
+    return min(sum(1 << (perm[i] * n + perm[j]) for i, j in edges)
+               for perm in permutations(range(n)))
 
 
 def _check_constraints(constraints: Iterable[str]) -> frozenset[str]:
@@ -104,6 +96,16 @@ def _frame_ok(fr: Frame, constraints: frozenset[str]) -> bool:
     return True
 
 
+def _frames(n: int, masks: Iterable[int],
+            constraints: frozenset[str] = frozenset()
+            ) -> Iterator[tuple[int, Frame]]:
+    """(mask, frame) for each n-world frame mask that meets constraints."""
+    for mask in masks:
+        fr = frame_from_mask(n, mask)
+        if _frame_ok(fr, constraints):
+            yield mask, fr
+
+
 def enumerate_frames(n: int, constraints: Iterable[str] = (),
                      dedup: bool = False) -> Iterator[Frame]:
     """All labelled frames on n worlds in ascending bitmask order, filtered
@@ -113,15 +115,31 @@ def enumerate_frames(n: int, constraints: Iterable[str] = (),
     if n < 1:
         raise ValueError("need at least one world")
     cs = _check_constraints(constraints)
+    masks = (m for m in range(1 << (n * n))
+             if not dedup or _canonical_mask(n, m) == m)
+    return (fr for _, fr in _frames(n, masks, cs))
 
-    def gen() -> Iterator[Frame]:
-        for mask in range(1 << (n * n)):
-            if dedup and _canonical_mask(n, mask) != mask:
-                continue
-            fr = frame_from_mask(n, mask)
-            if _frame_ok(fr, cs):
-                yield fr
-    return gen()
+
+def _domain_names(d: int) -> tuple[str, ...]:
+    if d > len(string.ascii_lowercase):
+        raise ValueError("domain sizes beyond 26 are not supported")
+    return tuple(string.ascii_lowercase[:d])
+
+
+def _domain_frames(n: int, d: int, masks: Iterable[int], varying: bool,
+                   constraints: frozenset[str] = frozenset()
+                   ) -> Iterator[tuple[int, int, DomainFrame]]:
+    """(frame mask, existence mask, domain frame) in scan order.  Existence
+    masks are world-major: bit wi*d+ei puts element ei at world wi.  Without
+    ``varying`` only the full existence mask is visited."""
+    domain = _domain_names(d)
+    full = (1 << (d * n)) - 1
+    for fmask, fr in _frames(n, masks, constraints):
+        for emask in range(full + 1) if varying else (full,):
+            pairs = _pairs(fr.worlds, domain, emask)
+            yield fmask, emask, DomainFrame(
+                fr, domain,
+                {w: [e for v, e in pairs if v == w] for w in fr.worlds})
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +217,32 @@ def _chunk_ranges(total: int) -> list[tuple[int, int]]:
 
 
 def _consume(worker, tasks: Sequence, jobs: int) -> Iterator:
-    """Yield worker(task) in task order; with jobs > 1 the tasks run on a
-    fork-based process pool but are still consumed in submission order."""
-    if jobs <= 1 or len(tasks) <= 1:
-        for t in tasks:
-            yield worker(t)
+    """Yield worker(task) in task order.  With jobs > 1 the tasks run on a
+    fork-based process pool, at most 2*jobs ahead of the consumer.  However
+    the consumer stops (a hit, a budget trip, a worker's exception), the
+    chunks in flight are waited for and the pool is closed and joined, never
+    terminated: terminating a worker can kill it while it holds the result
+    queue's lock, and the pool then hangs."""
+    if jobs == 1 or len(tasks) <= 1:
+        yield from map(worker, tasks)
         return
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=min(jobs, len(tasks))) as pool:
-        yield from pool.imap(worker, tasks)
+    pool = ctx.Pool(processes=min(jobs, len(tasks)))
+    todo = iter(tasks)
+    pending: deque = deque()
+    try:
+        for t in islice(todo, 2 * jobs):
+            pending.append(pool.apply_async(worker, (t,)))
+        while pending:
+            result = pending.popleft().get()
+            for t in islice(todo, 1):
+                pending.append(pool.apply_async(worker, (t,)))
+            yield result
+    finally:
+        for r in pending:
+            r.wait()
+        pool.close()
+        pool.join()
 
 
 def _limit_of(budget) -> int:
@@ -218,29 +253,57 @@ def _limit_of(budget) -> int:
     return int(budget)
 
 
-class _Tally:
-    """Parent-side budget ledger: sums per-chunk usage in chunk order and
-    raises once the limit is crossed.  Chunk boundaries are fixed, so the
-    trip point does not depend on jobs."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def add(self, n: int, frontier) -> None:
-        self.used += n
-        if self.used > self.limit:
-            raise ResourceLimit(
-                f"evaluator-call budget exhausted ({self.limit} calls)",
-                frontier=frontier)
+def _run_chunk(task):
+    worker, stage, lo, hi, arg, limit = task
+    bud = Budget(limit)
+    payload = worker(stage, range(lo, hi), arg, bud)
+    return bud.used, payload
 
 
-def _with_frontier(e: ResourceLimit, frontier) -> ResourceLimit:
-    """Attach a frontier to a budget trip raised inside a worker, which
-    knows its chunk but not the stage."""
-    if e.frontier is None:
-        return ResourceLimit(e.args[0], frontier)
-    return e
+def _stage_frontier(stage: tuple[int, ...]) -> dict:
+    return dict(zip(("worlds", "domain"), stage))
+
+
+def _scan(stages: Iterable[tuple[int, ...]], worker, arg, jobs: int, budget,
+          frontier=_stage_frontier) -> Iterator[tuple[tuple[int, ...], object]]:
+    """Yield (stage, payload) for every chunk of every stage, in scan order.
+
+    A stage is a tuple whose first entry is the world count; its frame masks
+    are split by _chunk_ranges, and ``worker(stage, masks, arg, budget)``
+    returns the payload of one chunk.  Each chunk runs under its own budget
+    of the full limit.  The parent ledger adds a chunk's usage once the
+    caller has seen its payload (a caller that returns at a hit is not
+    charged for it) and raises ResourceLimit when the sum crosses the limit.
+    Chunk boundaries are fixed, so the trip point does not depend on jobs.
+    Trips, the ledger's and those raised inside a chunk, carry
+    ``frontier(stage)``, called at the trip, so it sees what the caller has
+    summed so far."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    limit = _limit_of(budget)
+    used = 0
+    for stage in stages:
+        tasks = [(worker, stage, lo, hi, arg, limit)
+                 for lo, hi in _chunk_ranges(1 << (stage[0] ** 2))]
+        try:
+            with closing(_consume(_run_chunk, tasks, jobs)) as results:
+                for chunk_used, payload in results:
+                    yield stage, payload
+                    used += chunk_used
+                    if used > limit:
+                        raise ResourceLimit(
+                            f"evaluator-call budget exhausted ({limit} calls)",
+                            frontier(stage))
+        except ResourceLimit as e:
+            if e.frontier is not None:
+                raise
+            raise ResourceLimit(e.args[0], frontier(stage)) from None
+
+
+def _check_ceiling(max_worlds: int, ceiling: int, kind: str) -> None:
+    if max_worlds > ceiling:
+        raise ValueError(f"max_worlds {max_worlds} exceeds the {kind} "
+                         f"ceiling {ceiling}")
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +350,8 @@ def _check_model(m, spec: SearchSpec, bud: Budget) -> dict | None:
 
 def _scheme_assignments(names: Sequence[str], worlds: Sequence[str]
                         ) -> Iterator[dict[str, frozenset[str]]]:
-    n = len(worlds)
-    subsets = [frozenset(w for i, w in enumerate(worlds) if mask >> i & 1)
-               for mask in range(1 << n)]
-    for masks in product(range(1 << n), repeat=len(names)):
-        yield {nm: subsets[mask] for nm, mask in zip(names, masks)}
+    for sets in product(_subsets(worlds), repeat=len(names)):
+        yield dict(zip(names, sets))
 
 
 def _revalidate(m, spec: SearchSpec, cert: dict) -> None:
@@ -317,29 +377,30 @@ def _revalidate(m, spec: SearchSpec, cert: dict) -> None:
                            "this is a bug, please report it")
 
 
-def _mask_worlds(worlds: Sequence[str], mask: int) -> tuple[str, ...]:
-    return tuple(w for i, w in enumerate(worlds) if mask >> i & 1)
-
-
 # ---------------------------------------------------------------------------
 # Propositional countermodel search
 
-def _prop_chunk(task):
-    n, lo, hi, spec, limit = task
-    bud = Budget(limit)
+def _signature(spec: SearchSpec) -> tuple[dict[str, int], list[str]]:
+    """Predicate arities and sorted propositional atoms over spec."""
+    preds: dict[str, int] = {}
+    for f in spec.formulas():
+        preds.update(pred_symbols(f))
     atoms = sorted(set().union(*(prop_atoms(f) for f in spec.formulas())))
-    for mask in range(lo, hi):
-        fr = frame_from_mask(n, mask)
-        if not _frame_ok(fr, spec.frame_constraints):
-            continue
+    return preds, atoms
+
+
+def _prop_chunk(stage, masks, spec: SearchSpec, bud: Budget):
+    (n,) = stage
+    _, atoms = _signature(spec)
+    for mask, fr in _frames(n, masks, spec.frame_constraints):
         for vmasks in product(range(1 << n), repeat=len(atoms)):
-            valuation = {a: _mask_worlds(fr.worlds, vm)
+            valuation = {a: _bits(fr.worlds, vm)
                          for a, vm in zip(atoms, vmasks)}
             m = PropModel(fr, valuation)
             cert = _check_model(m, spec, bud)
             if cert is not None:
-                return bud.used, (mask, m, cert)
-    return bud.used, None
+                return mask, m, cert
+    return None
 
 
 def find_countermodel(spec: SearchSpec, jobs: int = 1, budget=None
@@ -353,109 +414,61 @@ def find_countermodel(spec: SearchSpec, jobs: int = 1, budget=None
             raise ValueError(
                 "find_countermodel is propositional; use "
                 "find_fo_countermodel for quantified formulas")
-    if spec.max_worlds > PROP_WORLD_CEILING:
-        raise ValueError(f"max_worlds {spec.max_worlds} exceeds the "
-                         f"propositional ceiling {PROP_WORLD_CEILING}")
-    limit = _limit_of(budget)
-    tally = _Tally(limit)
-    for n in range(1, spec.max_worlds + 1):
-        tasks = [(n, lo, hi, spec, limit)
-                 for lo, hi in _chunk_ranges(1 << (n * n))]
-        try:
-            for used, payload in _consume(_prop_chunk, tasks, jobs):
-                if payload is not None:
-                    mask, m, cert = payload
-                    cert = {"worlds": n, "frame_mask": mask, **cert}
-                    _revalidate(m, spec, cert)
-                    return SearchResult(m, cert)
-                tally.add(used, frontier={"worlds": n})
-        except ResourceLimit as e:
-            raise _with_frontier(e, {"worlds": n}) from None
+    _check_ceiling(spec.max_worlds, PROP_WORLD_CEILING, "propositional")
+    stages = ((n,) for n in range(1, spec.max_worlds + 1))
+    for (n,), hit in _scan(stages, _prop_chunk, spec, jobs, budget):
+        if hit is not None:
+            mask, m, cert = hit
+            cert = {"worlds": n, "frame_mask": mask, **cert}
+            _revalidate(m, spec, cert)
+            return SearchResult(m, cert)
     return None
 
 
 # ---------------------------------------------------------------------------
 # First-order countermodel search
 
-def _domain_names(d: int) -> tuple[str, ...]:
-    if d > len(string.ascii_lowercase):
-        raise ValueError("domain sizes beyond 26 are not supported")
-    return tuple(string.ascii_lowercase[:d])
+def _fo_stages(spec: SearchSpec) -> Iterator[tuple[int, int]]:
+    """(worlds, domain) stages in scan order.  A stage whose per-frame
+    enumeration needs more than FO_SEARCH_BITS bits is refused when the scan
+    reaches it, after the earlier stages have been searched."""
+    preds, atoms = _signature(spec)
+    for n in range(1, spec.max_worlds + 1):
+        for d in range(1, spec.max_domain + 1):
+            bits = n * (d * (spec.mode == "varying") + len(atoms)
+                        + sum(d ** arity for arity in preds.values()))
+            if bits > FO_SEARCH_BITS:
+                raise ResourceLimit(
+                    f"stage {n} worlds x {d} elements needs 2**{bits} "
+                    f"models per frame (limit 2**{FO_SEARCH_BITS})",
+                    frontier={"worlds": n, "domain": d - 1})
+            yield n, d
 
 
-def _exists_from_mask(worlds: Sequence[str], domain: Sequence[str],
-                      mask: int) -> dict[str, frozenset[str]]:
-    """World-major existence map: bit wi*|domain|+ei puts element ei at
-    world wi."""
-    d = len(domain)
-    return {w: frozenset(e for ei, e in enumerate(domain)
-                         if mask >> (wi * d + ei) & 1)
-            for wi, w in enumerate(worlds)}
-
-
-def _pred_cells(domain: Sequence[str], arity: int) -> list[tuple[str, ...]]:
-    return list(product(domain, repeat=arity))
-
-
-def _pred_from_mask(cells: Sequence[tuple[str, ...]], worlds: Sequence[str],
-                    arity: int, mask: int) -> FlexiblePred:
-    """Cell-major interpretation: bit ci*|worlds|+wi puts cell ci in the
-    extension at world wi (matches the unary order used by fo_scheme_valid).
-    """
-    nw = len(worlds)
-    ext = {w: frozenset(cells[ci] for ci in range(len(cells))
-                        if mask >> (ci * nw + wi) & 1)
-           for wi, w in enumerate(worlds)}
-    return FlexiblePred(arity, ext)
-
-
-def _fo_stage_bits(n: int, d: int, spec: SearchSpec,
-                   preds: dict[str, int], atoms: Sequence[str]) -> int:
-    bits = 0
-    if spec.mode == "varying":
-        bits += d * n
-    for arity in preds.values():
-        bits += (d ** arity) * n
-    bits += len(atoms) * n
-    return bits
-
-
-def _fo_chunk(task):
-    n, d, lo, hi, spec, limit = task
-    bud = Budget(limit)
-    domain = _domain_names(d)
-    all_forms = spec.formulas()
-    preds: dict[str, int] = {}
-    for f in all_forms:
-        for name, arity in pred_symbols(f).items():
-            preds[name] = arity
+def _fo_chunk(stage, masks, spec: SearchSpec, bud: Budget):
+    """Interpretation masks are cell-major, as decoded by model._extension:
+    bit ci*n+wi puts the ci-th argument tuple in the extension at world wi
+    (the unary order fo_scheme_valid uses)."""
+    n, d = stage
+    preds, atoms = _signature(spec)
     pred_names = sorted(preds)
-    atoms = sorted(set().union(*(prop_atoms(f) for f in all_forms)))
-    cells = {p: _pred_cells(domain, preds[p]) for p in pred_names}
-    for fmask in range(lo, hi):
-        fr = frame_from_mask(n, fmask)
-        if not _frame_ok(fr, spec.frame_constraints):
-            continue
-        worlds = fr.worlds
-        emasks = range(1 << (d * n)) if spec.mode == "varying" else \
-            ((1 << (d * n)) - 1,)
-        for emask in emasks:
-            df = DomainFrame(fr, domain, _exists_from_mask(worlds, domain,
-                                                           emask))
-            for pmasks in product(*(range(1 << (len(cells[p]) * n))
-                                    for p in pred_names)):
-                flex = {p: _pred_from_mask(cells[p], worlds, preds[p], pm)
-                        for p, pm in zip(pred_names, pmasks)}
-                for vmasks in product(range(1 << n), repeat=len(atoms)):
-                    valuation = {a: _mask_worlds(worlds, vm)
-                                 for a, vm in zip(atoms, vmasks)}
-                    m = FoModel(df, spec.mode, valuation,
-                                flexible_preds=flex)
-                    cert = _check_model(m, spec, bud)
-                    if cert is not None:
-                        coords = {"frame_mask": fmask, "exists_mask": emask}
-                        return bud.used, (coords, m, cert)
-    return bud.used, None
+    for fmask, emask, df in _domain_frames(n, d, masks,
+                                           spec.mode == "varying",
+                                           spec.frame_constraints):
+        worlds = df.worlds
+        for pmasks in product(*(range(1 << (d ** preds[p] * n))
+                                for p in pred_names)):
+            flex = {p: FlexiblePred(preds[p], _extension(df.domain, worlds,
+                                                         pm, preds[p]))
+                    for p, pm in zip(pred_names, pmasks)}
+            for vmasks in product(range(1 << n), repeat=len(atoms)):
+                valuation = {a: _bits(worlds, vm)
+                             for a, vm in zip(atoms, vmasks)}
+                m = FoModel(df, spec.mode, valuation, flexible_preds=flex)
+                cert = _check_model(m, spec, bud)
+                if cert is not None:
+                    return fmask, emask, m, cert
+    return None
 
 
 def find_fo_countermodel(spec: SearchSpec, jobs: int = 1, budget=None
@@ -476,60 +489,32 @@ def find_fo_countermodel(spec: SearchSpec, jobs: int = 1, budget=None
         if scheme_vars(f) and not is_propositional(f):
             raise ValueError("schematic metavariables are only supported "
                              "in purely propositional (sub)formulas")
-    if spec.max_worlds > FO_WORLD_CEILING:
-        raise ValueError(f"max_worlds {spec.max_worlds} exceeds the "
-                         f"quantified ceiling {FO_WORLD_CEILING}")
+    _check_ceiling(spec.max_worlds, FO_WORLD_CEILING, "quantified")
     if spec.max_domain < 1:
         raise ValueError("max_domain must be at least 1 for quantified "
                          "search")
-    preds: dict[str, int] = {}
-    for f in spec.formulas():
-        for name, arity in pred_symbols(f).items():
-            preds[name] = arity
-    atoms = sorted(set().union(*(prop_atoms(f) for f in spec.formulas())))
-    limit = _limit_of(budget)
-    tally = _Tally(limit)
-    for n in range(1, spec.max_worlds + 1):
-        for d in range(1, spec.max_domain + 1):
-            bits = _fo_stage_bits(n, d, spec, preds, atoms)
-            if bits > FO_SEARCH_BITS:
-                raise ResourceLimit(
-                    f"stage {n} worlds x {d} elements needs 2**{bits} "
-                    f"models per frame (limit 2**{FO_SEARCH_BITS})",
-                    frontier={"worlds": n, "domain": d - 1})
-            tasks = [(n, d, lo, hi, spec, limit)
-                     for lo, hi in _chunk_ranges(1 << (n * n))]
-            try:
-                for used, payload in _consume(_fo_chunk, tasks, jobs):
-                    if payload is not None:
-                        coords, m, cert = payload
-                        cert = {"worlds": n, "domain": d, **coords, **cert}
-                        _revalidate(m, spec, cert)
-                        return SearchResult(m, cert)
-                    tally.add(used, frontier={"worlds": n, "domain": d})
-            except ResourceLimit as e:
-                raise _with_frontier(e, {"worlds": n, "domain": d}) from None
+    for (n, d), hit in _scan(_fo_stages(spec), _fo_chunk, spec, jobs,
+                             budget):
+        if hit is not None:
+            fmask, emask, m, cert = hit
+            cert = {"worlds": n, "domain": d, "frame_mask": fmask,
+                    "exists_mask": emask, **cert}
+            _revalidate(m, spec, cert)
+            return SearchResult(m, cert)
     return None
 
 
 # ---------------------------------------------------------------------------
 # The quantifier/Box exchange: divergence search and exhaustive sweeps
 
-def _div_chunk(task):
-    n, d, lo, hi, limit = task
-    bud = Budget(limit)
-    domain = _domain_names(d)
-    for fmask in range(lo, hi):
-        fr = frame_from_mask(n, fmask)
-        worlds = fr.worlds
-        for emask in range(1 << (d * n)):
-            df = DomainFrame(fr, domain,
-                             _exists_from_mask(worlds, domain, emask))
-            fm = FoModel(df, "varying")
-            r = bf_readings(fm, "P", bud)
-            if r.meta_implies and not r.object_implies:
-                return bud.used, (fmask, emask, fm, r)
-    return bud.used, None
+def _div_chunk(stage, masks, _, bud: Budget):
+    n, d = stage
+    for fmask, emask, df in _domain_frames(n, d, masks, varying=True):
+        fm = FoModel(df, "varying")
+        r = bf_readings(fm, "P", bud)
+        if r.meta_implies and not r.object_implies:
+            return fmask, emask, fm, r
+    return None
 
 
 def find_barcan_divergence(max_worlds: int = 3, max_domain: int = 2,
@@ -541,30 +526,19 @@ def find_barcan_divergence(max_worlds: int = 3, max_domain: int = 2,
     Scan order: world count, then domain size, then frame bitmask, then
     existence mask.  Returns None when no divergence exists in bounds
     (e.g. with max_worlds=1, where the two readings coincide)."""
-    if max_worlds > FO_WORLD_CEILING:
-        raise ValueError(f"max_worlds {max_worlds} exceeds the quantified "
-                         f"ceiling {FO_WORLD_CEILING}")
-    limit = _limit_of(budget)
-    tally = _Tally(limit)
-    for n in range(1, max_worlds + 1):
-        for d in range(1, max_domain + 1):
-            tasks = [(n, d, lo, hi, limit)
-                     for lo, hi in _chunk_ranges(1 << (n * n))]
-            try:
-                for used, payload in _consume(_div_chunk, tasks, jobs):
-                    if payload is not None:
-                        fmask, emask, fm, r = payload
-                        _revalidate_divergence(fm, r)
-                        cert = {
-                            "kind": "barcan_divergence",
-                            "worlds": n, "domain": d,
-                            "frame_mask": fmask, "exists_mask": emask,
-                            "readings": r.to_dict(),
-                        }
-                        return SearchResult(fm, cert)
-                    tally.add(used, frontier={"worlds": n, "domain": d})
-            except ResourceLimit as e:
-                raise _with_frontier(e, {"worlds": n, "domain": d}) from None
+    _check_ceiling(max_worlds, FO_WORLD_CEILING, "quantified")
+    stages = product(range(1, max_worlds + 1), range(1, max_domain + 1))
+    for (n, d), hit in _scan(stages, _div_chunk, None, jobs, budget):
+        if hit is not None:
+            fmask, emask, fm, r = hit
+            _revalidate_divergence(fm, r)
+            cert = {
+                "kind": "barcan_divergence",
+                "worlds": n, "domain": d,
+                "frame_mask": fmask, "exists_mask": emask,
+                "readings": r.to_dict(),
+            }
+            return SearchResult(fm, cert)
     return None
 
 
@@ -574,15 +548,10 @@ def _revalidate_divergence(fm: FoModel, r) -> None:
     from .semantics import BF_LHS, BF_RHS
     lhs, rhs = BF_LHS("P"), BF_RHS("P")
     worlds, domain = fm.worlds, fm.domain
-    nw = len(worlds)
     ok = True
-    for mask in range(1 << (len(domain) * nw)):
-        ext = {w: frozenset(
-            (e,) for ei, e in enumerate(domain)
-            if mask >> (ei * nw + widx) & 1)
-            for widx, w in enumerate(worlds)}
-        m2 = FoModel(fm.dframe, "varying",
-                     flexible_preds={"P": FlexiblePred(1, ext)})
+    for mask in range(1 << (len(domain) * len(worlds))):
+        m2 = FoModel(fm.dframe, "varying", flexible_preds={
+            "P": FlexiblePred(1, _extension(domain, worlds, mask))})
         if all(evaluate(m2, lhs, w) for w in worlds):
             ok = ok and all(evaluate(m2, rhs, w) for w in worlds)
     interp, w0 = r.object_witness
@@ -595,39 +564,31 @@ def _revalidate_divergence(fm: FoModel, r) -> None:
                            "re-check; this is a bug, please report it")
 
 
-def _sweep_chunk(task):
+def _sweep_chunk(stage, masks, _, bud: Budget):
     from .correspondence import BF_SCHEME, CBF_SCHEME
-    n, d, lo, hi, limit = task
-    bud = Budget(limit)
-    domain = _domain_names(d)
+    n, d = stage
     checked = 0
     violations: list[dict] = []
-    for fmask in range(lo, hi):
-        fr = frame_from_mask(n, fmask)
-        worlds = fr.worlds
-        sym = frame_property(fr, "symmetric")
-        for emask in range(1 << (d * n)):
-            df = DomainFrame(fr, domain,
-                             _exists_from_mask(worlds, domain, emask))
-            fm = FoModel(df, "varying")
-            mono = domain_monotonicity(df)
-            bf = fo_scheme_valid(fm, BF_SCHEME, "P", bud).holds
-            cbf = fo_scheme_valid(fm, CBF_SCHEME, "P", bud).holds
-            checked += 1
-            coords = {"worlds": n, "frame_mask": fmask, "exists_mask": emask}
-            if bf != mono.nonincreasing:
-                violations.append({**coords, "check": "bf_vs_nonincreasing",
-                                   "bf": bf,
-                                   "nonincreasing": mono.nonincreasing})
-            if cbf != mono.nondecreasing:
-                violations.append({**coords, "check": "cbf_vs_nondecreasing",
-                                   "cbf": cbf,
-                                   "nondecreasing": mono.nondecreasing})
-            if sym and bf != cbf:
-                violations.append({**coords,
-                                   "check": "bf_iff_cbf_on_symmetric",
-                                   "bf": bf, "cbf": cbf})
-    return bud.used, (checked, violations)
+    for fmask, emask, df in _domain_frames(n, d, masks, varying=True):
+        fm = FoModel(df, "varying")
+        mono = domain_monotonicity(df)
+        bf = fo_scheme_valid(fm, BF_SCHEME, "P", bud).holds
+        cbf = fo_scheme_valid(fm, CBF_SCHEME, "P", bud).holds
+        checked += 1
+        coords = {"worlds": n, "frame_mask": fmask, "exists_mask": emask}
+        if bf != mono.nonincreasing:
+            violations.append({**coords, "check": "bf_vs_nonincreasing",
+                               "bf": bf,
+                               "nonincreasing": mono.nonincreasing})
+        if cbf != mono.nondecreasing:
+            violations.append({**coords, "check": "cbf_vs_nondecreasing",
+                               "cbf": cbf,
+                               "nondecreasing": mono.nondecreasing})
+        if bf != cbf and frame_property(df.frame, "symmetric"):
+            violations.append({**coords,
+                               "check": "bf_iff_cbf_on_symmetric",
+                               "bf": bf, "cbf": cbf})
+    return checked, violations
 
 
 def barcan_sweep(max_worlds: int = 3, domain_size: int = 2, jobs: int = 1,
@@ -636,46 +597,32 @@ def barcan_sweep(max_worlds: int = 3, domain_size: int = 2, jobs: int = 1,
     every frame of up to max_worlds worlds and every existence map for a
     fixed domain size.  Returns a summary dict whose ``violations`` list is
     expected to stay empty; ``jobs`` never changes the summary."""
-    if max_worlds > FO_WORLD_CEILING:
-        raise ValueError(f"max_worlds {max_worlds} exceeds the quantified "
-                         f"ceiling {FO_WORLD_CEILING}")
-    limit = _limit_of(budget)
-    tally = _Tally(limit)
+    _check_ceiling(max_worlds, FO_WORLD_CEILING, "quantified")
     checked = 0
     violations: list[dict] = []
-    for n in range(1, max_worlds + 1):
-        tasks = [(n, domain_size, lo, hi, limit)
-                 for lo, hi in _chunk_ranges(1 << (n * n))]
-        try:
-            for used, (cnt, viol) in _consume(_sweep_chunk, tasks, jobs):
-                checked += cnt
-                violations.extend(viol)
-                tally.add(used, frontier={"worlds": n, "checked": checked})
-        except ResourceLimit as e:
-            raise _with_frontier(e, {"worlds": n,
-                                     "checked": checked}) from None
+    stages = ((n, domain_size) for n in range(1, max_worlds + 1))
+    for _, (cnt, viol) in _scan(
+            stages, _sweep_chunk, None, jobs, budget,
+            frontier=lambda st: {"worlds": st[0], "checked": checked}):
+        checked += cnt
+        violations.extend(viol)
     return {"max_worlds": max_worlds, "domain_size": domain_size,
             "checked": checked, "violations": violations,
             "all_consistent": not violations}
 
 
-def _agree_chunk(task):
-    n, d, lo, hi, limit = task
-    bud = Budget(limit)
-    domain = _domain_names(d)
+def _agree_chunk(stage, masks, _, bud: Budget):
+    n, d = stage
     checked = 0
     disagreements: list[dict] = []
-    for fmask in range(lo, hi):
-        fr = frame_from_mask(n, fmask)
-        df = DomainFrame(fr, domain)
-        fm = FoModel(df, "constant")
-        r = bf_readings(fm, "P", bud)
+    for fmask, _, df in _domain_frames(n, d, masks, varying=False):
+        r = bf_readings(FoModel(df, "constant"), "P", bud)
         checked += 1
         if r.meta_implies != r.object_implies:
             disagreements.append({"worlds": n, "domain": d,
                                   "frame_mask": fmask,
                                   "readings": r.to_dict()})
-    return bud.used, (checked, disagreements)
+    return checked, disagreements
 
 
 def bf_agreement_sweep(max_worlds: int = 3, max_domain: int = 2,
@@ -683,24 +630,13 @@ def bf_agreement_sweep(max_worlds: int = 3, max_domain: int = 2,
     """Check that on every constant-domain model in bounds the rule reading
     and the implication reading of the exchange agree.  The summary's
     ``disagreements`` list is expected to stay empty."""
-    if max_worlds > FO_WORLD_CEILING:
-        raise ValueError(f"max_worlds {max_worlds} exceeds the quantified "
-                         f"ceiling {FO_WORLD_CEILING}")
-    limit = _limit_of(budget)
-    tally = _Tally(limit)
+    _check_ceiling(max_worlds, FO_WORLD_CEILING, "quantified")
     checked = 0
     disagreements: list[dict] = []
-    for n in range(1, max_worlds + 1):
-        for d in range(1, max_domain + 1):
-            tasks = [(n, d, lo, hi, limit)
-                     for lo, hi in _chunk_ranges(1 << (n * n))]
-            try:
-                for used, (cnt, dis) in _consume(_agree_chunk, tasks, jobs):
-                    checked += cnt
-                    disagreements.extend(dis)
-                    tally.add(used, frontier={"worlds": n, "domain": d})
-            except ResourceLimit as e:
-                raise _with_frontier(e, {"worlds": n, "domain": d}) from None
+    stages = product(range(1, max_worlds + 1), range(1, max_domain + 1))
+    for _, (cnt, dis) in _scan(stages, _agree_chunk, None, jobs, budget):
+        checked += cnt
+        disagreements.extend(dis)
     return {"max_worlds": max_worlds, "max_domain": max_domain,
             "checked": checked, "disagreements": disagreements,
             "all_agree": not disagreements}
@@ -709,28 +645,28 @@ def bf_agreement_sweep(max_worlds: int = 3, max_domain: int = 2,
 # ---------------------------------------------------------------------------
 # Deduction-theorem gap
 
-def _gap_chunk(task):
-    n, lo, hi, conclusion, limit = task
-    bud = Budget(limit)
+def _charged(bud: Budget, m, f: Formula, w: str, sv) -> bool:
+    """evaluate, charging the budget its one unit."""
+    bud.charge()
+    return evaluate(m, f, w, scheme_vals=sv)
+
+
+def _gap_chunk(stage, masks, conclusion: Imp, bud: Budget):
+    (n,) = stage
     names = scheme_vars(conclusion)
     lhs, rhs = conclusion.lhs, conclusion.rhs
-    for fmask in range(lo, hi):
-        fr = frame_from_mask(n, fmask)
+    for fmask, fr in _frames(n, masks):
         m = PropModel(fr, {})
         worlds = fr.worlds
         for sv in _scheme_assignments(names, worlds):
-            bud.charge(3 * len(worlds))
-            lhs_valid = all(evaluate(m, lhs, w, scheme_vals=sv)
-                            for w in worlds)
-            rhs_valid = all(evaluate(m, rhs, w, scheme_vals=sv)
-                            for w in worlds)
+            lhs_valid = all(_charged(bud, m, lhs, w, sv) for w in worlds)
+            rhs_valid = all(_charged(bud, m, rhs, w, sv) for w in worlds)
             if lhs_valid and not rhs_valid:
                 continue  # the rule reading fails here: not a gap
             fail = next((w for w in worlds
-                         if not evaluate(m, conclusion, w, scheme_vals=sv)),
-                        None)
+                         if not _charged(bud, m, conclusion, w, sv)), None)
             if fail is not None:
-                return bud.used, (fmask, m, {
+                return fmask, m, {
                     "kind": "deduction_gap",
                     "conclusion": render(conclusion, "ascii"),
                     "assignment": {k: sorted(v, key=fr.index.__getitem__)
@@ -738,8 +674,8 @@ def _gap_chunk(task):
                     "world": fail,
                     "lhs_valid": lhs_valid,
                     "rhs_valid": rhs_valid,
-                })
-    return bud.used, None
+                }
+    return None
 
 
 def find_deduction_gap(conclusion: Formula | None = None,
@@ -750,8 +686,9 @@ def find_deduction_gap(conclusion: Formula | None = None,
     implication formula itself fails — the deduction-theorem direction that
     modal consequence lacks.  Default conclusion: P => Q over metavariables.
 
-    The check uses the reference evaluator directly.  No such gap fits in a
-    single world; the least witnesses appear at two."""
+    The check uses the reference evaluator directly, and the budget counts
+    its calls.  No such gap fits in a single world; the least witnesses
+    appear at two."""
     if conclusion is None:
         conclusion = Imp(SchemeVar("P"), SchemeVar("Q"))
     if not isinstance(conclusion, Imp):
@@ -761,21 +698,10 @@ def find_deduction_gap(conclusion: Formula | None = None,
     if prop_atoms(conclusion):
         raise ValueError("build the conclusion from metavariables (uppercase"
                          " initial), not fixed atoms")
-    if max_worlds > PROP_WORLD_CEILING:
-        raise ValueError(f"max_worlds {max_worlds} exceeds the "
-                         f"propositional ceiling {PROP_WORLD_CEILING}")
-    limit = _limit_of(budget)
-    tally = _Tally(limit)
-    for n in range(1, max_worlds + 1):
-        tasks = [(n, lo, hi, conclusion, limit)
-                 for lo, hi in _chunk_ranges(1 << (n * n))]
-        try:
-            for used, payload in _consume(_gap_chunk, tasks, jobs):
-                if payload is not None:
-                    fmask, m, cert = payload
-                    cert = {"worlds": n, "frame_mask": fmask, **cert}
-                    return SearchResult(m, cert)
-                tally.add(used, frontier={"worlds": n})
-        except ResourceLimit as e:
-            raise _with_frontier(e, {"worlds": n}) from None
+    _check_ceiling(max_worlds, PROP_WORLD_CEILING, "propositional")
+    stages = ((n,) for n in range(1, max_worlds + 1))
+    for (n,), hit in _scan(stages, _gap_chunk, conclusion, jobs, budget):
+        if hit is not None:
+            fmask, m, cert = hit
+            return SearchResult(m, {"worlds": n, "frame_mask": fmask, **cert})
     return None

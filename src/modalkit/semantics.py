@@ -25,7 +25,8 @@ from .formula import (
     PredAtom, PropAtom, RigidConst, SchemeVar, StrictImp,
     free_vars, is_propositional, prop_atoms, scheme_vars,
 )
-from .model import DomainFrame, FoModel, Frame, PropModel
+from .model import (FoModel, Frame, PropModel, _bits, _extension, _pairs,
+                    _subsets)
 
 __all__ = [
     "EvalError", "UnboundScheme", "UnboundVar", "UnknownSymbol",
@@ -89,17 +90,18 @@ def _env_budget() -> int:
         return DEFAULT_EVAL_BUDGET
     try:
         v = int(raw)
-        if v <= 0:
-            raise ValueError
-        return v
     except ValueError:
-        raise ResourceLimit(f"MODALKIT_BUDGET must be a positive integer, "
-                            f"got {raw!r}") from None
+        v = 0
+    if v <= 0:
+        raise ValueError(f"MODALKIT_BUDGET must be a positive integer, "
+                         f"got {raw!r}")
+    return v
 
 
 class Budget:
     """Meters evaluator calls (one unit = one formula evaluated at one
-    world).  The default limit comes from MODALKIT_BUDGET or 10**8."""
+    world).  The default limit comes from MODALKIT_BUDGET or 10**8; a
+    MODALKIT_BUDGET that is not a positive integer raises ValueError."""
 
     def __init__(self, limit: int | None = None):
         self.limit = _env_budget() if limit is None else limit
@@ -414,16 +416,6 @@ def valid(m: PropModel | FoModel, f: Formula, budget=None) -> Verdict:
     return Verdict(True)
 
 
-def _mask_subsets(worlds: Sequence[str]) -> list[frozenset[str]]:
-    n = len(worlds)
-    return [frozenset(w for i, w in enumerate(worlds) if mask >> i & 1)
-            for mask in range(1 << n)]
-
-
-def _mask_worlds(worlds: Sequence[str], mask: int) -> tuple[str, ...]:
-    return tuple(w for i, w in enumerate(worlds) if mask >> i & 1)
-
-
 def scheme_valid(m: PropModel | FoModel, scheme: Formula, budget=None,
                  max_bits: int = SCHEME_BITS_LIMIT) -> Verdict:
     """Validity of every instance of a propositional scheme on m.
@@ -459,7 +451,6 @@ def _scheme_check(m, scheme: Formula, names: Sequence[str],
             f"(limit {max_bits})")
     ctx = _Ctx(m, schematic=True, atoms_schematic=atoms_schematic)
     fn = _compile(scheme, ctx)
-    subsets = _mask_subsets(worlds)
     sch = ctx.schemes
     if k == 0:
         for w in worlds:
@@ -467,6 +458,7 @@ def _scheme_check(m, scheme: Formula, names: Sequence[str],
             if not fn(w):
                 return Verdict(False, world=w, assignment={})
         return Verdict(True)
+    subsets = _subsets(worlds)
     for w in worlds:
         for masks in product(range(1 << n), repeat=k):
             for nm, mask in zip(names, masks):
@@ -475,7 +467,7 @@ def _scheme_check(m, scheme: Formula, names: Sequence[str],
             if not fn(w):
                 return Verdict(
                     False, world=w,
-                    assignment={nm: _mask_worlds(worlds, mask)
+                    assignment={nm: _bits(worlds, mask)
                                 for nm, mask in zip(names, masks)})
     return Verdict(True)
 
@@ -504,7 +496,7 @@ def meta_implies(m: PropModel | FoModel, premises: Sequence[Formula],
     ctx = _Ctx(m, schematic=True)
     fps = [_compile(p, ctx) for p in premises]
     fc = _compile(conclusion, ctx)
-    subsets = _mask_subsets(worlds)
+    subsets = _subsets(worlds) if k else ()
     sch = ctx.schemes
     for masks in product(range(1 << n), repeat=k):
         for nm, mask in zip(names, masks):
@@ -525,35 +517,13 @@ def meta_implies(m: PropModel | FoModel, premises: Sequence[Formula],
             if not fc(w):
                 return Verdict(
                     False, world=w,
-                    assignment={nm: _mask_worlds(worlds, mask)
+                    assignment={nm: _bits(worlds, mask)
                                 for nm, mask in zip(names, masks)})
     return Verdict(True)
 
 
 # ---------------------------------------------------------------------------
 # First-order schematic validity
-
-def _hole_extensions(domain: Sequence[str], worlds: Sequence[str], mask: int
-                     ) -> dict[str, set[tuple[str, ...]]]:
-    """Unary extension for interpretation ``mask`` over the element-major
-    pair order (e0,w0), (e0,w1), ..., (e1,w0), ..."""
-    ext: dict[str, set[tuple[str, ...]]] = {w: set() for w in worlds}
-    nw = len(worlds)
-    for ei, e in enumerate(domain):
-        for wi, w in enumerate(worlds):
-            if mask >> (ei * nw + wi) & 1:
-                ext[w].add((e,))
-    return ext
-
-
-def _hole_pairs(domain: Sequence[str], worlds: Sequence[str], mask: int
-                ) -> tuple[tuple[str, str], ...]:
-    nw = len(worlds)
-    return tuple((e, w)
-                 for ei, e in enumerate(domain)
-                 for wi, w in enumerate(worlds)
-                 if mask >> (ei * nw + wi) & 1)
-
 
 def fo_scheme_valid(fm: FoModel, scheme: Formula, hole: str, budget=None,
                     max_pairs: int = FO_PAIRS_LIMIT) -> Verdict:
@@ -579,11 +549,11 @@ def fo_scheme_valid(fm: FoModel, scheme: Formula, hole: str, budget=None,
     fn = _compile(scheme, ctx)
     for w in worlds:
         for mask in range(1 << bits):
-            ctx.flex[hole] = _hole_extensions(domain, worlds, mask)
+            ctx.flex[hole] = _extension(domain, worlds, mask)
             bud.charge()
             if not fn(w):
                 return Verdict(False, world=w,
-                               interpretation=_hole_pairs(domain, worlds, mask))
+                               interpretation=_pairs(domain, worlds, mask))
     return Verdict(True)
 
 
@@ -651,7 +621,7 @@ def bf_readings(fm: FoModel, hole: str = "P", budget=None,
     best: tuple[int, int] | None = None
     widx = {w: i for i, w in enumerate(worlds)}
     for mask in range(1 << bits):
-        ctx.flex[hole] = _hole_extensions(domain, worlds, mask)
+        ctx.flex[hole] = _extension(domain, worlds, mask)
         lvalid = rvalid = True
         for w in worlds:
             bud.charge(2)
@@ -672,5 +642,5 @@ def bf_readings(fm: FoModel, hole: str = "P", budget=None,
     witness = None
     if best is not None:
         wi, mask = best
-        witness = (_hole_pairs(domain, worlds, mask), worlds[wi])
+        witness = (_pairs(domain, worlds, mask), worlds[wi])
     return BfReadings(pointwise, meta_iff, meta_imp, obj, witness)

@@ -280,6 +280,24 @@ class TestCountermodel:
         assert doc["error"]["kind"] == "resource-limit"
         assert doc["error"]["frontier"] == {"worlds": 2}
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+    def test_bad_budget_env_var_is_usage(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("MODALKIT_BUDGET", raw)
+        code, out, _ = run(capsys, "countermodel",
+                           "--conclusion", "[]P => P", "--json")
+        assert code == EXIT_USAGE
+        doc = json.loads(out)
+        assert doc["error"]["kind"] == "usage"
+        assert "MODALKIT_BUDGET must be a positive integer" in \
+            doc["error"]["message"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage(self, capsys, jobs):
+        code, _, err = run(capsys, "countermodel",
+                           "--conclusion", "[]P => P", "--jobs", jobs)
+        assert code == EXIT_USAGE
+        assert "jobs must be at least 1" in err
+
     def test_jobs_do_not_change_output(self, capsys):
         outputs = []
         for jobs in ("1", "2"):
@@ -343,6 +361,31 @@ class TestUsage:
                              capture_output=True, text=True, env=env)
         assert mod.returncode == 0
         assert mod.stdout == "[]P => P\n"
+
+    @pytest.mark.parametrize("text", ["~" * 3000 + "p",
+                                      "(" * 3000 + "p" + ")" * 3000],
+                             ids=["negations", "parentheses"])
+    def test_deeply_nested_formula_is_usage(self, capsys, write_json, text):
+        path = write_json("m.json", PROP_MODEL)
+        for argv in (("render", "--formula", text),
+                     ("check", "--model", path, "--formula", text)):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (EXIT_USAGE, "")
+            assert "nested too deeply" in err
+
+    def test_closed_stdout_exits_usage(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-c", ENTRY_WRAPPER, "countermodel",
+                 "--conclusion", "[]P => P", "--max-worlds", "1", "--json"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=child_env(), timeout=60)
+        finally:
+            os.close(write_end)
+        assert out.returncode == EXIT_USAGE
+        assert "Traceback" not in out.stderr
 
     def test_console_script_declared(self):
         tomllib = pytest.importorskip("tomllib")

@@ -2,6 +2,7 @@
 JSON model format with first-violation paths."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -10,6 +11,7 @@ from modalkit import (DomainFrame, FlexiblePred, FoModel, Frame,
                       domain_frame_from_dict, domain_monotonicity,
                       frame_from_dict, frame_property, is_total, load_model,
                       model_from_dict, model_to_dict)
+from modalkit.model import _bits, _extension, _pairs, _subsets
 from modalkit.search import enumerate_frames, frame_from_mask
 
 
@@ -41,6 +43,31 @@ def oracle_property(fr: Frame, prop: str) -> bool:
                 and oracle_property(fr, "symmetric")
                 and oracle_property(fr, "transitive"))
     raise KeyError(prop)
+
+
+class TestMaskCodec:
+    """The bit layouts search certificates are written in."""
+
+    def test_bits_and_subsets(self):
+        items = ("a", "b", "c")
+        assert _bits(items, 0b101) == ("a", "c")
+        assert _subsets(items) == [frozenset(_bits(items, m))
+                                   for m in range(8)]
+
+    def test_pairs_are_row_major(self):
+        rows, cols = ("r0", "r1"), ("c0", "c1", "c2")
+        assert _pairs(rows, cols, 1 << (1 * 3 + 2) | 1) == \
+            (("r0", "c0"), ("r1", "c2"))
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_extension_is_cell_major(self, arity):
+        domain, worlds = ("a", "b"), ("w0", "w1", "w2")
+        cells = list(product(domain, repeat=arity))
+        for mask in range(1 << (len(cells) * len(worlds))):
+            assert _extension(domain, worlds, mask, arity) == {
+                w: frozenset(c for ci, c in enumerate(cells)
+                             if mask >> (ci * len(worlds) + wi) & 1)
+                for wi, w in enumerate(worlds)}
 
 
 class TestFrame:

@@ -1,6 +1,8 @@
 """Bounded countermodel search: enumeration order, pinned least witnesses,
 exhaustive sweeps, and independence of the answer from the jobs count."""
 
+import multiprocessing
+import multiprocessing.pool
 from itertools import permutations
 
 import pytest
@@ -333,3 +335,109 @@ class TestJobsInvariance:
             trips.append((ei.value.args[0], ei.value.frontier))
         assert trips[0] == trips[1]
         assert trips[0][1] == {"worlds": 2}
+
+
+# One entry per search driver: a call that scans more than one stage, and a
+# budget that lets the first stage finish but trips in the second.
+TRIPS = {
+    "find_countermodel": (
+        lambda jobs, budget: find_countermodel(
+            SearchSpec(TOLLENS), jobs=jobs, budget=budget),
+        60, {"worlds": 2}),
+    "find_fo_countermodel": (
+        lambda jobs, budget: find_fo_countermodel(
+            SearchSpec(BF_SCHEME, max_worlds=2, max_domain=1,
+                       mode="constant"), jobs=jobs, budget=budget),
+        100, {"worlds": 2, "domain": 1}),
+    "find_barcan_divergence": (
+        lambda jobs, budget: find_barcan_divergence(
+            2, 1, jobs=jobs, budget=budget),
+        100, {"worlds": 2, "domain": 1}),
+    "barcan_sweep": (
+        lambda jobs, budget: barcan_sweep(2, 1, jobs=jobs, budget=budget),
+        100, {"worlds": 2, "checked": 12}),
+    "bf_agreement_sweep": (
+        lambda jobs, budget: bf_agreement_sweep(2, 1, jobs=jobs,
+                                                budget=budget),
+        100, {"worlds": 2, "domain": 1}),
+    "find_deduction_gap": (
+        lambda jobs, budget: find_deduction_gap(parse("P => P"), jobs=jobs,
+                                                budget=budget),
+        100, {"worlds": 2}),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("driver", sorted(TRIPS))
+def test_budget_trip_point_is_pinned(driver, jobs):
+    call, budget, frontier = TRIPS[driver]
+    with pytest.raises(ResourceLimit) as ei:
+        call(jobs, budget)
+    assert ei.value.args[0] == \
+        f"evaluator-call budget exhausted ({budget} calls)"
+    assert ei.value.frontier == frontier
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize("driver", sorted(TRIPS))
+def test_jobs_below_one_is_rejected(driver, jobs):
+    call, budget, _ = TRIPS[driver]
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        call(jobs, budget)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+def test_bad_budget_env_var_is_a_usage_error(monkeypatch, raw):
+    monkeypatch.setenv("MODALKIT_BUDGET", raw)
+    with pytest.raises(ValueError, match="MODALKIT_BUDGET"):
+        find_countermodel(SearchSpec(parse("[]P => P"), max_worlds=1))
+
+
+def test_pooled_search_stops_without_terminating_its_pool(monkeypatch):
+    """Pool.terminate can kill a worker while it holds the result queue's
+    lock, which hangs the pool; an early stop must close and join."""
+    terminated = []
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate",
+                        lambda self: terminated.append(self))
+    # the least countermodel sits on the empty one-world frame, the first
+    # of the stage's two chunks
+    r = find_countermodel(SearchSpec(parse("[]P => P"), max_worlds=1),
+                          jobs=2)
+    assert (r.certificate["worlds"], r.certificate["frame_mask"]) == (1, 0)
+    with pytest.raises(ResourceLimit):
+        find_countermodel(SearchSpec(TOLLENS), jobs=2, budget=60)
+    assert terminated == []
+    assert multiprocessing.active_children() == []
+
+
+def _count_evaluate(monkeypatch, call):
+    import modalkit.search as search_mod
+    real, calls = search_mod.evaluate, []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+    with monkeypatch.context() as mp:
+        mp.setattr(search_mod, "evaluate", counting)
+        result = call()
+    return result, len(calls)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_gap_budget_counts_one_unit_per_evaluate_call(monkeypatch, jobs):
+    # A scan with no gap charges every call to the parent ledger.
+    none, calls = _count_evaluate(
+        monkeypatch, lambda: find_deduction_gap(max_worlds=1))
+    assert none is None
+    assert find_deduction_gap(max_worlds=1, jobs=jobs, budget=calls) is None
+    with pytest.raises(ResourceLimit) as ei:
+        find_deduction_gap(max_worlds=1, jobs=jobs, budget=calls - 1)
+    assert ei.value.frontier == {"worlds": 1}
+    # The default search stops at a hit in the first chunk of its second
+    # stage; the ledger only charges chunks whose payload was passed over.
+    hit, total = _count_evaluate(monkeypatch, find_deduction_gap)
+    assert find_deduction_gap(jobs=jobs, budget=total).to_dict() == \
+        hit.to_dict()
+    with pytest.raises(ResourceLimit) as ei:
+        find_deduction_gap(jobs=jobs, budget=calls - 1)
+    assert ei.value.frontier == {"worlds": 1}

@@ -220,6 +220,17 @@ class TestSchemeValid:
         with pytest.raises(NotPropositional):
             scheme_valid(chain_model, parse("forall x. P(x)"))
 
+    def test_no_metavariables_builds_no_instance_table(self, monkeypatch):
+        # 2**40 subsets would never finish; none are needed without
+        # metavariables.
+        import modalkit.semantics as sem
+        monkeypatch.setattr(sem, "_subsets",
+                            lambda ws: pytest.fail("subset table built"))
+        ws = [f"w{i}" for i in range(40)]
+        m = PropModel(Frame(ws), {"p": ws})
+        assert scheme_valid(m, parse("p")).holds
+        assert meta_implies(m, [parse("p")], parse("p")).holds
+
 
 class TestFrameValid:
     def test_lowercase_atoms_are_schematic_on_frames(self):
