@@ -9,7 +9,7 @@ chunks are consumed in order and the first in-order hit wins.
 
 Every reported witness is re-checked with the plain reference evaluator
 before it is returned; a failure there raises RuntimeError and would mean a
-bug in the compiled evaluator, not in the caller's input.
+bug in the truth-set evaluator, not in the caller's input.
 """
 
 from __future__ import annotations

@@ -7,17 +7,20 @@ over arbitrary sets of worlds, a first-order predicate hole over arbitrary
 subsets of domain x worlds — so "valid for every instance" is a literal
 finite enumeration, guarded by budgets.
 
-Two evaluators live here on purpose: ``evaluate`` is the plain recursive
-reference implementation, and ``_compile`` builds a closure tree used by the
-enumeration loops.  They are property-tested against each other, and search
-certificates are re-checked through ``evaluate`` before being reported.
+``evaluate`` is the plain recursive reference implementation.  The checks
+below instead label every subformula with its truth set: per world, one int
+whose bit i says whether it holds there under instance i of the scan, so all
+instances are evaluated at once.  The two are property-tested against each
+other, and search certificates are re-checked through ``evaluate`` before
+being reported.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import product
+from functools import reduce
+from operator import and_
 from typing import Iterable, Mapping, Sequence
 
 from .formula import (
@@ -25,8 +28,7 @@ from .formula import (
     PredAtom, PropAtom, RigidConst, SchemeVar, StrictImp,
     free_vars, is_propositional, prop_atoms, scheme_vars,
 )
-from .model import (FoModel, Frame, PropModel, _bits, _extension, _pairs,
-                    _subsets)
+from .model import FoModel, Frame, PropModel, _bits, _pairs
 
 __all__ = [
     "EvalError", "UnboundScheme", "UnboundVar", "UnknownSymbol",
@@ -99,8 +101,9 @@ def _env_budget() -> int:
 
 
 class Budget:
-    """Meters evaluator calls (one unit = one formula evaluated at one
-    world).  The default limit comes from MODALKIT_BUDGET or 10**8; a
+    """Meters evaluator work: one unit is one formula at one (instance,
+    world) pair of a check, counted in its scan order up to and including
+    the witness.  The default limit comes from MODALKIT_BUDGET or 10**8; a
     MODALKIT_BUDGET that is not a positive integer raises ValueError."""
 
     def __init__(self, limit: int | None = None):
@@ -153,8 +156,6 @@ class Verdict:
 # Reference evaluator
 
 Env = dict[str, str]
-
-_MISSING = object()
 
 
 def evaluate(m: PropModel | FoModel, f: Formula, w: str,
@@ -252,153 +253,170 @@ def _ev(m, f: Formula, w: str, env: Env, sv: Mapping[str, frozenset[str]]) -> bo
 
 
 # ---------------------------------------------------------------------------
-# Compiled evaluator (internal fast path)
+# Truth sets (internal fast path)
+#
+# A check's instances (scheme instantiations, hole interpretations) are
+# numbered in its scan order, and a subformula's truth set at a world is one
+# int whose bit i is set iff it holds there under instance i.  Instances are
+# taken in blocks of 2**_BLOCK_BITS, so no int is wider than 4096 bits.
 
-class _Ctx:
-    """Mutable evaluation context a compiled formula closes over.  The
-    enumeration loops swap ``schemes`` entries / flexible extensions in
-    place instead of recompiling."""
-
-    __slots__ = ("succ", "valuation", "schemes", "env", "flex", "flex_arity",
-                 "rigid", "consts", "domain_at", "first_order",
-                 "atoms_schematic")
-
-    def __init__(self, m: PropModel | FoModel, schematic: bool = False,
-                 atoms_schematic: bool = False):
-        fr = m.frame
-        self.succ = fr.successor_map
-        self.valuation = m.valuation
-        self.schemes: dict[str, frozenset[str]] = {}
-        self.env: Env = {}
-        self.atoms_schematic = atoms_schematic
-        self.first_order = isinstance(m, FoModel)
-        if not schematic and not atoms_schematic:
-            self.schemes = None  # type: ignore[assignment]
-        if self.first_order:
-            self.flex = {name: dict(fp.extension)
-                         for name, fp in m.flexible_preds.items()}
-            self.flex_arity = {name: fp.arity
-                               for name, fp in m.flexible_preds.items()}
-            self.rigid = m.rigid_preds
-            self.consts = m.rigid_consts
-            # ordered inhabitant tuples per world
-            self.domain_at = {
-                w: tuple(e for e in m.domain if e in m.domain_at(w))
-                for w in m.worlds
-            }
-        else:
-            self.flex = {}
-            self.flex_arity = {}
-            self.rigid = {}
-            self.consts = {}
-            self.domain_at = {}
+_BLOCK_BITS = 12
+_COLUMNS: dict[int, tuple[int, ...]] = {}
 
 
-def _compile(f: Formula, ctx: _Ctx):
-    """Build a ``fn(world) -> bool`` closure for f over ctx.  Structural
-    errors (unknown symbols, arity, schemes where none are allowed) are
-    raised here, at compile time."""
-    if isinstance(f, PropAtom):
-        if ctx.atoms_schematic:
-            g, n = ctx.schemes, f.name
-            return lambda w: w in g[n]
-        s = ctx.valuation.get(f.name, frozenset())
-        return lambda w: w in s
-    if isinstance(f, SchemeVar):
-        if ctx.schemes is None:
-            raise UnboundScheme(
-                f"scheme variable {f.name!r} has no instantiation")
-        g, n = ctx.schemes, f.name
-        return lambda w: w in g[n]
-    if isinstance(f, Not):
-        b = _compile(f.body, ctx)
-        return lambda w: not b(w)
-    if isinstance(f, And):
-        l, r = _compile(f.lhs, ctx), _compile(f.rhs, ctx)
-        return lambda w: l(w) and r(w)
-    if isinstance(f, Or):
-        l, r = _compile(f.lhs, ctx), _compile(f.rhs, ctx)
-        return lambda w: l(w) or r(w)
-    if isinstance(f, Imp):
-        l, r = _compile(f.lhs, ctx), _compile(f.rhs, ctx)
-        return lambda w: r(w) if l(w) else True
-    if isinstance(f, Iff):
-        l, r = _compile(f.lhs, ctx), _compile(f.rhs, ctx)
-        return lambda w: l(w) == r(w)
-    if isinstance(f, Box):
-        b, succ = _compile(f.body, ctx), ctx.succ
-        return lambda w: all(map(b, succ[w]))
-    if isinstance(f, Dia):
-        b, succ = _compile(f.body, ctx), ctx.succ
-        return lambda w: any(map(b, succ[w]))
-    if isinstance(f, StrictImp):
-        l, r = _compile(f.lhs, ctx), _compile(f.rhs, ctx)
-        succ = ctx.succ
-        def strict(w):
-            for v in succ[w]:
-                if l(v) and not r(v):
-                    return False
-            return True
-        return strict
-    if not ctx.first_order:
-        raise NotPropositional(
-            f"{type(f).__name__} needs a first-order model, got a PropModel")
-    if isinstance(f, PredAtom):
-        getters = tuple(_term_getter(a, ctx) for a in f.args)
-        if f.name in ctx.flex:
-            arity = ctx.flex_arity[f.name]
-            if arity != len(getters):
-                raise ArityMismatch(
-                    f"predicate {f.name!r} has arity {arity}, got {len(getters)}")
-            flex, n, e = ctx.flex, f.name, ctx.env
-            return lambda w: tuple(g(e) for g in getters) in flex[n][w]
-        if f.name in ctx.rigid:
-            rp = ctx.rigid[f.name]
-            if rp.arity != len(getters):
-                raise ArityMismatch(
-                    f"predicate {f.name!r} has arity {rp.arity}, got {len(getters)}")
-            ext, e = rp.extension, ctx.env
-            return lambda w: tuple(g(e) for g in getters) in ext
-        raise UnknownSymbol(f"unknown predicate {f.name!r}")
-    if isinstance(f, Eq):
-        gl, gr = _term_getter(f.lhs, ctx), _term_getter(f.rhs, ctx)
-        e = ctx.env
-        return lambda w: gl(e) == gr(e)
-    if isinstance(f, (Forall, Exists)):
-        b = _compile(f.body, ctx)
-        dom, e, x = ctx.domain_at, ctx.env, f.var
-        want = isinstance(f, Exists)  # short-circuit value
-        def quant(w):
-            old = e.get(x, _MISSING)
-            out = not want
-            for d in dom[w]:
-                e[x] = d
-                if b(w) == want:
-                    out = want
-                    break
-            if old is _MISSING:
-                e.pop(x, None)
+def _columns(width: int) -> tuple[int, ...]:
+    """Bit b of the instance number over a block of 2**width instances:
+    bit i of _columns(width)[b] is bit b of i.  Built by shift-and-OR
+    doubling and cached."""
+    cols = _COLUMNS.get(width)
+    if cols is None:
+        out = []
+        for b in range(width):
+            span = 2 << b
+            x = ((1 << (1 << b)) - 1) << (1 << b)
+            while span < 1 << width:
+                x |= x << span
+                span <<= 1
+            out.append(x)
+        cols = _COLUMNS[width] = tuple(out)
+    return cols
+
+
+def _blocks(bits: int):
+    """Yield (first instance, all-ones int, cols) for each block of the
+    2**bits instances, ascending; cols[b] is instance bit b over the block,
+    a cached column for the low bits and constant for the block's own."""
+    width = min(bits, _BLOCK_BITS)
+    full = (1 << (1 << width)) - 1
+    low = _columns(width) if width else ()
+    for blk in range(1 << (bits - width)):
+        yield blk << width, full, low + tuple(
+            full if blk >> j & 1 else 0 for j in range(bits - width))
+
+
+def _truth(m: PropModel | FoModel, f: Formula, leaves: Mapping, full: int,
+           hole: str | None = None) -> Sequence[int]:
+    """Truth sets of f over one block: entry wi has bit i set iff f holds
+    at worlds[wi] under the block's instance i.  ``leaves`` maps each
+    instantiated symbol to its per-world columns: metavariables and
+    schematic atoms by name, cells of the unary predicate ``hole`` by their
+    element tuple.  Structural errors raise the exceptions evaluate raises."""
+    worlds, rows = m.worlds, m.frame.rows
+    succ = [[j for j in range(len(worlds)) if r >> j & 1] for r in rows]
+    ones, zeros = [full] * len(worlds), [0] * len(worlds)
+    fo = isinstance(m, FoModel)
+    if fo:
+        # an empty domain still visits each quantifier body once, so its
+        # structural errors are raised as for any other model
+        elems = m.domain or (None,)
+        local = [[ci for ci, e in enumerate(elems) if e in m.domain_at(w)]
+                 for w in worlds]
+
+    def go(g: Formula, env: Env) -> Sequence[int]:
+        if isinstance(g, (PropAtom, SchemeVar)):
+            col = leaves.get(g.name)
+            if col is not None:
+                return col
+            if isinstance(g, SchemeVar):
+                raise UnboundScheme(
+                    f"scheme variable {g.name!r} has no instantiation")
+            val = m.valuation.get(g.name, ())
+            return [full if w in val else 0 for w in worlds]
+        if isinstance(g, Not):
+            return [full ^ a for a in go(g.body, env)]
+        if isinstance(g, (And, Or, Imp, Iff, StrictImp)):
+            ls, rs = go(g.lhs, env), go(g.rhs, env)
+            if isinstance(g, And):
+                return [a & b for a, b in zip(ls, rs)]
+            if isinstance(g, Or):
+                return [a | b for a, b in zip(ls, rs)]
+            if isinstance(g, Iff):
+                return [full ^ a ^ b for a, b in zip(ls, rs)]
+            imp = [(full ^ a) | b for a, b in zip(ls, rs)]
+            return imp if isinstance(g, Imp) else _meet(imp, succ, full)
+        if isinstance(g, Box):
+            return _meet(go(g.body, env), succ, full)
+        if isinstance(g, Dia):
+            nots = [full ^ a for a in go(g.body, env)]
+            return [full ^ a for a in _meet(nots, succ, full)]
+        if not fo:
+            raise NotPropositional(
+                f"{type(g).__name__} needs a first-order model, got a PropModel")
+        if isinstance(g, PredAtom):
+            vals = tuple(_resolve(m, a, env) for a in g.args)
+            if g.name == hole:
+                arity = 1
             else:
-                e[x] = old
+                pred = (m.flexible_preds.get(g.name)
+                        or m.rigid_preds.get(g.name))
+                if pred is None:
+                    raise UnknownSymbol(f"unknown predicate {g.name!r}")
+                arity = pred.arity
+            if arity != len(vals):
+                raise ArityMismatch(
+                    f"predicate {g.name!r} has arity {arity}, got {len(vals)}")
+            if g.name == hole:
+                return leaves.get(vals, zeros)  # no cell: the None above
+            if g.name in m.flexible_preds:
+                return [full if vals in pred.extension[w] else 0
+                        for w in worlds]
+            return ones if vals in pred.extension else zeros
+        if isinstance(g, Eq):
+            same = _resolve(m, g.lhs, env) == _resolve(m, g.rhs, env)
+            return ones if same else zeros
+        if isinstance(g, (Forall, Exists)):
+            bodies = [go(g.body, {**env, g.var: e}) for e in elems]
+            every = isinstance(g, Forall)
+            out = []
+            for wi, cis in enumerate(local):
+                x = full if every else 0
+                for ci in cis:
+                    x = x & bodies[ci][wi] if every else x | bodies[ci][wi]
+                out.append(x)
             return out
-        return quant
-    raise TypeError(f"not a Formula: {f!r}")
+        raise TypeError(f"not a Formula: {g!r}")
+
+    return go(f, {})
 
 
-def _term_getter(t, ctx: _Ctx):
-    if isinstance(t, BoundVar):
-        n = t.name
-        def get(env, n=n):
-            try:
-                return env[n]
-            except KeyError:
-                raise UnboundVar(f"unbound variable {n!r}") from None
-        return get
-    try:
-        v = ctx.consts[t.name]
-    except KeyError:
-        raise UnknownSymbol(f"unknown constant {t.name!r}") from None
-    return lambda env, v=v: v
+def _meet(sets: Sequence[int], succ: list[list[int]], full: int) -> list[int]:
+    """Per world, the instances where sets holds at every successor."""
+    out = []
+    for s in succ:
+        x = full
+        for j in s:
+            x &= sets[j]
+        out.append(x)
+    return out
+
+
+def _charge(bud: Budget, units: int, step: int = 1) -> None:
+    """Charge what a scan charging ``step`` units at a time charges by its
+    end, or by the step that crosses the limit, so a trip happens at the
+    same point and leaves ``used`` where that scan left it."""
+    bud.charge(min(units, step * max(1, (bud.limit - bud.used) // step + 1)))
+
+
+def _least_failure(m, f: Formula, bits: int, leaves, bud: Budget,
+                   hole: str | None = None) -> tuple[int, int] | None:
+    """(world index, instance) of the first failure of f in world-major
+    scan order over its 2**bits instances, or None when every instance
+    holds everywhere; charges one unit per (instance, world) pair that scan
+    visits, up to and including the failure.  ``leaves(cols)`` builds the
+    _truth leaves of a block from its instance-bit columns."""
+    n, best = len(m.worlds), None
+    for first, full, cols in _blocks(bits):
+        sets = _truth(m, f, leaves(cols), full, hole)
+        for wi in range(n if best is None else best[0]):
+            miss = full ^ sets[wi]
+            if miss:
+                best = (wi, first + (miss & -miss).bit_length() - 1)
+                break
+        if best is not None and best[0] == 0:
+            break
+    total = 1 << bits
+    _charge(bud, n * total if best is None else best[0] * total + best[1] + 1)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +425,9 @@ def _term_getter(t, ctx: _Ctx):
 def valid(m: PropModel | FoModel, f: Formula, budget=None) -> Verdict:
     """Truth at every world; the witness is the least failing world in
     declaration order."""
-    bud = _as_budget(budget)
-    fn = _compile(f, _Ctx(m))
-    for w in m.worlds:
-        bud.charge()
-        if not fn(w):
-            return Verdict(False, world=w)
-    return Verdict(True)
+    best = _least_failure(m, f, 0, lambda cols: {}, _as_budget(budget))
+    return Verdict(True) if best is None else Verdict(
+        False, world=m.worlds[best[0]])
 
 
 def scheme_valid(m: PropModel | FoModel, scheme: Formula, budget=None,
@@ -426,7 +440,7 @@ def scheme_valid(m: PropModel | FoModel, scheme: Formula, budget=None,
     world-index bitmasks)."""
     if not is_propositional(scheme):
         raise NotPropositional("scheme_valid needs a propositional scheme")
-    return _scheme_check(m, scheme, scheme_vars(scheme), False, budget, max_bits)
+    return _scheme_check(m, scheme, scheme_vars(scheme), budget, max_bits)
 
 
 def frame_valid(fr: Frame, scheme: Formula, budget=None,
@@ -437,39 +451,42 @@ def frame_valid(fr: Frame, scheme: Formula, budget=None,
         raise NotPropositional("frame_valid needs a propositional scheme")
     m = PropModel(fr, {})
     names = sorted(set(scheme_vars(scheme)) | set(prop_atoms(scheme)))
-    return _scheme_check(m, scheme, names, True, budget, max_bits)
+    return _scheme_check(m, scheme, names, budget, max_bits)
 
 
-def _scheme_check(m, scheme: Formula, names: Sequence[str],
-                  atoms_schematic: bool, budget, max_bits: int) -> Verdict:
-    bud = _as_budget(budget)
-    worlds = m.worlds
-    n, k = len(worlds), len(names)
+def _scheme_bits(n: int, k: int, max_bits: int) -> int:
     if n * k > max_bits:
         raise ResourceLimit(
             f"scheme enumeration needs {n}*{k} = {n * k} bits "
             f"(limit {max_bits})")
-    ctx = _Ctx(m, schematic=True, atoms_schematic=atoms_schematic)
-    fn = _compile(scheme, ctx)
-    sch = ctx.schemes
-    if k == 0:
-        for w in worlds:
-            bud.charge()
-            if not fn(w):
-                return Verdict(False, world=w, assignment={})
+    return n * k
+
+
+def _scheme_leaves(names: Sequence[str], n: int):
+    """names[j] at world wi is instance bit n*(k-1-j) + wi, so instances
+    ascend as product(range(2**n), repeat=k) over the names' world masks."""
+    k = len(names)
+    return lambda cols: {nm: cols[n * (k - 1 - j):n * (k - j)]
+                         for j, nm in enumerate(names)}
+
+
+def _assignment(worlds: Sequence[str], names: Sequence[str], i: int) -> dict:
+    n, k = len(worlds), len(names)
+    return {nm: _bits(worlds, i >> n * (k - 1 - j) & ((1 << n) - 1))
+            for j, nm in enumerate(names)}
+
+
+def _scheme_check(m, scheme: Formula, names: Sequence[str], budget,
+                  max_bits: int) -> Verdict:
+    bud = _as_budget(budget)
+    worlds = m.worlds
+    bits = _scheme_bits(len(worlds), len(names), max_bits)
+    best = _least_failure(m, scheme, bits, _scheme_leaves(names, len(worlds)),
+                          bud)
+    if best is None:
         return Verdict(True)
-    subsets = _subsets(worlds)
-    for w in worlds:
-        for masks in product(range(1 << n), repeat=k):
-            for nm, mask in zip(names, masks):
-                sch[nm] = subsets[mask]
-            bud.charge()
-            if not fn(w):
-                return Verdict(
-                    False, world=w,
-                    assignment={nm: _bits(worlds, mask)
-                                for nm, mask in zip(names, masks)})
-    return Verdict(True)
+    return Verdict(False, world=worlds[best[0]],
+                   assignment=_assignment(worlds, names, best[1]))
 
 
 def meta_implies(m: PropModel | FoModel, premises: Sequence[Formula],
@@ -488,42 +505,52 @@ def meta_implies(m: PropModel | FoModel, premises: Sequence[Formula],
     worlds = m.worlds
     names = sorted(set().union(*(scheme_vars(p) for p in premises),
                                scheme_vars(conclusion)))
-    n, k = len(worlds), len(names)
-    if n * k > max_bits:
-        raise ResourceLimit(
-            f"scheme enumeration needs {n}*{k} = {n * k} bits "
-            f"(limit {max_bits})")
-    ctx = _Ctx(m, schematic=True)
-    fps = [_compile(p, ctx) for p in premises]
-    fc = _compile(conclusion, ctx)
-    subsets = _subsets(worlds) if k else ()
-    sch = ctx.schemes
-    for masks in product(range(1 << n), repeat=k):
-        for nm, mask in zip(names, masks):
-            sch[nm] = subsets[mask]
-        premises_valid = True
-        for fp in fps:
-            for w in worlds:
-                bud.charge()
-                if not fp(w):
-                    premises_valid = False
-                    break
-            if not premises_valid:
-                break
-        if not premises_valid:
+    n = len(worlds)
+    units = 0
+    for first, full, cols in _blocks(_scheme_bits(n, len(names), max_bits)):
+        lv = _scheme_leaves(names, n)(cols)
+        psets = [_truth(m, p, lv, full) for p in premises]
+        csets = _truth(m, conclusion, lv, full)
+        # An instance is charged at each world of a premise it reaches while
+        # that premise held at every earlier world: pre lists those sets.
+        pre, reach = [], full
+        for sets in psets:
+            for s in sets:
+                pre.append(reach)
+                reach &= s
+        fail = reach & ~reduce(and_, csets, full)
+        hit = fail & -fail
+        upto = hit * 2 - 1 if hit else full
+        units += sum((x & upto).bit_count() for x in pre)
+        if not hit:
+            units += n * reach.bit_count()
             continue
-        for w in worlds:
-            bud.charge()
-            if not fc(w):
-                return Verdict(
-                    False, world=w,
-                    assignment={nm: _bits(worlds, mask)
-                                for nm, mask in zip(names, masks)})
+        wi = next(wi for wi, c in enumerate(csets) if not c & hit)
+        _charge(bud, units + n * (reach & (hit - 1)).bit_count() + wi + 1)
+        return Verdict(False, world=worlds[wi], assignment=_assignment(
+            worlds, names, first + hit.bit_length() - 1))
+    _charge(bud, units)
     return Verdict(True)
 
 
 # ---------------------------------------------------------------------------
 # First-order schematic validity
+
+def _fo_bits(fm: FoModel, max_pairs: int) -> int:
+    bits = len(fm.domain) * len(fm.worlds)
+    if bits > max_pairs:
+        raise ResourceLimit(
+            f"interpretation enumeration needs |domain|*|worlds| = {bits} "
+            f"bits (limit {max_pairs})")
+    return bits
+
+
+def _cell_leaves(domain: Sequence[str], n: int):
+    """Hole cell (e,) at world wi is instance bit ci*n + wi for e =
+    domain[ci]: instances are the cell-major masks of model._extension."""
+    return lambda cols: {(e,): cols[ci * n:(ci + 1) * n]
+                         for ci, e in enumerate(domain)}
+
 
 def fo_scheme_valid(fm: FoModel, scheme: Formula, hole: str, budget=None,
                     max_pairs: int = FO_PAIRS_LIMIT) -> Verdict:
@@ -538,23 +565,12 @@ def fo_scheme_valid(fm: FoModel, scheme: Formula, hole: str, budget=None,
         raise ValueError(f"scheme must be closed, free: {free_vars(scheme)}")
     bud = _as_budget(budget)
     worlds, domain = fm.worlds, fm.domain
-    bits = len(domain) * len(worlds)
-    if bits > max_pairs:
-        raise ResourceLimit(
-            f"interpretation enumeration needs |domain|*|worlds| = {bits} "
-            f"bits (limit {max_pairs})")
-    ctx = _Ctx(fm)
-    ctx.flex[hole] = {w: set() for w in worlds}
-    ctx.flex_arity[hole] = 1
-    fn = _compile(scheme, ctx)
-    for w in worlds:
-        for mask in range(1 << bits):
-            ctx.flex[hole] = _extension(domain, worlds, mask)
-            bud.charge()
-            if not fn(w):
-                return Verdict(False, world=w,
-                               interpretation=_pairs(domain, worlds, mask))
-    return Verdict(True)
+    best = _least_failure(fm, scheme, _fo_bits(fm, max_pairs),
+                          _cell_leaves(domain, len(worlds)), bud, hole)
+    if best is None:
+        return Verdict(True)
+    return Verdict(False, world=worlds[best[0]],
+                   interpretation=_pairs(domain, worlds, best[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -607,40 +623,24 @@ def bf_readings(fm: FoModel, hole: str = "P", budget=None,
     """Evaluate all four readings of the Barcan exchange on fm."""
     bud = _as_budget(budget)
     worlds, domain = fm.worlds, fm.domain
-    bits = len(domain) * len(worlds)
-    if bits > max_pairs:
-        raise ResourceLimit(
-            f"interpretation enumeration needs |domain|*|worlds| = {bits} "
-            f"bits (limit {max_pairs})")
-    ctx = _Ctx(fm)
-    ctx.flex[hole] = {w: set() for w in worlds}
-    ctx.flex_arity[hole] = 1
-    lhs = _compile(BF_LHS(hole), ctx)
-    rhs = _compile(BF_RHS(hole), ctx)
-    pointwise = meta_iff = meta_imp = obj = True
+    bits = _fo_bits(fm, max_pairs)
+    lhs, rhs = BF_LHS(hole), BF_RHS(hole)
+    leaves = _cell_leaves(domain, len(worlds))
+    pointwise = meta_iff = meta_imp = True
     best: tuple[int, int] | None = None
-    widx = {w: i for i, w in enumerate(worlds)}
-    for mask in range(1 << bits):
-        ctx.flex[hole] = _extension(domain, worlds, mask)
-        lvalid = rvalid = True
-        for w in worlds:
-            bud.charge(2)
-            lv, rv = lhs(w), rhs(w)
-            lvalid = lvalid and lv
-            rvalid = rvalid and rv
-            if lv != rv:
-                pointwise = False
-            if lv and not rv:
-                obj = False
-                key = (widx[w], mask)
-                if best is None or key < best:
-                    best = key
-        if lvalid != rvalid:
-            meta_iff = False
-        if lvalid and not rvalid:
-            meta_imp = False
-    witness = None
-    if best is not None:
-        wi, mask = best
-        witness = (_pairs(domain, worlds, mask), worlds[wi])
-    return BfReadings(pointwise, meta_iff, meta_imp, obj, witness)
+    for first, full, cols in _blocks(bits):
+        lv = leaves(cols)
+        ls = _truth(fm, lhs, lv, full, hole)
+        rs = _truth(fm, rhs, lv, full, hole)
+        pointwise = pointwise and ls == rs
+        lvalid, rvalid = reduce(and_, ls, full), reduce(and_, rs, full)
+        meta_iff = meta_iff and lvalid == rvalid
+        meta_imp = meta_imp and not lvalid & ~rvalid
+        for wi in range(len(worlds) if best is None else best[0]):
+            bad = ls[wi] & ~rs[wi]
+            if bad:
+                best = (wi, first + (bad & -bad).bit_length() - 1)
+                break
+    _charge(bud, 2 * len(worlds) << bits, step=2)
+    witness = best and (_pairs(domain, worlds, best[1]), worlds[best[0]])
+    return BfReadings(pointwise, meta_iff, meta_imp, best is None, witness)

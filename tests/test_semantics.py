@@ -3,9 +3,11 @@ quantifier/Box exchange, with the reference evaluator as oracle."""
 
 import pickle
 import random
+from contextlib import contextmanager
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modalkit import (ArityMismatch, BF_SCHEME, Box, Budget, CBF_SCHEME,
                       Dia, DomainFrame, EvalError, FlexiblePred, FoModel,
@@ -14,7 +16,9 @@ from modalkit import (ArityMismatch, BF_SCHEME, Box, Budget, CBF_SCHEME,
                       UnboundScheme, UnboundVar, UnknownSymbol, Verdict,
                       bf_readings, evaluate, fo_scheme_valid, frame_valid,
                       meta_implies, parse, scheme_valid, valid)
-from modalkit.formula import BoundVar, bind_free, scheme_vars
+import modalkit.semantics as sem
+from modalkit.formula import BoundVar, bind_free, prop_atoms, scheme_vars
+from modalkit.semantics import BF_LHS, BF_RHS
 
 from conftest import random_fo_formula, random_model, random_prop_formula
 
@@ -132,8 +136,8 @@ class TestEvaluateFo:
 
 
 class TestCompiledAgreesWithReference:
-    """valid() runs the compiled closures; cross-check them against the
-    plain recursive evaluator on random inputs."""
+    """valid() labels every subformula with its truth set; cross-check it
+    against the plain recursive evaluator on random inputs."""
 
     def test_propositional(self):
         rng = random.Random(2024)
@@ -179,6 +183,235 @@ class TestCompiledAgreesWithReference:
                     evaluate(m, Box(Imp(f, g)), w)
 
 
+# ---------------------------------------------------------------------------
+# Differential: every check against the scan it replaced, a plain loop over
+# the reference evaluator.  One unit is one (instance, world) pair visited
+# in scan order, up to and including the witness.
+
+def _worlds_of(worlds, mask):
+    return tuple(w for i, w in enumerate(worlds) if mask >> i & 1)
+
+
+def _scan(worlds, instances, holds):
+    """World-major scan: ((world, instance) of the first failure or None,
+    units charged)."""
+    used = 0
+    for w in worlds:
+        for inst in instances:
+            used += 1
+            if not holds(inst, w):
+                return (w, inst), used
+    return None, used
+
+
+def _charged(call, used, limit, step=1):
+    """Run call(budget): it charges ``used`` units, and under ``limit`` it
+    trips exactly when used > limit, at the step that crosses the limit."""
+    bud = Budget(10**9)
+    result = call(bud)
+    assert bud.used == used
+    small = Budget(limit)
+    if used > limit:
+        with pytest.raises(ResourceLimit, match=rf"\({limit} calls\)"):
+            call(small)
+        assert small.used == step * (limit // step + 1)
+    else:
+        assert call(small) == result
+        assert small.used == used
+    return result
+
+
+@contextmanager
+def _block_bits(bits):
+    """Shrink instance blocks so that small checks span several blocks."""
+    old, sem._BLOCK_BITS = sem._BLOCK_BITS, bits
+    try:
+        yield
+    finally:
+        sem._BLOCK_BITS = old
+
+
+def _random_fo_model(rng, max_worlds=2):
+    """Varying domains (a world may be empty), a flexible unary and binary
+    predicate, a rigid predicate, a constant and an atom."""
+    n = rng.randint(1, max_worlds)
+    worlds = tuple(f"w{i}" for i in range(n))
+    fr = Frame(worlds, [(a, b) for a in worlds for b in worlds
+                        if rng.random() < 0.5])
+    dom = ("a", "b")[:rng.randint(1, 2)]
+    df = DomainFrame(fr, dom, {w: [e for e in dom if rng.random() < 0.6]
+                               for w in worlds})
+    return FoModel(
+        df, "varying",
+        valuation={"p": [w for w in worlds if rng.random() < 0.5]},
+        flexible_preds={
+            "alive": FlexiblePred(1, {w: {(e,) for e in dom
+                                          if rng.random() < 0.5}
+                                      for w in worlds}),
+            "near": FlexiblePred(2, {w: {t for t in product(dom, repeat=2)
+                                         if rng.random() < 0.4}
+                                     for w in worlds})},
+        rigid_preds={"R": RigidPred(1, frozenset(
+            (e,) for e in dom if rng.random() < 0.5))},
+        rigid_consts={"c": dom[-1]})
+
+
+def _with_hole(fm, mask, hole="P"):
+    """fm with the hole interpreted by a cell-major mask."""
+    n = len(fm.worlds)
+    ext = {w: {(e,) for ci, e in enumerate(fm.domain)
+               if mask >> (ci * n + wi) & 1}
+           for wi, w in enumerate(fm.worlds)}
+    return FoModel(fm.dframe, fm.mode, fm.valuation,
+                   {**fm.flexible_preds, hole: FlexiblePred(1, ext)},
+                   fm.rigid_preds, fm.rigid_consts)
+
+
+_FO_PREDS = (("alive", 1), ("near", 2), ("R", 1), ("P", 1))
+_DIFF = settings(max_examples=40, deadline=None)
+
+
+@pytest.mark.parametrize("block_bits", [12, 2])
+class TestTruthSetsMatchScalarScan:
+    def test_witness_is_least_world_then_least_instance(self, block_bits):
+        # Fails only at b, in every block: the first block's failure wins.
+        m = PropModel(Frame(("a", "b")), {"p": ["a"]})
+        bud = Budget(10**9)
+        with _block_bits(block_bits):
+            v = scheme_valid(m, parse("p | P & Q"), bud)
+        assert v == Verdict(False, world="b", assignment={"P": (), "Q": ()})
+        assert bud.used == 1 * 16 + 0 + 1
+
+    @given(st.randoms(use_true_random=False))
+    @_DIFF
+    def test_valid(self, block_bits, rng):
+        if rng.random() < 0.5:
+            m = random_model(rng, max_worlds=3)
+            f = random_prop_formula(rng, rng.randint(0, 5))
+        else:
+            m = _random_fo_model(rng, max_worlds=3)
+            f = random_fo_formula(rng, rng.randint(0, 4),
+                                  preds=_FO_PREDS[:3])
+        wit, used = _scan(m.worlds, [None],
+                          lambda _, w: evaluate(m, f, w))
+        with _block_bits(block_bits):
+            v = _charged(lambda b: valid(m, f, b), used,
+                         rng.randint(0, used + 1))
+        assert v == (Verdict(True) if wit is None
+                     else Verdict(False, world=wit[0]))
+
+    @given(st.randoms(use_true_random=False))
+    @_DIFF
+    def test_scheme_and_frame_valid(self, block_bits, rng):
+        m = random_model(rng, max_worlds=3, atoms=("p", "q"))
+        f = random_prop_formula(rng, rng.randint(0, 5), atoms=("p", "q"),
+                                schemes=("P", "Q"))
+        ws = m.worlds
+        for names, check, model_of in (
+                (scheme_vars(f), scheme_valid, lambda val: m),
+                (sorted(set(scheme_vars(f)) | set(prop_atoms(f))),
+                 lambda m_, f_, b: frame_valid(m_.frame, f_, b),
+                 lambda val: PropModel(m.frame, val))):
+            def holds(masks, w):
+                inst = {nm: _worlds_of(ws, k) for nm, k in zip(names, masks)}
+                val = {nm: v for nm, v in inst.items() if nm.islower()}
+                sv = {nm: v for nm, v in inst.items() if nm.isupper()}
+                return evaluate(model_of(val), f, w, scheme_vals=sv)
+            wit, used = _scan(ws, list(product(range(1 << len(ws)),
+                                               repeat=len(names))), holds)
+            with _block_bits(block_bits):
+                v = _charged(lambda b: check(m, f, b), used,
+                             rng.randint(0, used + 1))
+            assert v == (Verdict(True) if wit is None else Verdict(
+                False, world=wit[0], assignment={
+                    nm: _worlds_of(ws, k) for nm, k in zip(names, wit[1])}))
+
+    @given(st.randoms(use_true_random=False), st.integers(0, 2))
+    @_DIFF
+    def test_meta_implies(self, block_bits, rng, n_premises):
+        m = random_model(rng, max_worlds=3, atoms=("p",))
+        premises = [random_prop_formula(rng, rng.randint(0, 3), atoms=("p",),
+                                        schemes=("P", "Q"))
+                    for _ in range(n_premises)]
+        concl = random_prop_formula(rng, rng.randint(0, 4), atoms=("p",),
+                                    schemes=("P", "Q"))
+        names = sorted(set().union(*map(scheme_vars, premises + [concl])))
+        ws, used, expect = m.worlds, 0, Verdict(True)
+        for masks in product(range(1 << len(ws)), repeat=len(names)):
+            sv = {nm: _worlds_of(ws, k) for nm, k in zip(names, masks)}
+            ok = True
+            for p in premises:
+                for w in ws:
+                    used += 1
+                    if not evaluate(m, p, w, scheme_vals=sv):
+                        ok = False
+                        break
+                if not ok:
+                    break
+            bad = None
+            for w in ws if ok else ():
+                used += 1
+                if not evaluate(m, concl, w, scheme_vals=sv):
+                    bad = w
+                    break
+            if bad is not None:
+                expect = Verdict(False, world=bad, assignment=sv)
+                break
+        with _block_bits(block_bits):
+            v = _charged(lambda b: meta_implies(m, premises, concl, b), used,
+                         rng.randint(0, used + 1))
+        assert v == expect
+
+    @given(st.randoms(use_true_random=False))
+    @_DIFF
+    def test_fo_scheme_valid(self, block_bits, rng):
+        fm = _random_fo_model(rng)
+        f = random_fo_formula(rng, rng.randint(0, 4), preds=_FO_PREDS)
+        masks = range(1 << (len(fm.domain) * len(fm.worlds)))
+        models = [_with_hole(fm, k) for k in masks]
+        wit, used = _scan(fm.worlds, masks,
+                          lambda k, w: evaluate(models[k], f, w))
+        with _block_bits(block_bits):
+            v = _charged(lambda b: fo_scheme_valid(fm, f, "P", b), used,
+                         rng.randint(0, used + 1))
+        assert v.holds == (wit is None)
+        if wit is not None:
+            pairs = tuple((e, w) for e in fm.domain for w in fm.worlds
+                          if (e,) in models[wit[1]].flexible_preds["P"]
+                          .extension[w])
+            assert (v.world, v.interpretation) == (wit[0], pairs)
+
+    @given(st.randoms(use_true_random=False))
+    @_DIFF
+    def test_bf_readings(self, block_bits, rng):
+        fm = _random_fo_model(rng)
+        ws = fm.worlds
+        pointwise = meta_iff = meta_imp = True
+        bad = []
+        for k in range(1 << (len(fm.domain) * len(ws))):
+            m2 = _with_hole(fm, k)
+            ls = [evaluate(m2, BF_LHS(), w) for w in ws]
+            rs = [evaluate(m2, BF_RHS(), w) for w in ws]
+            pointwise = pointwise and ls == rs
+            meta_iff = meta_iff and all(ls) == all(rs)
+            meta_imp = meta_imp and (all(rs) or not all(ls))
+            bad += [(wi, k) for wi in range(len(ws)) if ls[wi] and not rs[wi]]
+        used = 2 * len(ws) << (len(fm.domain) * len(ws))
+        with _block_bits(block_bits):
+            r = _charged(lambda b: bf_readings(fm, "P", b), used,
+                         rng.randint(0, used + 1), step=2)
+        assert (r.pointwise, r.meta_iff, r.meta_implies, r.object_implies) \
+            == (pointwise, meta_iff, meta_imp, not bad)
+        if bad:
+            wi, k = min(bad)
+            interp = tuple((e, w) for e in fm.domain for w in ws
+                           if (e,) in _with_hole(fm, k)
+                           .flexible_preds["P"].extension[w])
+            assert r.object_witness == (interp, ws[wi])
+        else:
+            assert r.object_witness is None
+
+
 class TestSchemeValid:
     def test_witness_pinned_and_revalidates(self):
         m = PropModel(Frame(("a", "b")), {})      # no edges at all
@@ -221,11 +454,10 @@ class TestSchemeValid:
             scheme_valid(chain_model, parse("forall x. P(x)"))
 
     def test_no_metavariables_builds_no_instance_table(self, monkeypatch):
-        # 2**40 subsets would never finish; none are needed without
-        # metavariables.
-        import modalkit.semantics as sem
-        monkeypatch.setattr(sem, "_subsets",
-                            lambda ws: pytest.fail("subset table built"))
+        # Without metavariables there is one instance and no instance bit,
+        # so no column is built, however many worlds the model has.
+        monkeypatch.setattr(sem, "_columns",
+                            lambda width: pytest.fail("column built"))
         ws = [f"w{i}" for i in range(40)]
         m = PropModel(Frame(ws), {"p": ws})
         assert scheme_valid(m, parse("p")).holds
@@ -366,6 +598,22 @@ class TestBudgets:
         m = PropModel(Frame(tuple(f"w{i}" for i in range(7))), {})
         with pytest.raises(ResourceLimit):
             scheme_valid(m, parse("P => Q | R & S"), max_bits=24)
+
+    def test_scheme_bit_ceiling_is_scanned_in_blocks(self):
+        # 6 metavariables on 4 worlds: 2**24 instances at each world, all
+        # charged, with no column wider than one 2**12-instance block.
+        fr = Frame(("a", "b", "c", "d"),
+                   (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
+                    ("a", "a")))
+        k_or = "[](A => B) => ([]A => []B) | C & D & E & F"
+        bud = Budget(10**8)
+        assert frame_valid(fr, parse(k_or), bud).holds
+        assert bud.used == 4 * 2**24
+        assert sem._COLUMNS and all(c.bit_length() <= 1 << 12
+                                    for cols in sem._COLUMNS.values()
+                                    for c in cols)
+        with pytest.raises(ResourceLimit, match=r"4\*7 = 28 bits"):
+            frame_valid(fr, parse(k_or + " & G"), Budget(10**8))
 
     def test_fo_pair_ceiling(self):
         fr = Frame(tuple(f"w{i}" for i in range(3)))
