@@ -16,7 +16,7 @@ from .formula import Box, Formula, SchemeVar
 from .model import (DomainFrame, FoModel, Frame, FRAME_PROPERTIES,
                     PropModel, domain_monotonicity, frame_property)
 from .parser import parse
-from .semantics import (Budget, Verdict, fo_scheme_valid, frame_valid,
+from .semantics import (Verdict, _as_budget, fo_scheme_valid, frame_valid,
                         meta_implies)
 
 __all__ = [
@@ -82,7 +82,7 @@ def _entry(verdict: Verdict, prop: bool) -> dict:
 def axiom_report(fr: Frame, budget=None) -> dict:
     """Schematic validity of K/T/4/B/D/5 plus the meta rule N on a frame,
     against the frame's relational properties."""
-    bud = budget if isinstance(budget, Budget) else Budget(budget)
+    bud = _as_budget(budget)
     props = {p: frame_property(fr, p) for p in FRAME_PROPERTIES}
     axioms: dict[str, dict] = {}
     k = frame_valid(fr, axiom_scheme("K"), bud)
@@ -102,7 +102,7 @@ def barcan_report(df: DomainFrame, budget=None) -> dict:
 
     BF pairs with nonincreasing domains, CBF with nondecreasing ones, and on
     a symmetric frame the two schemes stand or fall together."""
-    bud = budget if isinstance(budget, Budget) else Budget(budget)
+    bud = _as_budget(budget)
     fm = FoModel(df, "varying")
     mono = domain_monotonicity(df)
     bf = fo_scheme_valid(fm, BF_SCHEME, "P", bud)

@@ -8,12 +8,20 @@ Atom naming follows the case convention used throughout the package: a bare
 lowercase identifier is a fixed propositional atom (``PropAtom``), a bare
 uppercase identifier is a schematic metavariable (``SchemeVar``) that
 enumeration ops instantiate with arbitrary sets of worlds.
+
+The six structural queries (``prop_atoms`` through ``is_propositional``) are
+filters over one iterative pre-order walk, and each keeps its answer on the
+formula it was asked about, so asking again is a lookup.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
+from copy import copy
 from dataclasses import dataclass
+from functools import wraps
+from typing import Iterator
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -193,95 +201,97 @@ def children(f: Formula) -> tuple[Formula, ...]:
 # ---------------------------------------------------------------------------
 # Structural queries
 
+def _terms(f: Formula) -> tuple[Term, ...]:
+    """The terms f applies to directly (a PredAtom's or Eq's arguments)."""
+    if isinstance(f, PredAtom):
+        return f.args
+    if isinstance(f, Eq):
+        return (f.lhs, f.rhs)
+    return ()
+
+
+def _walk(f: Formula) -> Iterator[tuple[Formula, Counter[str]]]:
+    """Every node of f in pre-order, with the multiset of names bound there.
+
+    Iterative, so depth is bounded by memory rather than the recursion
+    limit.  The multiset is updated in place as the walk leaves a
+    quantifier's scope: read it before drawing the next node."""
+    bound: Counter[str] = Counter()
+    stack: list[Formula | str] = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, str):          # the end of quantifier g's scope
+            bound[g] -= 1
+            continue
+        yield g, bound
+        if isinstance(g, _QUANT):
+            bound[g.var] += 1
+            stack.append(g.var)
+        stack.extend(reversed(children(g)))
+
+
+def _memo(query):
+    """Keep query(f) in f's instance __dict__, as functools.cached_property
+    does (frozen nodes compare and hash by their fields alone), and give
+    every caller its own copy of a list or dict answer.  A query that
+    raises stores nothing and raises again when asked again."""
+    key = "_" + query.__name__
+
+    @wraps(query)
+    def cached(f: Formula):
+        memo = f.__dict__
+        if key not in memo:
+            memo[key] = query(f)
+        return copy(memo[key])
+    return cached
+
+
+@_memo
 def prop_atoms(f: Formula) -> list[str]:
     """Sorted names of the PropAtoms occurring in f."""
-    out: set[str] = set()
-    _collect(f, PropAtom, out)
-    return sorted(out)
+    return sorted({g.name for g, _ in _walk(f) if isinstance(g, PropAtom)})
 
 
+@_memo
 def scheme_vars(f: Formula) -> list[str]:
     """Sorted names of the SchemeVars occurring in f."""
-    out: set[str] = set()
-    _collect(f, SchemeVar, out)
-    return sorted(out)
+    return sorted({g.name for g, _ in _walk(f) if isinstance(g, SchemeVar)})
 
 
-def _collect(f: Formula, node_type: type, out: set[str]) -> None:
-    if isinstance(f, node_type):
-        out.add(f.name)
-    for c in children(f):
-        _collect(c, node_type, out)
-
-
+@_memo
 def pred_symbols(f: Formula) -> dict[str, int]:
     """Predicate names used in f mapped to their arity.
 
     Raises ValueError if one name is used at two different arities.
     """
     out: dict[str, int] = {}
-
-    def go(g: Formula) -> None:
+    for g, _ in _walk(f):
         if isinstance(g, PredAtom):
             seen = out.setdefault(g.name, len(g.args))
             if seen != len(g.args):
                 raise ValueError(
                     f"predicate {g.name!r} used at arities {seen} and {len(g.args)}")
-        for c in children(g):
-            go(c)
-
-    go(f)
     return dict(sorted(out.items()))
 
 
+@_memo
 def const_names(f: Formula) -> list[str]:
     """Sorted names of RigidConst occurrences in f."""
-    out: set[str] = set()
-
-    def go(g: Formula) -> None:
-        if isinstance(g, PredAtom):
-            for a in g.args:
-                if isinstance(a, RigidConst):
-                    out.add(a.name)
-        elif isinstance(g, Eq):
-            for a in (g.lhs, g.rhs):
-                if isinstance(a, RigidConst):
-                    out.add(a.name)
-        for c in children(g):
-            go(c)
-
-    go(f)
-    return sorted(out)
+    return sorted({t.name for g, _ in _walk(f) for t in _terms(g)
+                   if isinstance(t, RigidConst)})
 
 
+@_memo
 def free_vars(f: Formula) -> list[str]:
     """Sorted names of BoundVar occurrences not captured by a quantifier."""
-    out: set[str] = set()
-
-    def go(g: Formula, bound: frozenset[str]) -> None:
-        if isinstance(g, PredAtom):
-            for a in g.args:
-                if isinstance(a, BoundVar) and a.name not in bound:
-                    out.add(a.name)
-        elif isinstance(g, Eq):
-            for a in (g.lhs, g.rhs):
-                if isinstance(a, BoundVar) and a.name not in bound:
-                    out.add(a.name)
-        elif isinstance(g, _QUANT):
-            go(g.body, bound | {g.var})
-        else:
-            for c in children(g):
-                go(c, bound)
-
-    go(f, frozenset())
-    return sorted(out)
+    return sorted({t.name for g, bound in _walk(f) for t in _terms(g)
+                   if isinstance(t, BoundVar) and not bound[t.name]})
 
 
+@_memo
 def is_propositional(f: Formula) -> bool:
     """True when f contains no first-order construct (PredAtom/Eq/quantifier)."""
-    if isinstance(f, (PredAtom, Eq) + _QUANT):
-        return False
-    return all(is_propositional(c) for c in children(f))
+    return not any(isinstance(g, (PredAtom, Eq) + _QUANT) for g, _ in _walk(f))
 
 
 def is_closed(f: Formula) -> bool:

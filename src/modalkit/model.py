@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -98,45 +98,30 @@ class Frame:
         object.__setattr__(self, "worlds", worlds)
         object.__setattr__(self, "access", pairs)
 
-    @property
+    @cached_property
     def index(self) -> dict[str, int]:
-        try:
-            return self._index
-        except AttributeError:
-            idx = {w: i for i, w in enumerate(self.worlds)}
-            object.__setattr__(self, "_index", idx)
-            return idx
+        return {w: i for i, w in enumerate(self.worlds)}
 
     def successors(self, w: str) -> tuple[str, ...]:
         return self.successor_map[w]
 
-    @property
+    @cached_property
     def successor_map(self) -> dict[str, tuple[str, ...]]:
         """world -> its successors in declaration order (cached)."""
-        try:
-            return self._succ
-        except AttributeError:
-            succ = {
-                w: tuple(v for v in self.worlds if (w, v) in self.access)
-                for w in self.worlds
-            }
-            object.__setattr__(self, "_succ", succ)
-            return succ
+        return {
+            w: tuple(v for v in self.worlds if (w, v) in self.access)
+            for w in self.worlds
+        }
 
-    @property
+    @cached_property
     def rows(self) -> tuple[int, ...]:
         """Accessibility as one bitmask per world: bit j of rows[i] is set
         iff worlds[i] can see worlds[j] (cached)."""
-        try:
-            return self._rows
-        except AttributeError:
-            idx = self.index
-            out = [0] * len(self.worlds)
-            for a, b in self.access:
-                out[idx[a]] |= 1 << idx[b]
-            rows = tuple(out)
-            object.__setattr__(self, "_rows", rows)
-            return rows
+        idx = self.index
+        out = [0] * len(self.worlds)
+        for a, b in self.access:
+            out[idx[a]] |= 1 << idx[b]
+        return tuple(out)
 
 
 FRAME_PROPERTIES = ("reflexive", "transitive", "symmetric", "serial",

@@ -29,8 +29,9 @@ from .model import (DomainFrame, FlexiblePred, FoModel, Frame,
                     FRAME_PROPERTIES, PropModel, _bits, _extension, _pairs,
                     _subsets, domain_monotonicity, frame_property, is_total,
                     model_to_dict)
-from .semantics import (Budget, ResourceLimit, bf_readings, evaluate,
-                        fo_scheme_valid, meta_implies, scheme_valid, valid)
+from .semantics import (Budget, ResourceLimit, _as_budget, bf_readings,
+                        evaluate, fo_scheme_valid, meta_implies, scheme_valid,
+                        valid)
 
 __all__ = [
     "SearchSpec", "SearchResult", "CONSTRAINT_NAMES",
@@ -54,10 +55,10 @@ CONSTRAINT_NAMES = FRAME_PROPERTIES + ("total", "none")
 # ---------------------------------------------------------------------------
 # Frame enumeration
 
-def frame_from_mask(n: int, mask: int, prefix: str = "w") -> Frame:
-    """The n-world frame whose accessibility bitmask is ``mask``; bit i*n+j
-    set means world i sees world j."""
-    worlds = tuple(f"{prefix}{i}" for i in range(n))
+def frame_from_mask(n: int, mask: int) -> Frame:
+    """The n-world frame w0..w{n-1} whose accessibility bitmask is ``mask``;
+    bit i*n+j set means world i sees world j."""
+    worlds = tuple(f"w{i}" for i in range(n))
     return Frame(worlds, _pairs(worlds, worlds, mask))
 
 
@@ -245,14 +246,6 @@ def _consume(worker, tasks: Sequence, jobs: int) -> Iterator:
         pool.join()
 
 
-def _limit_of(budget) -> int:
-    if isinstance(budget, Budget):
-        return budget.limit
-    if budget is None:
-        return Budget().limit
-    return int(budget)
-
-
 def _run_chunk(task):
     worker, stage, lo, hi, arg, limit = task
     bud = Budget(limit)
@@ -280,7 +273,7 @@ def _scan(stages: Iterable[tuple[int, ...]], worker, arg, jobs: int, budget,
     summed so far."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    limit = _limit_of(budget)
+    limit = _as_budget(budget).limit
     used = 0
     for stage in stages:
         tasks = [(worker, stage, lo, hi, arg, limit)

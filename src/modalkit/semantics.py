@@ -430,8 +430,8 @@ def valid(m: PropModel | FoModel, f: Formula, budget=None) -> Verdict:
         False, world=m.worlds[best[0]])
 
 
-def scheme_valid(m: PropModel | FoModel, scheme: Formula, budget=None,
-                 max_bits: int = SCHEME_BITS_LIMIT) -> Verdict:
+def scheme_valid(m: PropModel | FoModel, scheme: Formula,
+                 budget=None) -> Verdict:
     """Validity of every instance of a propositional scheme on m.
 
     SchemeVars are instantiated with all sets of worlds; PropAtoms keep the
@@ -440,25 +440,24 @@ def scheme_valid(m: PropModel | FoModel, scheme: Formula, budget=None,
     world-index bitmasks)."""
     if not is_propositional(scheme):
         raise NotPropositional("scheme_valid needs a propositional scheme")
-    return _scheme_check(m, scheme, scheme_vars(scheme), budget, max_bits)
+    return _scheme_check(m, scheme, scheme_vars(scheme), budget)
 
 
-def frame_valid(fr: Frame, scheme: Formula, budget=None,
-                max_bits: int = SCHEME_BITS_LIMIT) -> Verdict:
+def frame_valid(fr: Frame, scheme: Formula, budget=None) -> Verdict:
     """Validity of a scheme on a bare frame: every atom, schematic or not,
     ranges over all sets of worlds."""
     if not is_propositional(scheme):
         raise NotPropositional("frame_valid needs a propositional scheme")
     m = PropModel(fr, {})
     names = sorted(set(scheme_vars(scheme)) | set(prop_atoms(scheme)))
-    return _scheme_check(m, scheme, names, budget, max_bits)
+    return _scheme_check(m, scheme, names, budget)
 
 
-def _scheme_bits(n: int, k: int, max_bits: int) -> int:
-    if n * k > max_bits:
+def _scheme_bits(n: int, k: int) -> int:
+    if n * k > SCHEME_BITS_LIMIT:
         raise ResourceLimit(
             f"scheme enumeration needs {n}*{k} = {n * k} bits "
-            f"(limit {max_bits})")
+            f"(limit {SCHEME_BITS_LIMIT})")
     return n * k
 
 
@@ -476,11 +475,11 @@ def _assignment(worlds: Sequence[str], names: Sequence[str], i: int) -> dict:
             for j, nm in enumerate(names)}
 
 
-def _scheme_check(m, scheme: Formula, names: Sequence[str], budget,
-                  max_bits: int) -> Verdict:
+def _scheme_check(m, scheme: Formula, names: Sequence[str],
+                  budget) -> Verdict:
     bud = _as_budget(budget)
     worlds = m.worlds
-    bits = _scheme_bits(len(worlds), len(names), max_bits)
+    bits = _scheme_bits(len(worlds), len(names))
     best = _least_failure(m, scheme, bits, _scheme_leaves(names, len(worlds)),
                           bud)
     if best is None:
@@ -490,8 +489,7 @@ def _scheme_check(m, scheme: Formula, names: Sequence[str], budget,
 
 
 def meta_implies(m: PropModel | FoModel, premises: Sequence[Formula],
-                 conclusion: Formula, budget=None,
-                 max_bits: int = SCHEME_BITS_LIMIT) -> Verdict:
+                 conclusion: Formula, budget=None) -> Verdict:
     """The meta reading of an inference: for every instantiation of the
     metavariables shared across premises and conclusion, if every premise is
     valid on m then the conclusion is valid on m.
@@ -507,7 +505,7 @@ def meta_implies(m: PropModel | FoModel, premises: Sequence[Formula],
                                scheme_vars(conclusion)))
     n = len(worlds)
     units = 0
-    for first, full, cols in _blocks(_scheme_bits(n, len(names), max_bits)):
+    for first, full, cols in _blocks(_scheme_bits(n, len(names))):
         lv = _scheme_leaves(names, n)(cols)
         psets = [_truth(m, p, lv, full) for p in premises]
         csets = _truth(m, conclusion, lv, full)
@@ -536,12 +534,12 @@ def meta_implies(m: PropModel | FoModel, premises: Sequence[Formula],
 # ---------------------------------------------------------------------------
 # First-order schematic validity
 
-def _fo_bits(fm: FoModel, max_pairs: int) -> int:
+def _fo_bits(fm: FoModel) -> int:
     bits = len(fm.domain) * len(fm.worlds)
-    if bits > max_pairs:
+    if bits > FO_PAIRS_LIMIT:
         raise ResourceLimit(
             f"interpretation enumeration needs |domain|*|worlds| = {bits} "
-            f"bits (limit {max_pairs})")
+            f"bits (limit {FO_PAIRS_LIMIT})")
     return bits
 
 
@@ -552,8 +550,8 @@ def _cell_leaves(domain: Sequence[str], n: int):
                          for ci, e in enumerate(domain)}
 
 
-def fo_scheme_valid(fm: FoModel, scheme: Formula, hole: str, budget=None,
-                    max_pairs: int = FO_PAIRS_LIMIT) -> Verdict:
+def fo_scheme_valid(fm: FoModel, scheme: Formula, hole: str,
+                    budget=None) -> Verdict:
     """Validity of a closed first-order scheme for every interpretation of
     ``hole``, a unary flexible predicate enumerated over all subsets of
     domain x worlds (the full domain, not just local inhabitants).
@@ -565,7 +563,7 @@ def fo_scheme_valid(fm: FoModel, scheme: Formula, hole: str, budget=None,
         raise ValueError(f"scheme must be closed, free: {free_vars(scheme)}")
     bud = _as_budget(budget)
     worlds, domain = fm.worlds, fm.domain
-    best = _least_failure(fm, scheme, _fo_bits(fm, max_pairs),
+    best = _least_failure(fm, scheme, _fo_bits(fm),
                           _cell_leaves(domain, len(worlds)), bud, hole)
     if best is None:
         return Verdict(True)
@@ -618,12 +616,11 @@ class BfReadings:
         return out
 
 
-def bf_readings(fm: FoModel, hole: str = "P", budget=None,
-                max_pairs: int = FO_PAIRS_LIMIT) -> BfReadings:
+def bf_readings(fm: FoModel, hole: str = "P", budget=None) -> BfReadings:
     """Evaluate all four readings of the Barcan exchange on fm."""
     bud = _as_budget(budget)
     worlds, domain = fm.worlds, fm.domain
-    bits = _fo_bits(fm, max_pairs)
+    bits = _fo_bits(fm)
     lhs, rhs = BF_LHS(hole), BF_RHS(hole)
     leaves = _cell_leaves(domain, len(worlds))
     pointwise = meta_iff = meta_imp = True

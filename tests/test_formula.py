@@ -1,9 +1,12 @@
 """AST construction, queries, and rendering."""
 
+import pickle
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import modalkit.formula as formula_mod
 from modalkit import (And, Box, BoundVar, Dia, Eq, Exists, Forall, Iff, Imp,
                       Not, Or, PredAtom, PropAtom, RigidConst, SchemeVar,
                       StrictImp, bind_free, const_names, free_vars,
@@ -73,6 +76,156 @@ class TestQueries:
     def test_const_names(self):
         f = PredAtom("near", (RigidConst("c"), BoundVar("x")))
         assert const_names(Exists("x", f)) == ["c"]
+
+
+QUERIES = (prop_atoms, scheme_vars, pred_symbols, const_names, free_vars,
+           is_propositional)
+
+
+class TestDeepFormulas:
+    """The queries walk iteratively: far past the recursion limit."""
+
+    DEPTH = 10000
+
+    def test_box_not_chain(self):
+        f = Imp(p, P)
+        for i in range(self.DEPTH):
+            f = Box(f) if i % 2 else Not(f)
+        assert [q(f) for q in QUERIES] == [["p"], ["P"], {}, [], [], True]
+
+    def test_forall_chain_over_one_free_variable(self):
+        f = PredAtom("near", (BoundVar("x"), BoundVar("y"), RigidConst("c")))
+        for i in range(self.DEPTH):
+            f = Forall("x" if i % 2 else "z", f)
+        assert [q(f) for q in QUERIES] == [[], [], {"near": 3}, ["c"], ["y"],
+                                           False]
+
+
+def _reference(f):
+    """The six answers by plain recursion: (atoms, metavariables, predicate
+    uses in pre-order, constants, free variables, propositional)."""
+    atoms, schemes, consts, free = set(), set(), set(), set()
+    preds, first_order = [], []
+
+    def go(g, bound):
+        if isinstance(g, PropAtom):
+            atoms.add(g.name)
+        elif isinstance(g, SchemeVar):
+            schemes.add(g.name)
+        elif isinstance(g, (PredAtom, Eq)):
+            first_order.append(g)
+            if isinstance(g, PredAtom):
+                preds.append((g.name, len(g.args)))
+                terms = g.args
+            else:
+                terms = (g.lhs, g.rhs)
+            for t in terms:
+                if isinstance(t, RigidConst):
+                    consts.add(t.name)
+                elif t.name not in bound:
+                    free.add(t.name)
+        elif isinstance(g, (Forall, Exists)):
+            first_order.append(g)
+            go(g.body, bound | {g.var})
+        elif isinstance(g, (Not, Box, Dia)):
+            go(g.body, bound)
+        else:
+            go(g.lhs, bound)
+            go(g.rhs, bound)
+
+    go(f, frozenset())
+    return (sorted(atoms), sorted(schemes), preds, sorted(consts),
+            sorted(free), not first_order)
+
+
+_NAMES = st.sampled_from(["x", "y", "c"])
+_TERMS = st.one_of(st.builds(BoundVar, _NAMES), st.builds(RigidConst, _NAMES))
+_LEAVES = st.one_of(
+    st.builds(PropAtom, st.sampled_from(["p", "q"])),
+    st.builds(SchemeVar, st.sampled_from(["P", "Q"])),
+    st.builds(PredAtom, st.sampled_from(["alive", "near"]),
+              st.lists(_TERMS, min_size=1, max_size=2).map(tuple)),
+    st.builds(Eq, _TERMS, _TERMS))
+_FORMULAS = st.recursive(_LEAVES, lambda sub: st.one_of(
+    *(st.builds(op, sub) for op in (Not, Box, Dia)),
+    *(st.builds(op, sub, sub) for op in (And, Or, Imp, Iff, StrictImp)),
+    *(st.builds(op, st.sampled_from(["x", "y"]), sub)
+      for op in (Forall, Exists))), max_leaves=12)
+
+
+class TestQueriesMatchRecursiveReference:
+    @given(_FORMULAS)
+    @settings(max_examples=300, deadline=None)
+    @example(And(Forall("x", PredAtom("alive", (BoundVar("x"),))),
+                 PredAtom("alive", (BoundVar("x"),))))   # x is free again
+    def test_six_queries(self, f):
+        atoms, schemes, preds, consts, free, prop = _reference(f)
+        assert prop_atoms(f) == atoms
+        assert scheme_vars(f) == schemes
+        assert const_names(f) == consts
+        assert free_vars(f) == free
+        assert is_closed(f) == (not free)
+        assert is_propositional(f) == prop
+        arity: dict[str, int] = {}
+        for name, n in preds:
+            if arity.setdefault(name, n) != n:
+                msg = (f"predicate {name!r} used at arities {arity[name]} "
+                       f"and {n}")
+                with pytest.raises(ValueError) as ei:
+                    pred_symbols(f)
+                assert str(ei.value) == msg
+                break
+        else:
+            assert pred_symbols(f) == dict(sorted(arity.items()))
+
+
+class TestQueryMemo:
+    @staticmethod
+    def fresh():
+        return Forall("x", And(PredAtom("near", (BoundVar("x"),
+                                                 RigidConst("c"))),
+                               Imp(Box(P), Or(p, PredAtom("alive",
+                                                          (BoundVar("y"),))))))
+
+    def test_each_query_walks_a_formula_once(self, monkeypatch):
+        walks = []
+        real = formula_mod._walk
+        monkeypatch.setattr(formula_mod, "_walk",
+                            lambda f: walks.append(f) or real(f))
+        f = self.fresh()
+        first = [q(f) for q in QUERIES]
+        assert len(walks) == len(QUERIES)
+        assert [q(f) for q in QUERIES] == first
+        assert is_closed(f) is False
+        assert len(walks) == len(QUERIES)
+
+    def test_mutating_an_answer_does_not_reach_the_memo(self):
+        f = self.fresh()
+        for q in (prop_atoms, scheme_vars, const_names, free_vars):
+            q(f).append("zz")
+        pred_symbols(f)["zz"] = 9
+        assert [q(f) for q in QUERIES] == [["p"], ["P"],
+                                           {"alive": 1, "near": 2}, ["c"],
+                                           ["y"], False]
+
+    def test_arity_clash_raises_every_time(self):
+        f = And(PredAtom("r", (RigidConst("c"),)),
+                PredAtom("r", (RigidConst("c"), RigidConst("d"))))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="arities 1 and 2"):
+                pred_symbols(f)
+        assert prop_atoms(f) == []
+
+    def test_equality_hash_and_pickle_unchanged_by_queries(self):
+        f, twin = self.fresh(), self.fresh()
+        before = pickle.loads(pickle.dumps(f))
+        answers = [q(f) for q in QUERIES]
+        assert f == twin and hash(f) == hash(twin)
+        assert f == before and hash(f) == hash(before)
+        g = pickle.loads(pickle.dumps(f))
+        assert g == twin and hash(g) == hash(twin)
+        assert repr(g) == repr(twin)
+        assert [q(g) for q in QUERIES] == answers
 
 
 class TestBindFree:

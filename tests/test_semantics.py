@@ -597,7 +597,7 @@ class TestBudgets:
     def test_bit_ceiling(self):
         m = PropModel(Frame(tuple(f"w{i}" for i in range(7))), {})
         with pytest.raises(ResourceLimit):
-            scheme_valid(m, parse("P => Q | R & S"), max_bits=24)
+            scheme_valid(m, parse("P => Q | R & S"))
 
     def test_scheme_bit_ceiling_is_scanned_in_blocks(self):
         # 6 metavariables on 4 worlds: 2**24 instances at each world, all
@@ -619,7 +619,7 @@ class TestBudgets:
         fr = Frame(tuple(f"w{i}" for i in range(3)))
         m = FoModel(DomainFrame(fr, tuple("abcdefgh")), "constant")
         with pytest.raises(ResourceLimit):
-            fo_scheme_valid(m, BF_SCHEME, "P", max_pairs=20)
+            fo_scheme_valid(m, BF_SCHEME, "P")
 
     def test_resource_limit_pickles_with_frontier(self):
         e = ResourceLimit("out of gas", frontier={"worlds": 2})
