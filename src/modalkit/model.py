@@ -123,6 +123,12 @@ class Frame:
             out[idx[a]] |= 1 << idx[b]
         return tuple(out)
 
+    @cached_property
+    def succ(self) -> tuple[tuple[int, ...], ...]:
+        """Per world, the indices of its successors, ascending (cached)."""
+        return tuple(tuple(j for j in range(len(self.worlds)) if r >> j & 1)
+                     for r in self.rows)
+
 
 FRAME_PROPERTIES = ("reflexive", "transitive", "symmetric", "serial",
                     "euclidean", "equivalence")

@@ -7,31 +7,36 @@ first hit, so results are reproducible run to run.  ``jobs > 1`` fans the
 scan out over worker processes in fixed chunks and keeps the same answer:
 chunks are consumed in order and the first in-order hit wins.
 
-Every reported witness is re-checked with the plain reference evaluator
-before it is returned; a failure there raises RuntimeError and would mean a
-bug in the truth-set evaluator, not in the caller's input.
+A frame's candidate models are not built one at a time: their existence,
+predicate and valuation bits are instance columns above each check's own
+instance bits, so one truth-set pass labels them all, and a candidate's
+verdict and budget units are reductions over its group of bits.  A model
+is built only for the witness, and re-checked with the plain reference
+evaluator before it is returned; a failure there raises RuntimeError and
+would mean a bug in the truth-set evaluator, not in the caller's input.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import string
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice, permutations, product
+from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
-from .formula import (Formula, Imp, SchemeVar, const_names, free_vars,
+from .formula import (Exists, Formula, Imp, SchemeVar, const_names, free_vars,
                       is_propositional, pred_symbols, prop_atoms, render,
                       scheme_vars)
 from .model import (DomainFrame, FlexiblePred, FoModel, Frame,
                     FRAME_PROPERTIES, PropModel, _bits, _extension, _pairs,
-                    _subsets, domain_monotonicity, frame_property, is_total,
-                    model_to_dict)
-from .semantics import (Budget, ResourceLimit, _as_budget, bf_readings,
-                        evaluate, fo_scheme_valid, meta_implies, scheme_valid,
-                        valid)
+                    _subsets, frame_property, is_total, model_to_dict)
+from .semantics import (BF_LHS, BF_RHS, Budget, EvalError, NotPropositional,
+                        ResourceLimit, _as_budget, _assignment, _batches,
+                        _blocks, _cell_leaves, _charge, _fo_bits, _scheme_bits,
+                        _scheme_leaves, _truth, bf_readings, evaluate)
 
 __all__ = [
     "SearchSpec", "SearchResult", "CONSTRAINT_NAMES",
@@ -127,22 +132,6 @@ def _domain_names(d: int) -> tuple[str, ...]:
     return tuple(string.ascii_lowercase[:d])
 
 
-def _domain_frames(n: int, d: int, masks: Iterable[int], varying: bool,
-                   constraints: frozenset[str] = frozenset()
-                   ) -> Iterator[tuple[int, int, DomainFrame]]:
-    """(frame mask, existence mask, domain frame) in scan order.  Existence
-    masks are world-major: bit wi*d+ei puts element ei at world wi.  Without
-    ``varying`` only the full existence mask is visited."""
-    domain = _domain_names(d)
-    full = (1 << (d * n)) - 1
-    for fmask, fr in _frames(n, masks, constraints):
-        for emask in range(full + 1) if varying else (full,):
-            pairs = _pairs(fr.worlds, domain, emask)
-            yield fmask, emask, DomainFrame(
-                fr, domain,
-                {w: [e for v, e in pairs if v == w] for w in fr.worlds})
-
-
 # ---------------------------------------------------------------------------
 # Search specification and results
 
@@ -186,6 +175,9 @@ class SearchSpec:
                              f"got {self.mode!r}")
         if self.max_worlds < 1:
             raise ValueError("max_worlds must be at least 1")
+        if self.max_domain < 0:
+            raise ValueError("max_domain must be at least 0 (0 means "
+                             "propositional search)")
         if self.reading == "meta" and not isinstance(self.conclusion, Imp):
             raise ValueError("the meta reading needs an implication "
                              "conclusion")
@@ -227,6 +219,9 @@ def _consume(worker, tasks: Sequence, jobs: int) -> Iterator:
     if jobs == 1 or len(tasks) <= 1:
         yield from map(worker, tasks)
         return
+    # imported only for a pool: it adds about a tenth to the package's
+    # import time, which every command pays and serial scans never need
+    import multiprocessing
     ctx = multiprocessing.get_context("fork")
     pool = ctx.Pool(processes=min(jobs, len(tasks)))
     todo = iter(tasks)
@@ -294,44 +289,152 @@ def _scan(stages: Iterable[tuple[int, ...]], worker, arg, jobs: int, budget,
 
 
 def _check_ceiling(max_worlds: int, ceiling: int, kind: str) -> None:
+    if max_worlds < 1:
+        raise ValueError("max_worlds must be at least 1")
     if max_worlds > ceiling:
         raise ValueError(f"max_worlds {max_worlds} exceeds the {kind} "
                          f"ceiling {ceiling}")
 
 
+def _check_domain(name: str, d: int, least: int) -> None:
+    if d < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
+# ---------------------------------------------------------------------------
+# Candidate spaces: the models a stage scans on one frame, as columns
+
+def _fields(n: int, d: int, preds: dict[str, int], atoms: Sequence[str],
+            varying: bool) -> list[tuple[str | None, int, int, int]]:
+    """(name, arity, offset, width) of each field of a candidate number,
+    least significant first, so that candidates ascend in scan order: the
+    valuation masks (atoms sorted, the first highest; arity 0), the
+    predicate masks (sorted, the first highest; cell-major, as decoded by
+    model._extension) and, when varying, the existence mask (name None;
+    world-major, bit wi*d+ei puts element ei at world wi)."""
+    parts = [(a, 0, n) for a in reversed(atoms)]
+    parts += [(p, preds[p], d ** preds[p] * n)
+              for p in sorted(preds, reverse=True)]
+    if varying:
+        parts.append((None, 1, d * n))
+    out, off = [], 0
+    for name, arity, width in parts:
+        out.append((name, arity, off, width))
+        off += width
+    return out
+
+
+def _candidate_leaves(fields, domain: Sequence[str], n: int):
+    """The _truth leaves of the candidate fields, from their bit columns."""
+    d = len(domain)
+
+    def leaves(cols):
+        out = {}
+        for name, arity, off, width in fields:
+            c = cols[off:off + width]
+            if name is None:
+                out[Exists] = [c[ei::d] for ei in range(d)]
+            elif arity == 0:
+                out[name] = c
+            else:
+                out.update(((name, cell), c[ci * n:(ci + 1) * n]) for ci, cell
+                           in enumerate(product(domain, repeat=arity)))
+        return out
+    return leaves
+
+
+def _candidate(fr: Frame, domain, mode: str, fields, c: int):
+    """The model that candidate number c stands for on fr: a PropModel
+    when domain is None."""
+    worlds, val, flex, exists = fr.worlds, {}, {}, None
+    for name, arity, off, width in fields:
+        mask = c >> off & ((1 << width) - 1)
+        if name is None:
+            pairs = _pairs(worlds, domain, mask)
+            exists = {w: [e for v, e in pairs if v == w] for w in worlds}
+        elif arity == 0:
+            val[name] = _bits(worlds, mask)
+        else:
+            flex[name] = FlexiblePred(arity, _extension(domain, worlds, mask,
+                                                        arity))
+    if domain is None:
+        return PropModel(fr, val)
+    return FoModel(DomainFrame(fr, domain, exists), mode, val,
+                   flexible_preds=flex)
+
+
 # ---------------------------------------------------------------------------
 # Shared premise/conclusion checking
 
-def _check_model(m, spec: SearchSpec, bud: Budget) -> dict | None:
-    """Certificate dict if m is a countermodel for spec, else None."""
-    for p in spec.premise_formulas:
-        if not valid(m, p, bud).holds:
-            return None
-    for s in spec.premise_schemes:
-        if not scheme_valid(m, s, bud).holds:
-            return None
-    if spec.reading == "object":
-        if is_propositional(spec.conclusion):
-            v = scheme_valid(m, spec.conclusion, bud)
-        else:
-            v = valid(m, spec.conclusion, bud)
-        if v.holds:
-            return None
-        cert = {"reading": "object",
-                "conclusion": render(spec.conclusion, "ascii"),
-                "world": v.world}
-        if v.assignment:
-            cert["assignment"] = {k: list(vs)
-                                  for k, vs in sorted(v.assignment.items())}
-    else:
-        v = meta_implies(m, [spec.conclusion.lhs], spec.conclusion.rhs, bud)
-        if v.holds:
-            return None
-        cert = {"reading": "meta",
-                "conclusion": render(spec.conclusion, "ascii"),
-                "assignment": {k: list(vs)
-                               for k, vs in sorted(v.assignment.items())},
-                "world": v.world}
+def _conclusion_names(spec: SearchSpec) -> list[str]:
+    c = spec.conclusion
+    if spec.reading == "meta":
+        return sorted(set(scheme_vars(c.lhs)) | set(scheme_vars(c.rhs)))
+    return scheme_vars(c) if is_propositional(c) else []
+
+
+def _checks(spec: SearchSpec, n: int) -> list:
+    """(instance bits, run) for each check a candidate passes through, in
+    the scalar scan's order: premise formulas (valid), premise schemes
+    (scheme_valid), then the conclusion (scheme_valid or valid, or
+    meta_implies).  run(batch) gives (holds, units, witness) per candidate,
+    or raises what that check raises when a candidate reaches it."""
+    def check(names, f, scheme=False):
+        inst = _scheme_leaves(names, n)
+
+        def run(b):
+            if scheme and not is_propositional(f):
+                raise NotPropositional("scheme_valid needs a propositional "
+                                       "scheme")
+            ib = _scheme_bits(n, len(names))
+            if isinstance(f, tuple):
+                return b.meta(f[:1], f[1], ib, inst)
+            return b.least(f, ib, inst)
+        return n * len(names), run
+
+    c = spec.conclusion
+    return [*(check((), p) for p in spec.premise_formulas),
+            *(check(scheme_vars(s), s, True) for s in spec.premise_schemes),
+            check(_conclusion_names(spec),
+                  (c.lhs, c.rhs) if spec.reading == "meta" else c)]
+
+
+def _hit(batch, checks, bud: Budget):
+    """The least candidate bit of batch at which every check but the last
+    holds and the last fails (0 when none does), and the last check's
+    witness function.  Charges what the scalar scan charges over the
+    candidates up to it, or over the whole batch; a check that raises is
+    charged up to the first candidate that reaches it, then re-raised."""
+    reach, spent, witness = batch.base, [], None
+    for j, (_, run) in enumerate(checks):
+        if not reach:
+            break
+        try:
+            holds, units, witness = run(batch)
+        except (EvalError, ResourceLimit):
+            upto = 2 * (reach & -reach) - 1
+            bud.charge(sum(u(r & upto) for u, r in spent))
+            raise
+        spent.append((units, reach))
+        reach &= holds if j < len(checks) - 1 else ~holds
+    hit = reach & -reach
+    bud.charge(sum(u(r & (2 * hit - 1)) for u, r in spent))
+    return hit, witness
+
+
+def _certificate(spec: SearchSpec, worlds, wi: int, i: int) -> dict:
+    """What the conclusion's witness, world index wi and instance i,
+    certifies, in the order the single-model checks' verdicts gave it."""
+    names = _conclusion_names(spec)
+    assignment = {k: list(vs) for k, vs in sorted(
+        _assignment(worlds, names, i).items())}
+    cert = {"reading": spec.reading,
+            "conclusion": render(spec.conclusion, "ascii")}
+    if spec.reading == "meta":
+        cert["assignment"] = assignment
+    cert["world"] = worlds[wi]
+    if spec.reading == "object" and names:
+        cert["assignment"] = assignment
     if spec.premise_formulas:
         cert["premises"] = [render(p, "ascii")
                             for p in spec.premise_formulas]
@@ -370,9 +473,6 @@ def _revalidate(m, spec: SearchSpec, cert: dict) -> None:
                            "this is a bug, please report it")
 
 
-# ---------------------------------------------------------------------------
-# Propositional countermodel search
-
 def _signature(spec: SearchSpec) -> tuple[dict[str, int], list[str]]:
     """Predicate arities and sorted propositional atoms over spec."""
     preds: dict[str, int] = {}
@@ -382,19 +482,49 @@ def _signature(spec: SearchSpec) -> tuple[dict[str, int], list[str]]:
     return preds, atoms
 
 
-def _prop_chunk(stage, masks, spec: SearchSpec, bud: Budget):
-    (n,) = stage
-    _, atoms = _signature(spec)
+def _spec_chunk(stage, masks, spec: SearchSpec, bud: Budget):
+    """The chunk's least countermodel as (model, certificate), or None.
+    Each frame's candidates are labelled as columns over one base model; a
+    model is built only for the witness."""
+    n, d = stage if len(stage) > 1 else (stage[0], 0)
+    domain = _domain_names(d) if len(stage) > 1 else None
+    preds, atoms = _signature(spec)
+    varying = spec.mode == "varying" and domain is not None
+    fields = _fields(n, d, preds, atoms, varying)
+    cb = sum(f[3] for f in fields)
+    checks = _checks(spec, n)
+    leaves = _candidate_leaves(fields, domain or (), n)
     for mask, fr in _frames(n, masks, spec.frame_constraints):
-        for vmasks in product(range(1 << n), repeat=len(atoms)):
-            valuation = {a: _bits(fr.worlds, vm)
-                         for a, vm in zip(atoms, vmasks)}
-            m = PropModel(fr, valuation)
-            cert = _check_model(m, spec, bud)
-            if cert is not None:
-                return mask, m, cert
+        m = (PropModel(fr, {}) if domain is None
+             else FoModel(DomainFrame(fr, domain), "constant"))
+        for batch in _batches(m, cb, [ib for ib, _ in checks], leaves,
+                              preds):
+            hit, witness = _hit(batch, checks, bud)
+            if hit:
+                c = batch.number(hit)
+                cert = {"frame_mask": mask}
+                if domain is not None:
+                    cert["exists_mask"] = (c >> fields[-1][2] if varying
+                                           else (1 << d * n) - 1)
+                return (_candidate(fr, domain, spec.mode, fields, c),
+                        {**cert, **_certificate(spec, fr.worlds,
+                                                *witness(hit))})
     return None
 
+
+def _least_countermodel(stages, spec: SearchSpec, jobs: int, budget
+                        ) -> SearchResult | None:
+    for stage, hit in _scan(stages, _spec_chunk, spec, jobs, budget):
+        if hit is not None:
+            m, cert = hit
+            cert = {**_stage_frontier(stage), **cert}
+            _revalidate(m, spec, cert)
+            return SearchResult(m, cert)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Propositional countermodel search
 
 def find_countermodel(spec: SearchSpec, jobs: int = 1, budget=None
                       ) -> SearchResult | None:
@@ -408,14 +538,8 @@ def find_countermodel(spec: SearchSpec, jobs: int = 1, budget=None
                 "find_countermodel is propositional; use "
                 "find_fo_countermodel for quantified formulas")
     _check_ceiling(spec.max_worlds, PROP_WORLD_CEILING, "propositional")
-    stages = ((n,) for n in range(1, spec.max_worlds + 1))
-    for (n,), hit in _scan(stages, _prop_chunk, spec, jobs, budget):
-        if hit is not None:
-            mask, m, cert = hit
-            cert = {"worlds": n, "frame_mask": mask, **cert}
-            _revalidate(m, spec, cert)
-            return SearchResult(m, cert)
-    return None
+    return _least_countermodel(((n,) for n in range(1, spec.max_worlds + 1)),
+                               spec, jobs, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -436,32 +560,6 @@ def _fo_stages(spec: SearchSpec) -> Iterator[tuple[int, int]]:
                     f"models per frame (limit 2**{FO_SEARCH_BITS})",
                     frontier={"worlds": n, "domain": d - 1})
             yield n, d
-
-
-def _fo_chunk(stage, masks, spec: SearchSpec, bud: Budget):
-    """Interpretation masks are cell-major, as decoded by model._extension:
-    bit ci*n+wi puts the ci-th argument tuple in the extension at world wi
-    (the unary order fo_scheme_valid uses)."""
-    n, d = stage
-    preds, atoms = _signature(spec)
-    pred_names = sorted(preds)
-    for fmask, emask, df in _domain_frames(n, d, masks,
-                                           spec.mode == "varying",
-                                           spec.frame_constraints):
-        worlds = df.worlds
-        for pmasks in product(*(range(1 << (d ** preds[p] * n))
-                                for p in pred_names)):
-            flex = {p: FlexiblePred(preds[p], _extension(df.domain, worlds,
-                                                         pm, preds[p]))
-                    for p, pm in zip(pred_names, pmasks)}
-            for vmasks in product(range(1 << n), repeat=len(atoms)):
-                valuation = {a: _bits(worlds, vm)
-                             for a, vm in zip(atoms, vmasks)}
-                m = FoModel(df, spec.mode, valuation, flexible_preds=flex)
-                cert = _check_model(m, spec, bud)
-                if cert is not None:
-                    return fmask, emask, m, cert
-    return None
 
 
 def find_fo_countermodel(spec: SearchSpec, jobs: int = 1, budget=None
@@ -486,27 +584,54 @@ def find_fo_countermodel(spec: SearchSpec, jobs: int = 1, budget=None
     if spec.max_domain < 1:
         raise ValueError("max_domain must be at least 1 for quantified "
                          "search")
-    for (n, d), hit in _scan(_fo_stages(spec), _fo_chunk, spec, jobs,
-                             budget):
-        if hit is not None:
-            fmask, emask, m, cert = hit
-            cert = {"worlds": n, "domain": d, "frame_mask": fmask,
-                    "exists_mask": emask, **cert}
-            _revalidate(m, spec, cert)
-            return SearchResult(m, cert)
-    return None
+    return _least_countermodel(_fo_stages(spec), spec, jobs, budget)
 
 
 # ---------------------------------------------------------------------------
 # The quantifier/Box exchange: divergence search and exhaustive sweeps
 
+def _exchange_space(n: int, d: int):
+    """Domain names, candidate fields (existence masks alone) and hole
+    leaves for the exchange scans over the varying domains on n worlds."""
+    domain = _domain_names(d)
+    fields = _fields(n, d, {}, (), varying=True)
+    return (domain, fields, _candidate_leaves(fields, domain, n),
+            _cell_leaves("P", domain, n))
+
+
+def _groups(x: int, g: int, full: int) -> int:
+    """Bit k set iff x has a bit set among bits k << g .. (k + 1 << g) - 1
+    of a block whose all-ones int is full (one group if 2**g covers it)."""
+    size, ones = full.bit_length(), (1 << (1 << g)) - 1
+    return (int(x != 0) if 1 << g >= size else
+            sum(1 << k for k in range(size >> g) if x >> (k << g) & ones))
+
+
 def _div_chunk(stage, masks, _, bud: Budget):
     n, d = stage
-    for fmask, emask, df in _domain_frames(n, d, masks, varying=True):
-        fm = FoModel(df, "varying")
-        r = bf_readings(fm, "P", bud)
-        if r.meta_implies and not r.object_implies:
-            return fmask, emask, fm, r
+    domain, fields, leaves, hole = _exchange_space(n, d)
+    lhs, rhs, preds = BF_LHS("P"), BF_RHS("P"), {"P": 1}
+    for fmask, fr in _frames(n, masks):
+        m = FoModel(DomainFrame(fr, domain), "constant")
+        bits = _fo_bits(m)
+        # bit c: on the existence mask c, some interpretation makes the lhs
+        # valid and the rhs not (meta), or fails the implication at some
+        # world (obj); instance c << bits | i is interpretation i on mask c
+        meta = obj = 0
+        for first, full, cols in _blocks(bits + d * n):
+            lv = {**hole(cols), **leaves(cols[bits:])}
+            ls, rs = (_truth(m, f, lv, full, preds) for f in (lhs, rhs))
+            lvalid, rvalid = reduce(and_, ls, full), reduce(and_, rs, full)
+            meta |= _groups(lvalid & ~rvalid, bits, full) << (first >> bits)
+            obj |= _groups(reduce(or_, (a & ~b for a, b in zip(ls, rs))),
+                           bits, full) << (first >> bits)
+        div = obj & ~meta
+        emask = (div & -div).bit_length() - 1
+        # bf_readings charges 2 units per (instance, world) pair, per mask
+        _charge(bud, (2 * n << bits) * (emask if div else 1 << d * n), 2)
+        if div:
+            fm = _candidate(fr, domain, "varying", fields, emask)
+            return fmask, emask, fm, bf_readings(fm, "P", bud)
     return None
 
 
@@ -520,6 +645,7 @@ def find_barcan_divergence(max_worlds: int = 3, max_domain: int = 2,
     existence mask.  Returns None when no divergence exists in bounds
     (e.g. with max_worlds=1, where the two readings coincide)."""
     _check_ceiling(max_worlds, FO_WORLD_CEILING, "quantified")
+    _check_domain("max_domain", max_domain, 1)
     stages = product(range(1, max_worlds + 1), range(1, max_domain + 1))
     for (n, d), hit in _scan(stages, _div_chunk, None, jobs, budget):
         if hit is not None:
@@ -538,7 +664,6 @@ def find_barcan_divergence(max_worlds: int = 3, max_domain: int = 2,
 def _revalidate_divergence(fm: FoModel, r) -> None:
     """Reference-evaluator re-check that the rule reading holds and the
     implication reading fails on fm, per the reported witness."""
-    from .semantics import BF_LHS, BF_RHS
     lhs, rhs = BF_LHS("P"), BF_RHS("P")
     worlds, domain = fm.worlds, fm.domain
     ok = True
@@ -557,30 +682,51 @@ def _revalidate_divergence(fm: FoModel, r) -> None:
                            "re-check; this is a bug, please report it")
 
 
+def _monotone(fr: Frame, exists, full: int) -> tuple[int, int]:
+    """Truth sets of domain monotonicity over existence columns
+    exists[e][w]: (nondecreasing, nonincreasing) along every edge."""
+    inc = dec = full
+    for a, succ in enumerate(fr.succ):
+        for b in succ:
+            for col in exists:
+                inc &= (full ^ col[a]) | col[b]
+                dec &= (full ^ col[b]) | col[a]
+    return inc, dec
+
+
 def _sweep_chunk(stage, masks, _, bud: Budget):
     from .correspondence import BF_SCHEME, CBF_SCHEME
     n, d = stage
+    domain, _, leaves, hole = _exchange_space(n, d)
     checked = 0
     violations: list[dict] = []
-    for fmask, emask, df in _domain_frames(n, d, masks, varying=True):
-        fm = FoModel(df, "varying")
-        mono = domain_monotonicity(df)
-        bf = fo_scheme_valid(fm, BF_SCHEME, "P", bud).holds
-        cbf = fo_scheme_valid(fm, CBF_SCHEME, "P", bud).holds
-        checked += 1
-        coords = {"worlds": n, "frame_mask": fmask, "exists_mask": emask}
-        if bf != mono.nonincreasing:
-            violations.append({**coords, "check": "bf_vs_nonincreasing",
-                               "bf": bf,
-                               "nonincreasing": mono.nonincreasing})
-        if cbf != mono.nondecreasing:
-            violations.append({**coords, "check": "cbf_vs_nondecreasing",
-                               "cbf": cbf,
-                               "nondecreasing": mono.nondecreasing})
-        if bf != cbf and frame_property(df.frame, "symmetric"):
-            violations.append({**coords,
-                               "check": "bf_iff_cbf_on_symmetric",
-                               "bf": bf, "cbf": cbf})
+    for fmask, fr in _frames(n, masks):
+        m = FoModel(DomainFrame(fr, domain), "constant")
+        bits = _fo_bits(m)
+        for b in _batches(m, d * n, [bits], leaves, {"P": 1}):
+            bf, bf_units, _ = b.least(BF_SCHEME, bits, hole)
+            cbf, cbf_units, _ = b.least(CBF_SCHEME, bits, hole)
+            bud.charge(bf_units(b.base) + cbf_units(b.base))
+            inc, dec = _monotone(fr, b.leaves[Exists], b.full)
+            odd = b.base & ((bf ^ dec) | (cbf ^ inc) | (bf ^ cbf))
+            for c in (1 << i for i in range(odd.bit_length()) if odd >> i & 1):
+                coords = {"worlds": n, "frame_mask": fmask,
+                          "exists_mask": b.number(c)}
+                c_bf, c_cbf = bool(bf & c), bool(cbf & c)
+                noninc, nondec = bool(dec & c), bool(inc & c)
+                if c_bf != noninc:
+                    violations.append({**coords,
+                                       "check": "bf_vs_nonincreasing",
+                                       "bf": c_bf, "nonincreasing": noninc})
+                if c_cbf != nondec:
+                    violations.append({**coords,
+                                       "check": "cbf_vs_nondecreasing",
+                                       "cbf": c_cbf, "nondecreasing": nondec})
+                if c_bf != c_cbf and frame_property(fr, "symmetric"):
+                    violations.append({**coords,
+                                       "check": "bf_iff_cbf_on_symmetric",
+                                       "bf": c_bf, "cbf": c_cbf})
+        checked += 1 << d * n
     return checked, violations
 
 
@@ -591,6 +737,7 @@ def barcan_sweep(max_worlds: int = 3, domain_size: int = 2, jobs: int = 1,
     fixed domain size.  Returns a summary dict whose ``violations`` list is
     expected to stay empty; ``jobs`` never changes the summary."""
     _check_ceiling(max_worlds, FO_WORLD_CEILING, "quantified")
+    _check_domain("domain_size", domain_size, 0)
     checked = 0
     violations: list[dict] = []
     stages = ((n, domain_size) for n in range(1, max_worlds + 1))
@@ -606,10 +753,12 @@ def barcan_sweep(max_worlds: int = 3, domain_size: int = 2, jobs: int = 1,
 
 def _agree_chunk(stage, masks, _, bud: Budget):
     n, d = stage
+    domain = _domain_names(d)
     checked = 0
     disagreements: list[dict] = []
-    for fmask, _, df in _domain_frames(n, d, masks, varying=False):
-        r = bf_readings(FoModel(df, "constant"), "P", bud)
+    for fmask, fr in _frames(n, masks):
+        r = bf_readings(FoModel(DomainFrame(fr, domain), "constant"), "P",
+                        bud)
         checked += 1
         if r.meta_implies != r.object_implies:
             disagreements.append({"worlds": n, "domain": d,
@@ -624,6 +773,7 @@ def bf_agreement_sweep(max_worlds: int = 3, max_domain: int = 2,
     and the implication reading of the exchange agree.  The summary's
     ``disagreements`` list is expected to stay empty."""
     _check_ceiling(max_worlds, FO_WORLD_CEILING, "quantified")
+    _check_domain("max_domain", max_domain, 1)
     checked = 0
     disagreements: list[dict] = []
     stages = product(range(1, max_worlds + 1), range(1, max_domain + 1))

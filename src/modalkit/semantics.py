@@ -103,8 +103,11 @@ def _env_budget() -> int:
 class Budget:
     """Meters evaluator work: one unit is one formula at one (instance,
     world) pair of a check, counted in its scan order up to and including
-    the witness.  The default limit comes from MODALKIT_BUDGET or 10**8; a
-    MODALKIT_BUDGET that is not a positive integer raises ValueError."""
+    the witness.  A search labels its candidate models as instance columns
+    and builds a model only for the witness, but still charges one unit per
+    pair the candidate-by-candidate scan would visit.  The default limit
+    comes from MODALKIT_BUDGET or 10**8; a MODALKIT_BUDGET that is not a
+    positive integer raises ValueError."""
 
     def __init__(self, limit: int | None = None):
         self.limit = _env_budget() if limit is None else limit
@@ -282,35 +285,39 @@ def _columns(width: int) -> tuple[int, ...]:
     return cols
 
 
-def _blocks(bits: int):
+def _blocks(bits: int, span: int | None = None, start: int = 0):
     """Yield (first instance, all-ones int, cols) for each block of the
-    2**bits instances, ascending; cols[b] is instance bit b over the block,
-    a cached column for the low bits and constant for the block's own."""
-    width = min(bits, _BLOCK_BITS)
+    2**span instances from start (all 2**bits by default), ascending;
+    cols[b] is instance bit b over the block, a cached column for the low
+    bits and constant for the block's own."""
+    span = bits if span is None else span
+    width = min(span, _BLOCK_BITS)
     full = (1 << (1 << width)) - 1
     low = _columns(width) if width else ()
-    for blk in range(1 << (bits - width)):
-        yield blk << width, full, low + tuple(
-            full if blk >> j & 1 else 0 for j in range(bits - width))
+    for first in range(start, start + (1 << span), 1 << width):
+        yield first, full, low + tuple(
+            full if first >> j & 1 else 0 for j in range(width, bits))
 
 
 def _truth(m: PropModel | FoModel, f: Formula, leaves: Mapping, full: int,
-           hole: str | None = None) -> Sequence[int]:
+           preds: Mapping[str, int] | None = None) -> Sequence[int]:
     """Truth sets of f over one block: entry wi has bit i set iff f holds
     at worlds[wi] under the block's instance i.  ``leaves`` maps each
-    instantiated symbol to its per-world columns: metavariables and
-    schematic atoms by name, cells of the unary predicate ``hole`` by their
-    element tuple.  Structural errors raise the exceptions evaluate raises."""
-    worlds, rows = m.worlds, m.frame.rows
-    succ = [[j for j in range(len(worlds)) if r >> j & 1] for r in rows]
+    instantiated symbol to its per-world columns: metavariables and atoms by
+    name, the cells of each predicate in ``preds`` (name -> arity) by
+    (name, element tuple), and under ``Exists`` the per-world existence
+    columns of each element of m.domain (by default, m.domain_at's).
+    Structural errors raise the exceptions evaluate raises."""
+    worlds, succ = m.worlds, m.frame.succ
     ones, zeros = [full] * len(worlds), [0] * len(worlds)
+    preds = preds or {}
     fo = isinstance(m, FoModel)
     if fo:
         # an empty domain still visits each quantifier body once, so its
         # structural errors are raised as for any other model
         elems = m.domain or (None,)
-        local = [[ci for ci, e in enumerate(elems) if e in m.domain_at(w)]
-                 for w in worlds]
+        ex = leaves.get(Exists) or [[full if e in m.domain_at(w) else 0
+                                     for w in worlds] for e in elems]
 
     def go(g: Formula, env: Env) -> Sequence[int]:
         if isinstance(g, (PropAtom, SchemeVar)):
@@ -344,8 +351,9 @@ def _truth(m: PropModel | FoModel, f: Formula, leaves: Mapping, full: int,
                 f"{type(g).__name__} needs a first-order model, got a PropModel")
         if isinstance(g, PredAtom):
             vals = tuple(_resolve(m, a, env) for a in g.args)
-            if g.name == hole:
-                arity = 1
+            sliced = g.name in preds
+            if sliced:
+                arity = preds[g.name]
             else:
                 pred = (m.flexible_preds.get(g.name)
                         or m.rigid_preds.get(g.name))
@@ -355,8 +363,9 @@ def _truth(m: PropModel | FoModel, f: Formula, leaves: Mapping, full: int,
             if arity != len(vals):
                 raise ArityMismatch(
                     f"predicate {g.name!r} has arity {arity}, got {len(vals)}")
-            if g.name == hole:
-                return leaves.get(vals, zeros)  # no cell: the None above
+            if sliced:
+                # no cell for the empty domain's stand-in element None
+                return leaves.get((g.name, vals), zeros)
             if g.name in m.flexible_preds:
                 return [full if vals in pred.extension[w] else 0
                         for w in worlds]
@@ -365,21 +374,20 @@ def _truth(m: PropModel | FoModel, f: Formula, leaves: Mapping, full: int,
             same = _resolve(m, g.lhs, env) == _resolve(m, g.rhs, env)
             return ones if same else zeros
         if isinstance(g, (Forall, Exists)):
-            bodies = [go(g.body, {**env, g.var: e}) for e in elems]
             every = isinstance(g, Forall)
-            out = []
-            for wi, cis in enumerate(local):
-                x = full if every else 0
-                for ci in cis:
-                    x = x & bodies[ci][wi] if every else x | bodies[ci][wi]
-                out.append(x)
+            out = ones if every else zeros
+            for e, x in zip(elems, ex):     # x: where e exists
+                b = go(g.body, {**env, g.var: e})
+                out = ([o & (a | full ^ c) for o, a, c in zip(out, b, x)]
+                       if every else [o | a & c for o, a, c in zip(out, b, x)])
             return out
         raise TypeError(f"not a Formula: {g!r}")
 
     return go(f, {})
 
 
-def _meet(sets: Sequence[int], succ: list[list[int]], full: int) -> list[int]:
+def _meet(sets: Sequence[int], succ: Sequence[Sequence[int]],
+          full: int) -> list[int]:
     """Per world, the instances where sets holds at every successor."""
     out = []
     for s in succ:
@@ -397,26 +405,181 @@ def _charge(bud: Budget, units: int, step: int = 1) -> None:
     bud.charge(min(units, step * max(1, (bud.limit - bud.used) // step + 1)))
 
 
-def _least_failure(m, f: Formula, bits: int, leaves, bud: Budget,
-                   hole: str | None = None) -> tuple[int, int] | None:
+def _least(m, f: Formula, bits: int, leaves, preds=None, span=None,
+           start: int = 0) -> tuple[tuple[int, int] | None, int]:
     """(world index, instance) of the first failure of f in world-major
-    scan order over its 2**bits instances, or None when every instance
-    holds everywhere; charges one unit per (instance, world) pair that scan
-    visits, up to and including the failure.  ``leaves(cols)`` builds the
-    _truth leaves of a block from its instance-bit columns."""
+    scan order over the 2**span instances from start (all 2**bits by
+    default; instances counted from start), or None when every instance
+    holds everywhere; and the units that scan charges, one per (instance,
+    world) pair it visits, up to and including the failure.
+    ``leaves(cols)`` builds the _truth leaves of a block from its
+    instance-bit columns."""
+    span = bits if span is None else span
     n, best = len(m.worlds), None
-    for first, full, cols in _blocks(bits):
-        sets = _truth(m, f, leaves(cols), full, hole)
+    for first, full, cols in _blocks(bits, span, start):
+        sets = _truth(m, f, leaves(cols), full, preds)
         for wi in range(n if best is None else best[0]):
             miss = full ^ sets[wi]
             if miss:
-                best = (wi, first + (miss & -miss).bit_length() - 1)
+                best = (wi, first - start + (miss & -miss).bit_length() - 1)
                 break
         if best is not None and best[0] == 0:
             break
-    total = 1 << bits
-    _charge(bud, n * total if best is None else best[0] * total + best[1] + 1)
-    return best
+    total = 1 << span
+    return best, n * total if best is None else best[0] * total + best[1] + 1
+
+
+def _meta_groups(psets, csets, full: int, base: int, any_, own: int):
+    """The meta reading over the groups of a block, one from each bit of
+    base: (the groups where it holds, (units per bit, charged bits) terms,
+    per world each failing group's witness bit).  any_(x) marks the groups
+    where x has a bit set; own, the bits a group scans."""
+    ones = full // base
+    pre, reach = [], full
+    for sets in psets:
+        for x in sets:
+            pre.append(reach)
+            reach &= x
+    fail = reach & ~reduce(and_, csets, full)
+    t = any_(fail)
+    y = fail & t * ones
+    low = y & ~(y - t)      # each failing group's least failure
+    upto = ((y ^ (y - t)) | (base & ~t) * ones) & own
+    hits, seen = [], 0
+    for x in csets:
+        hits.append(low & ~x & ~seen)
+        seen |= hits[-1]
+    return base & ~t, [(1, x & upto) for x in pre] + [
+        (len(csets), reach & upto & ~low)] + [
+        (wi + 1, h) for wi, h in enumerate(hits)], hits
+
+
+def _meta(m, premises: Sequence[Formula], conclusion: Formula, bits: int,
+          leaves, preds=None, span=None, start: int = 0
+          ) -> tuple[tuple[int, int] | None, int]:
+    """(least failing world of the conclusion, instance) at the least
+    instance, over the same range as _least, where every premise holds at
+    every world and the conclusion does not, or None; and the units of the
+    scan over instances, premises and worlds in order.  An instance is
+    charged at each world of a premise it reaches while that premise held at
+    every earlier world, and at every world of the conclusion when all
+    premises held, up to the failing world at the witness."""
+    span = bits if span is None else span
+    units = 0
+    for first, full, cols in _blocks(bits, span, start):
+        lv = leaves(cols)
+        holds, terms, hits = _meta_groups(
+            [_truth(m, p, lv, full, preds) for p in premises],
+            _truth(m, conclusion, lv, full, preds), full, 1, bool, full)
+        units += sum(k * x.bit_count() for k, x in terms)
+        if not holds:
+            wi, h = next((wi, h) for wi, h in enumerate(hits) if h)
+            return (wi, first - start + h.bit_length() - 1), units
+    return None, units
+
+
+# ---------------------------------------------------------------------------
+# Candidate spaces
+#
+# A search labels many candidate models at once: the candidate's own choices
+# (existence map, predicate cells, valuation) are columns above a check's
+# instance bits, so an instance is numbered candidate << g | instance.  When
+# a check's instances leave room, a block holds several candidates, each a
+# group of 2**g bits, and per-candidate verdicts and units are popcounts over
+# the groups.  A candidate whose instances fill a block is scanned alone, by
+# the same _least and _meta scans as a single model.
+
+class _Batch:
+    """Candidates c0 .. c0 + 2**cbb - 1 of a space of 2**cb on the base
+    model m; ``cand(cols)`` gives their leaves from the columns of the
+    candidate bits.  A candidate mask has bit i << g set for candidate
+    c0 + i (bit 0 when the batch holds one candidate).  The checks give
+    (holds, units, witness): the candidates where the check holds, units(s)
+    what the single-model scan charges over the candidates in mask s, and
+    witness(c) the (world index, instance) of candidate bit c's failure."""
+
+    def __init__(self, m, cb: int, c0: int, cbb: int, g: int, cand, preds):
+        self.m, self.cb, self.c0, self.cbb, self.g = m, cb, c0, cbb, g
+        self.cand, self.preds = cand, preds
+        _, self.full, self.cols = next(_blocks(g + cb, g + cbb, c0 << g))
+        self.ones = (1 << (1 << g)) - 1
+        self.base = self.full // self.ones
+        self.leaves = cand(self.cols[g:])
+
+    def number(self, c: int) -> int:
+        """The candidate whose bit is c."""
+        return self.c0 + ((c.bit_length() - 1) >> self.g)
+
+    def _any(self, x: int) -> int:
+        """The candidates whose group has a bit set in x."""
+        for b in range(self.g):
+            x |= x >> (1 << b)
+        return x & self.base
+
+    def _sets(self, f: Formula, inst) -> Sequence[int]:
+        return _truth(self.m, f, {**inst(self.cols), **self.leaves},
+                      self.full, self.preds)
+
+    def _own(self, ib: int) -> int:
+        """Each group's first 2**ib instances: the bits above ib are
+        padding, repeating them."""
+        return reduce(and_, (self.full ^ self.cols[b]
+                             for b in range(ib, self.g)), self.full)
+
+    def _alone(self, scan, ib: int, inst):
+        best, units = scan(ib + self.cb, lambda cols: {
+            **inst(cols), **self.cand(cols[ib:])}, self.preds, ib,
+            self.c0 << ib)
+        return int(best is None), lambda s: units * (s & 1), lambda c: best
+
+    def _result(self, holds: int, terms, hits):
+        """The check from its charged (units per bit, instance set) terms
+        and, per world, each failing candidate's witness instance."""
+        ones = self.ones
+
+        def witness(c: int) -> tuple[int, int]:
+            return next((wi, (h & c * ones).bit_length() - c.bit_length())
+                        for wi, h in enumerate(hits) if h & c * ones)
+        return holds, lambda s: sum(
+            k * (x & s * ones).bit_count() for k, x in terms), witness
+
+    def least(self, f: Formula, ib: int, inst):
+        """World-major validity of f over 2**ib instances (leaves
+        inst(cols)), per candidate, charged as _least."""
+        if not self.cbb:
+            return self._alone(lambda *a: _least(self.m, f, *a), ib, inst)
+        own = self._own(ib)
+        terms, hits, alive = [], [], self.base
+        for x in self._sets(f, inst):
+            miss = self.full ^ x
+            t = self._any(miss) & alive     # first failing at this world
+            alive &= ~t
+            y = miss & t * self.ones
+            # each group up to its least failing instance, or all of it
+            terms.append((1, ((y ^ (y - t)) | alive * self.ones) & own))
+            hits.append(y & ~(y - t))
+        return self._result(alive, terms, hits)
+
+    def meta(self, premises: Sequence[Formula], conclusion: Formula,
+             ib: int, inst):
+        """The meta reading over 2**ib instances, per candidate, charged
+        as _meta."""
+        if not self.cbb:
+            return self._alone(
+                lambda *a: _meta(self.m, premises, conclusion, *a), ib, inst)
+        return self._result(*_meta_groups(
+            [self._sets(p, inst) for p in premises],
+            self._sets(conclusion, inst), self.full, self.base, self._any,
+            self._own(ib)))
+
+
+def _batches(m, cb: int, ibs: Sequence[int], cand, preds=None):
+    """The batches of 2**cb candidates in order, as many to a block as the
+    widest of checks with ``ibs`` instance bits leaves room for."""
+    top = max(ibs, default=0)
+    cbb = max(0, min(cb, _BLOCK_BITS - top))
+    for c0 in range(0, 1 << cb, 1 << cbb):
+        yield _Batch(m, cb, c0, cbb, top if cbb else 0, cand, preds)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +588,8 @@ def _least_failure(m, f: Formula, bits: int, leaves, bud: Budget,
 def valid(m: PropModel | FoModel, f: Formula, budget=None) -> Verdict:
     """Truth at every world; the witness is the least failing world in
     declaration order."""
-    best = _least_failure(m, f, 0, lambda cols: {}, _as_budget(budget))
+    best, units = _least(m, f, 0, lambda cols: {})
+    _charge(_as_budget(budget), units)
     return Verdict(True) if best is None else Verdict(
         False, world=m.worlds[best[0]])
 
@@ -480,8 +644,8 @@ def _scheme_check(m, scheme: Formula, names: Sequence[str],
     bud = _as_budget(budget)
     worlds = m.worlds
     bits = _scheme_bits(len(worlds), len(names))
-    best = _least_failure(m, scheme, bits, _scheme_leaves(names, len(worlds)),
-                          bud)
+    best, units = _least(m, scheme, bits, _scheme_leaves(names, len(worlds)))
+    _charge(bud, units)
     if best is None:
         return Verdict(True)
     return Verdict(False, world=worlds[best[0]],
@@ -504,31 +668,13 @@ def meta_implies(m: PropModel | FoModel, premises: Sequence[Formula],
     names = sorted(set().union(*(scheme_vars(p) for p in premises),
                                scheme_vars(conclusion)))
     n = len(worlds)
-    units = 0
-    for first, full, cols in _blocks(_scheme_bits(n, len(names))):
-        lv = _scheme_leaves(names, n)(cols)
-        psets = [_truth(m, p, lv, full) for p in premises]
-        csets = _truth(m, conclusion, lv, full)
-        # An instance is charged at each world of a premise it reaches while
-        # that premise held at every earlier world: pre lists those sets.
-        pre, reach = [], full
-        for sets in psets:
-            for s in sets:
-                pre.append(reach)
-                reach &= s
-        fail = reach & ~reduce(and_, csets, full)
-        hit = fail & -fail
-        upto = hit * 2 - 1 if hit else full
-        units += sum((x & upto).bit_count() for x in pre)
-        if not hit:
-            units += n * reach.bit_count()
-            continue
-        wi = next(wi for wi, c in enumerate(csets) if not c & hit)
-        _charge(bud, units + n * (reach & (hit - 1)).bit_count() + wi + 1)
-        return Verdict(False, world=worlds[wi], assignment=_assignment(
-            worlds, names, first + hit.bit_length() - 1))
+    best, units = _meta(m, premises, conclusion, _scheme_bits(n, len(names)),
+                        _scheme_leaves(names, n))
     _charge(bud, units)
-    return Verdict(True)
+    if best is None:
+        return Verdict(True)
+    return Verdict(False, world=worlds[best[0]],
+                   assignment=_assignment(worlds, names, best[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +689,10 @@ def _fo_bits(fm: FoModel) -> int:
     return bits
 
 
-def _cell_leaves(domain: Sequence[str], n: int):
+def _cell_leaves(hole: str, domain: Sequence[str], n: int):
     """Hole cell (e,) at world wi is instance bit ci*n + wi for e =
     domain[ci]: instances are the cell-major masks of model._extension."""
-    return lambda cols: {(e,): cols[ci * n:(ci + 1) * n]
+    return lambda cols: {(hole, (e,)): cols[ci * n:(ci + 1) * n]
                          for ci, e in enumerate(domain)}
 
 
@@ -563,8 +709,9 @@ def fo_scheme_valid(fm: FoModel, scheme: Formula, hole: str,
         raise ValueError(f"scheme must be closed, free: {free_vars(scheme)}")
     bud = _as_budget(budget)
     worlds, domain = fm.worlds, fm.domain
-    best = _least_failure(fm, scheme, _fo_bits(fm),
-                          _cell_leaves(domain, len(worlds)), bud, hole)
+    best, units = _least(fm, scheme, _fo_bits(fm),
+                         _cell_leaves(hole, domain, len(worlds)), {hole: 1})
+    _charge(bud, units)
     if best is None:
         return Verdict(True)
     return Verdict(False, world=worlds[best[0]],
@@ -622,13 +769,13 @@ def bf_readings(fm: FoModel, hole: str = "P", budget=None) -> BfReadings:
     worlds, domain = fm.worlds, fm.domain
     bits = _fo_bits(fm)
     lhs, rhs = BF_LHS(hole), BF_RHS(hole)
-    leaves = _cell_leaves(domain, len(worlds))
+    leaves, preds = _cell_leaves(hole, domain, len(worlds)), {hole: 1}
     pointwise = meta_iff = meta_imp = True
     best: tuple[int, int] | None = None
     for first, full, cols in _blocks(bits):
         lv = leaves(cols)
-        ls = _truth(fm, lhs, lv, full, hole)
-        rs = _truth(fm, rhs, lv, full, hole)
+        ls = _truth(fm, lhs, lv, full, preds)
+        rs = _truth(fm, rhs, lv, full, preds)
         pointwise = pointwise and ls == rs
         lvalid, rvalid = reduce(and_, ls, full), reduce(and_, rs, full)
         meta_iff = meta_iff and lvalid == rvalid

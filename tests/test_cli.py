@@ -291,6 +291,14 @@ class TestCountermodel:
         assert "MODALKIT_BUDGET must be a positive integer" in \
             doc["error"]["message"]
 
+    @pytest.mark.parametrize("flag", ["--max-worlds", "--max-domain"])
+    def test_bound_below_its_least_is_usage(self, capsys, flag):
+        # a negative domain bound used to run a propositional search
+        code, out, err = run(capsys, "countermodel",
+                             "--conclusion", "[]P => P", flag, "-1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"{flag[2:].replace('-', '_')} must be at least" in err
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage(self, capsys, jobs):
         code, _, err = run(capsys, "countermodel",

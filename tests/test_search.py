@@ -3,19 +3,31 @@ exhaustive sweeps, and independence of the answer from the jobs count."""
 
 import multiprocessing
 import multiprocessing.pool
-from itertools import permutations
+import random
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from modalkit import (BF_SCHEME, CBF_SCHEME, Box, FoModel, Imp, PredAtom,
-                      PropModel, ResourceLimit, SchemeVar, SearchSpec,
-                      barcan_sweep, bf_agreement_sweep, evaluate,
-                      find_barcan_divergence, find_countermodel,
-                      find_deduction_gap, find_fo_countermodel,
-                      frame_property, model_from_dict, parse)
-from modalkit.formula import BoundVar
+import modalkit.search as search
+import modalkit.semantics as sem
+from conftest import random_prop_formula, seeded_randoms
+from modalkit import (BF_SCHEME, CBF_SCHEME, And, Box, Dia, DomainFrame,
+                      Eq, Exists, FlexiblePred, FoModel, Forall, Frame, Iff,
+                      Imp, Not, Or, PredAtom, PropAtom, PropModel, StrictImp,
+                      ResourceLimit, SchemeVar, SearchResult, SearchSpec,
+                      barcan_sweep, bf_agreement_sweep, bf_readings,
+                      domain_monotonicity, evaluate, find_barcan_divergence,
+                      find_countermodel, find_deduction_gap,
+                      find_fo_countermodel, fo_scheme_valid, frame_property,
+                      meta_implies, model_from_dict, model_to_dict, parse,
+                      render, scheme_valid, valid)
+from modalkit.formula import BoundVar, is_propositional
+from modalkit.model import _bits, _extension, _pairs
 from modalkit.search import (CONSTRAINT_NAMES, enumerate_frames, frame_from_mask,
                              frame_mask)
+from modalkit.semantics import Budget, EvalError
+from test_semantics import _block_bits
 
 TOLLENS = parse("(P => Q) => ([]~Q => []~P)")
 
@@ -109,6 +121,45 @@ class TestSearchSpecValidation:
     def test_min_worlds(self):
         with pytest.raises(ValueError):
             SearchSpec(parse("P"), max_worlds=0)
+
+    def test_negative_domain(self):
+        with pytest.raises(ValueError, match="max_domain must be at least 0"):
+            SearchSpec(parse("[]P => P"), max_domain=-1)
+        SearchSpec(parse("[]P => P"), max_domain=0)  # propositional search
+
+
+# Each entry point with a bound below its least meaningful value: a plain
+# ValueError, not a vacuous answer or an accidental error.
+BAD_BOUNDS = {
+    "barcan_sweep worlds": (lambda: barcan_sweep(0, 2),
+                            "max_worlds must be at least 1"),
+    "barcan_sweep domain": (lambda: barcan_sweep(2, -1),
+                            "domain_size must be at least 0"),
+    "bf_agreement_sweep worlds": (lambda: bf_agreement_sweep(0, 2),
+                                  "max_worlds must be at least 1"),
+    "bf_agreement_sweep domain": (lambda: bf_agreement_sweep(2, 0),
+                                  "max_domain must be at least 1"),
+    "find_barcan_divergence worlds": (lambda: find_barcan_divergence(-1, 2),
+                                      "max_worlds must be at least 1"),
+    "find_barcan_divergence domain": (lambda: find_barcan_divergence(2, 0),
+                                      "max_domain must be at least 1"),
+    "find_deduction_gap worlds": (lambda: find_deduction_gap(max_worlds=0),
+                                  "max_worlds must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BOUNDS))
+def test_bad_bound_is_a_value_error(case):
+    call, message = BAD_BOUNDS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_empty_domain_sweep_is_a_real_sweep():
+    # domain size 0 is the empty domain, on which both schemes hold
+    assert barcan_sweep(2, 0) == {"max_worlds": 2, "domain_size": 0,
+                                  "checked": 18, "violations": [],
+                                  "all_consistent": True}
 
 
 class TestFindCountermodel:
@@ -441,3 +492,336 @@ def test_gap_budget_counts_one_unit_per_evaluate_call(monkeypatch, jobs):
     with pytest.raises(ResourceLimit) as ei:
         find_deduction_gap(jobs=jobs, budget=calls - 1)
     assert ei.value.frontier == {"worlds": 1}
+
+
+# ---------------------------------------------------------------------------
+# Differential gate.  The search labels each frame's candidate models as
+# instance columns and builds a model only for the witness; the oracle below
+# is the candidate-by-candidate scan it replaced: one PropModel or FoModel
+# per candidate, checked with the public single-model checks.  Both must
+# give the same payload and Budget.used for every chunk, and the public
+# searches the same result or the same trip.
+
+def _oracle_domain_frames(n, d, masks, varying, constraints=frozenset()):
+    domain = search._domain_names(d)
+    full = (1 << (d * n)) - 1
+    for fmask, fr in search._frames(n, masks, constraints):
+        for emask in range(full + 1) if varying else (full,):
+            pairs = _pairs(fr.worlds, domain, emask)
+            yield fmask, emask, DomainFrame(
+                fr, domain,
+                {w: [e for v, e in pairs if v == w] for w in fr.worlds})
+
+
+def _oracle_check_model(m, spec, bud):
+    for p in spec.premise_formulas:
+        if not valid(m, p, bud).holds:
+            return None
+    for s in spec.premise_schemes:
+        if not scheme_valid(m, s, bud).holds:
+            return None
+    if spec.reading == "object":
+        if is_propositional(spec.conclusion):
+            v = scheme_valid(m, spec.conclusion, bud)
+        else:
+            v = valid(m, spec.conclusion, bud)
+        if v.holds:
+            return None
+        cert = {"reading": "object",
+                "conclusion": render(spec.conclusion, "ascii"),
+                "world": v.world}
+        if v.assignment:
+            cert["assignment"] = {k: list(vs)
+                                  for k, vs in sorted(v.assignment.items())}
+    else:
+        v = meta_implies(m, [spec.conclusion.lhs], spec.conclusion.rhs, bud)
+        if v.holds:
+            return None
+        cert = {"reading": "meta",
+                "conclusion": render(spec.conclusion, "ascii"),
+                "assignment": {k: list(vs)
+                               for k, vs in sorted(v.assignment.items())},
+                "world": v.world}
+    if spec.premise_formulas:
+        cert["premises"] = [render(p, "ascii")
+                            for p in spec.premise_formulas]
+    if spec.premise_schemes:
+        cert["scheme_premises"] = [render(s, "ascii")
+                                   for s in spec.premise_schemes]
+    return cert
+
+
+def _oracle_spec_chunk(stage, masks, spec, bud):
+    preds, atoms = search._signature(spec)
+    if len(stage) == 1:
+        (n,) = stage
+        frames = ((mask, 0, fr) for mask, fr in
+                  search._frames(n, masks, spec.frame_constraints))
+    else:
+        n, d = stage
+        frames = _oracle_domain_frames(n, d, masks, spec.mode == "varying",
+                                       spec.frame_constraints)
+    names = sorted(preds)
+    for fmask, emask, fr in frames:
+        cells = [range(1 << (len(fr.domain) ** preds[p] * n)) for p in names]
+        for pmasks in product(*cells) if len(stage) > 1 else [()]:
+            for vmasks in product(range(1 << n), repeat=len(atoms)):
+                val = {a: _bits(fr.worlds, vm)
+                       for a, vm in zip(atoms, vmasks)}
+                if len(stage) == 1:
+                    m = PropModel(fr, val)
+                else:
+                    m = FoModel(fr, spec.mode, val, flexible_preds={
+                        p: FlexiblePred(preds[p], _extension(
+                            fr.domain, fr.worlds, pm, preds[p]))
+                        for p, pm in zip(names, pmasks)})
+                cert = _oracle_check_model(m, spec, bud)
+                if cert is not None:
+                    masks = {"frame_mask": fmask}
+                    if len(stage) > 1:
+                        masks["exists_mask"] = emask
+                    return m, {**masks, **cert}
+    return None
+
+
+def _oracle_sweep_chunk(stage, masks, _, bud):
+    n, d = stage
+    checked, violations = 0, []
+    for fmask, emask, df in _oracle_domain_frames(n, d, masks, True):
+        fm = FoModel(df, "varying")
+        mono = domain_monotonicity(df)
+        bf = fo_scheme_valid(fm, BF_SCHEME, "P", bud).holds
+        cbf = fo_scheme_valid(fm, CBF_SCHEME, "P", bud).holds
+        checked += 1
+        coords = {"worlds": n, "frame_mask": fmask, "exists_mask": emask}
+        if bf != mono.nonincreasing:
+            violations.append({**coords, "check": "bf_vs_nonincreasing",
+                               "bf": bf, "nonincreasing": mono.nonincreasing})
+        if cbf != mono.nondecreasing:
+            violations.append({**coords, "check": "cbf_vs_nondecreasing",
+                               "cbf": cbf, "nondecreasing": mono.nondecreasing})
+        if bf != cbf and frame_property(df.frame, "symmetric"):
+            violations.append({**coords, "check": "bf_iff_cbf_on_symmetric",
+                               "bf": bf, "cbf": cbf})
+    return checked, violations
+
+
+def _oracle_div_chunk(stage, masks, _, bud):
+    n, d = stage
+    for fmask, emask, df in _oracle_domain_frames(n, d, masks, True):
+        fm = FoModel(df, "varying")
+        r = bf_readings(fm, "P", bud)
+        if r.meta_implies and not r.object_implies:
+            return fmask, emask, fm, r
+    return None
+
+
+def _plain(payload):
+    """A chunk payload with its model as a dict."""
+    if isinstance(payload, tuple):
+        return tuple(model_to_dict(x) if isinstance(x, (PropModel, FoModel))
+                     else x for x in payload)
+    return payload
+
+
+def _chunk_ledger(worker, oracle, stages, arg):
+    """Per chunk, in scan order up to the first hit: the payload and
+    Budget.used (or what was raised) of worker and oracle, which must agree;
+    returns the oracle's chunk usages."""
+    used = []
+    for stage in stages:
+        for lo, hi in search._chunk_ranges(1 << stage[0] ** 2):
+            outs = []
+            for run in (worker, oracle):
+                bud = Budget(10**9)
+                try:
+                    outs.append((_plain(run(stage, range(lo, hi), arg, bud)),
+                                 bud.used))
+                except (EvalError, ResourceLimit) as e:
+                    outs.append((type(e).__name__, str(e), bud.used))
+            assert outs[0] == outs[1], (stage, lo, hi)
+            if len(outs[0]) == 3:
+                return used
+            used.append(outs[0][1])
+            if isinstance(arg, SearchSpec) and outs[0][0] is not None:
+                return used
+    return used
+
+
+def _outcome(call, budget):
+    try:
+        r = call(budget)
+    except ResourceLimit as e:
+        return "limit", e.args[0], e.frontier
+    except EvalError as e:
+        return type(e).__name__, str(e)
+    return r.to_dict() if isinstance(r, SearchResult) else r
+
+
+def _same_trips(monkeypatch, name, oracle, call, used, rng):
+    """The public search gives what it gives with the oracle as its chunk
+    worker, at budgets around the oracle's chunk ledger."""
+    sums = [sum(used[:k + 1]) for k in range(len(used))] or [0]
+    budgets = {sums[-1], rng.choice(sums) - 1, rng.randint(0, sums[-1] + 1)}
+    for budget in sorted(b for b in budgets if b >= 1):
+        got = _outcome(call, budget)
+        with monkeypatch.context() as mp:
+            mp.setattr(search, name, oracle)
+            assert _outcome(call, budget) == got, budget
+
+
+def _random_prop_spec(rng):
+    atoms = ("p",) if rng.random() < 0.5 else ("p", "q")
+    schemes = ("P", "Q")[:rng.randint(0, 2)]
+    reading = rng.choice(("object", "meta"))
+    if reading == "meta":
+        conclusion = Imp(random_prop_formula(rng, 2, atoms, schemes),
+                         random_prop_formula(rng, 2, atoms, schemes))
+    else:
+        conclusion = random_prop_formula(rng, 3, atoms, schemes)
+    premises = tuple(random_prop_formula(rng, 2, atoms, ("P",)
+                                         if rng.random() < 0.1 else ())
+                     for _ in range(rng.choice((0, 0, 1, 2))))
+    premise_schemes = tuple(random_prop_formula(rng, 2, ("p",), ("P",))
+                            for _ in range(rng.choice((0, 0, 1))))
+    constraints = {c for c in ("reflexive", "symmetric", "serial")
+                   if rng.random() < 0.15}
+    return SearchSpec(conclusion, premises, premise_schemes, constraints,
+                      max_worlds=3 if len(atoms) < 2 else 2, reading=reading)
+
+
+def _closed_fo_formula(rng, depth, bound=(), preds=(("alive", 1),),
+                       atoms=("p",)):
+    """A random closed formula over preds (name, arity) and atoms."""
+    if depth <= 0 or rng.random() < 0.2:
+        roll = rng.random()
+        if bound and roll < 0.6:
+            name, arity = rng.choice(preds)
+            return PredAtom(name, tuple(BoundVar(rng.choice(bound))
+                                        for _ in range(arity)))
+        if bound and roll < 0.7:
+            return Eq(BoundVar(rng.choice(bound)), BoundVar(rng.choice(bound)))
+        return PropAtom(rng.choice(atoms))
+    if rng.random() < 0.3:
+        var = rng.choice(("x", "y"))
+        return rng.choice((Forall, Exists))(var, _closed_fo_formula(
+            rng, depth - 1, (*bound, var), preds, atoms))
+    op = rng.choice((Not, Box, Dia, And, Or, Imp, Iff, StrictImp))
+    if op in (Not, Box, Dia):
+        return op(_closed_fo_formula(rng, depth - 1, bound, preds, atoms))
+    return op(_closed_fo_formula(rng, depth - 1, bound, preds, atoms),
+              _closed_fo_formula(rng, depth - 1, bound, preds, atoms))
+
+
+def _random_fo_spec(rng):
+    reading = rng.choice(("object", "meta"))
+
+    def closed(depth):
+        return Forall("x", _closed_fo_formula(rng, depth, ("x",)))
+    conclusion = Imp(closed(2), closed(2)) if reading == "meta" else closed(3)
+    premises = tuple(closed(1) for _ in range(rng.choice((0, 0, 1))))
+    premise_schemes = (parse("P => []P"),) if rng.random() < 0.2 else ()
+    return SearchSpec(conclusion, premises, premise_schemes,
+                      {"reflexive"} if rng.random() < 0.2 else (),
+                      max_worlds=2, max_domain=2, reading=reading,
+                      mode=rng.choice(("constant", "varying")))
+
+
+# exhaustive scans, a binary predicate, and a varying-domain hit at 2 worlds
+_PINNED_FO_SPECS = {
+    "BF constant": SearchSpec(BF_SCHEME, max_worlds=2, max_domain=2),
+    "CBF varying": SearchSpec(CBF_SCHEME, max_worlds=2, max_domain=2,
+                              mode="varying"),
+    "near meta": SearchSpec(
+        parse("(forall x. exists y. near(x, y)) => exists x. near(x, x)"),
+        max_worlds=1, max_domain=2, reading="meta", mode="varying"),
+    "near premise": SearchSpec(
+        parse("exists x. near(x, x)"),
+        premise_formulas=(parse("forall x. exists y. near(x, y)"),),
+        max_worlds=1, max_domain=2, mode="varying"),
+}
+
+
+@pytest.mark.parametrize("block_bits", [12, 3])
+class TestSlicedScanMatchesPerCandidateScan:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_find_countermodel(self, monkeypatch, block_bits, seed):
+        rng = random.Random(seed)
+        spec = _random_prop_spec(rng)
+        stages = [(n,) for n in range(1, spec.max_worlds + 1)]
+        with _block_bits(block_bits):
+            used = _chunk_ledger(search._spec_chunk, _oracle_spec_chunk,
+                                 stages, spec)
+            _same_trips(monkeypatch, "_spec_chunk", _oracle_spec_chunk,
+                        lambda b: find_countermodel(spec, budget=b), used,
+                        rng)
+
+    @pytest.mark.parametrize("seed", [*range(12), *_PINNED_FO_SPECS])
+    def test_find_fo_countermodel(self, monkeypatch, block_bits, seed):
+        rng = random.Random(seed)
+        spec = (_PINNED_FO_SPECS[seed] if seed in _PINNED_FO_SPECS
+                else _random_fo_spec(rng))
+        stages = list(search._fo_stages(spec))
+        with _block_bits(block_bits):
+            used = _chunk_ledger(search._spec_chunk, _oracle_spec_chunk,
+                                 stages, spec)
+            _same_trips(monkeypatch, "_spec_chunk", _oracle_spec_chunk,
+                        lambda b: find_fo_countermodel(spec, budget=b), used,
+                        rng)
+
+    def test_barcan_sweep(self, monkeypatch, block_bits):
+        stages = [(1, 2), (2, 2)]
+        with _block_bits(block_bits):
+            used = _chunk_ledger(search._sweep_chunk, _oracle_sweep_chunk,
+                                 stages, None)
+            _same_trips(monkeypatch, "_sweep_chunk", _oracle_sweep_chunk,
+                        lambda b: barcan_sweep(2, 2, budget=b), used,
+                        random.Random(0))
+
+    def test_find_barcan_divergence(self, monkeypatch, block_bits):
+        stages = [(1, 1), (1, 2), (2, 1), (2, 2)]
+        with _block_bits(block_bits):
+            used = _chunk_ledger(search._div_chunk, _oracle_div_chunk,
+                                 stages, None)
+            _same_trips(monkeypatch, "_div_chunk", _oracle_div_chunk,
+                        lambda b: find_barcan_divergence(2, 2, budget=b),
+                        used, random.Random(0))
+
+
+class TestCandidateColumnsMatchReference:
+    """Bit c of _truth over the candidate columns is evaluate on the model
+    that candidate number c decodes to, for every candidate and world."""
+
+    @given(seeded_randoms, st.sampled_from([12, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_every_candidate(self, rng, block_bits):
+        n = rng.randint(1, 2)
+        worlds = tuple(f"w{i}" for i in range(n))
+        fr = Frame(worlds, [(a, b) for a in worlds for b in worlds
+                            if rng.random() < 0.5])
+        atoms = sorted(rng.sample(("p", "q"), rng.randint(0, 2)))
+        if rng.random() < 0.25:
+            domain, preds, varying = None, {}, False
+            f = random_prop_formula(rng, rng.randint(0, 4), atoms or ("p",))
+            base = PropModel(fr, {})
+        else:
+            # the empty domain, and empty local domains, included
+            domain = search._domain_names(rng.randint(0, 2))
+            # at most 2**12 candidates
+            table = (("alive", 1), ("near", 2))[
+                :rng.randint(1, 1 + (n * len(domain) ** 2 <= 4))]
+            preds, varying = dict(table), rng.random() < 0.7
+            f = _closed_fo_formula(rng, rng.randint(0, 4), (), table,
+                                   atoms or ("p",))
+            base = FoModel(DomainFrame(fr, domain), "constant")
+        mode = "varying" if varying else "constant"
+        fields = search._fields(n, len(domain or ()), preds, atoms, varying)
+        cb = sum(width for *_, width in fields)
+        leaves = search._candidate_leaves(fields, domain or (), n)
+        with _block_bits(block_bits):
+            for first, full, cols in sem._blocks(cb):
+                sets = sem._truth(base, f, leaves(cols), full, preds)
+                for i in range(full.bit_length()):
+                    m = search._candidate(fr, domain, mode, fields, first + i)
+                    assert [x >> i & 1 for x in sets] == \
+                        [evaluate(m, f, w) for w in worlds], first + i

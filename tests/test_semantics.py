@@ -20,7 +20,8 @@ import modalkit.semantics as sem
 from modalkit.formula import BoundVar, bind_free, prop_atoms, scheme_vars
 from modalkit.semantics import BF_LHS, BF_RHS
 
-from conftest import random_fo_formula, random_model, random_prop_formula
+from conftest import (random_fo_formula, random_model, random_prop_formula,
+                      seeded_randoms)
 
 
 def ev(m, text, w, **kw):
@@ -282,7 +283,7 @@ class TestTruthSetsMatchScalarScan:
         assert v == Verdict(False, world="b", assignment={"P": (), "Q": ()})
         assert bud.used == 1 * 16 + 0 + 1
 
-    @given(st.randoms(use_true_random=False))
+    @given(seeded_randoms)
     @_DIFF
     def test_valid(self, block_bits, rng):
         if rng.random() < 0.5:
@@ -300,7 +301,7 @@ class TestTruthSetsMatchScalarScan:
         assert v == (Verdict(True) if wit is None
                      else Verdict(False, world=wit[0]))
 
-    @given(st.randoms(use_true_random=False))
+    @given(seeded_randoms)
     @_DIFF
     def test_scheme_and_frame_valid(self, block_bits, rng):
         m = random_model(rng, max_worlds=3, atoms=("p", "q"))
@@ -326,7 +327,7 @@ class TestTruthSetsMatchScalarScan:
                 False, world=wit[0], assignment={
                     nm: _worlds_of(ws, k) for nm, k in zip(names, wit[1])}))
 
-    @given(st.randoms(use_true_random=False), st.integers(0, 2))
+    @given(seeded_randoms, st.integers(0, 2))
     @_DIFF
     def test_meta_implies(self, block_bits, rng, n_premises):
         m = random_model(rng, max_worlds=3, atoms=("p",))
@@ -362,7 +363,7 @@ class TestTruthSetsMatchScalarScan:
                          rng.randint(0, used + 1))
         assert v == expect
 
-    @given(st.randoms(use_true_random=False))
+    @given(seeded_randoms)
     @_DIFF
     def test_fo_scheme_valid(self, block_bits, rng):
         fm = _random_fo_model(rng)
@@ -381,7 +382,7 @@ class TestTruthSetsMatchScalarScan:
                           .extension[w])
             assert (v.world, v.interpretation) == (wit[0], pairs)
 
-    @given(st.randoms(use_true_random=False))
+    @given(seeded_randoms)
     @_DIFF
     def test_bf_readings(self, block_bits, rng):
         fm = _random_fo_model(rng)
