@@ -10,10 +10,14 @@ chunks are consumed in order and the first in-order hit wins.
 A frame's candidate models are not built one at a time: their existence,
 predicate and valuation bits are instance columns above each check's own
 instance bits, so one truth-set pass labels them all, and a candidate's
-verdict and budget units are reductions over its group of bits.  A model
-is built only for the witness, and re-checked with the plain reference
-evaluator before it is returned; a failure there raises RuntimeError and
-would mean a bug in the truth-set evaluator, not in the caller's input.
+verdict and budget units are reductions over its group of bits (the
+model searches, the Barcan sweep and the divergence search share these
+batches).  A model is built only for the witness, and re-checked with the
+plain reference evaluator before it is returned; a failure there raises
+RuntimeError and would mean a bug in the truth-set evaluator, not in the
+caller's input.  Malformed specs, and stages too wide to enumerate, are
+refused before their first candidate is scanned, so no check raises
+inside a batch.
 """
 
 from __future__ import annotations
@@ -24,19 +28,17 @@ from contextlib import closing
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice, permutations, product
-from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
-from .formula import (Exists, Formula, Imp, SchemeVar, const_names, free_vars,
-                      is_propositional, pred_symbols, prop_atoms, render,
-                      scheme_vars)
+from .formula import (And, Exists, Formula, Imp, SchemeVar, const_names,
+                      free_vars, is_propositional, pred_symbols, prop_atoms,
+                      render, scheme_vars)
 from .model import (DomainFrame, FlexiblePred, FoModel, Frame,
                     FRAME_PROPERTIES, PropModel, _bits, _extension, _pairs,
                     _subsets, frame_property, is_total, model_to_dict)
-from .semantics import (BF_LHS, BF_RHS, Budget, EvalError, NotPropositional,
-                        ResourceLimit, _as_budget, _assignment, _batches,
-                        _blocks, _cell_leaves, _charge, _fo_bits, _scheme_bits,
-                        _scheme_leaves, _truth, bf_readings, evaluate)
+from .semantics import (BF_LHS, BF_RHS, Budget, ResourceLimit, _as_budget,
+                        _assignment, _batches, _cell_leaves, _charge, _fo_bits,
+                        _scheme_bits, _scheme_leaves, bf_readings, evaluate)
 
 __all__ = [
     "SearchSpec", "SearchResult", "CONSTRAINT_NAMES",
@@ -181,6 +183,11 @@ class SearchSpec:
         if self.reading == "meta" and not isinstance(self.conclusion, Imp):
             raise ValueError("the meta reading needs an implication "
                              "conclusion")
+        if any(scheme_vars(p) for p in self.premise_formulas):
+            raise ValueError("a premise formula cannot contain "
+                             "metavariables; pass it as a scheme premise")
+        if not all(is_propositional(s) for s in self.premise_schemes):
+            raise ValueError("scheme premises must be propositional")
 
     def formulas(self) -> tuple[Formula, ...]:
         return (*self.premise_formulas, *self.premise_schemes,
@@ -259,13 +266,12 @@ def _scan(stages: Iterable[tuple[int, ...]], worker, arg, jobs: int, budget,
     A stage is a tuple whose first entry is the world count; its frame masks
     are split by _chunk_ranges, and ``worker(stage, masks, arg, budget)``
     returns the payload of one chunk.  Each chunk runs under its own budget
-    of the full limit.  The parent ledger adds a chunk's usage once the
-    caller has seen its payload (a caller that returns at a hit is not
-    charged for it) and raises ResourceLimit when the sum crosses the limit.
-    Chunk boundaries are fixed, so the trip point does not depend on jobs.
-    Trips, the ledger's and those raised inside a chunk, carry
-    ``frontier(stage)``, called at the trip, so it sees what the caller has
-    summed so far."""
+    of the full limit.  The parent ledger adds a chunk's usage before the
+    caller sees its payload, the chunk that holds a hit included, and raises
+    ResourceLimit when the sum crosses the limit.  Chunk boundaries are
+    fixed, so the trip point does not depend on jobs.  Trips, the ledger's
+    and those raised inside a chunk, carry ``frontier(stage)``, called at
+    the trip, so it sees what the caller has summed of the chunks before."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     limit = _as_budget(budget).limit
@@ -276,12 +282,12 @@ def _scan(stages: Iterable[tuple[int, ...]], worker, arg, jobs: int, budget,
         try:
             with closing(_consume(_run_chunk, tasks, jobs)) as results:
                 for chunk_used, payload in results:
-                    yield stage, payload
                     used += chunk_used
                     if used > limit:
                         raise ResourceLimit(
                             f"evaluator-call budget exhausted ({limit} calls)",
                             frontier(stage))
+                    yield stage, payload
         except ResourceLimit as e:
             if e.frontier is not None:
                 raise
@@ -377,24 +383,18 @@ def _checks(spec: SearchSpec, n: int) -> list:
     """(instance bits, run) for each check a candidate passes through, in
     the scalar scan's order: premise formulas (valid), premise schemes
     (scheme_valid), then the conclusion (scheme_valid or valid, or
-    meta_implies).  run(batch) gives (holds, units, witness) per candidate,
-    or raises what that check raises when a candidate reaches it."""
-    def check(names, f, scheme=False):
-        inst = _scheme_leaves(names, n)
-
-        def run(b):
-            if scheme and not is_propositional(f):
-                raise NotPropositional("scheme_valid needs a propositional "
-                                       "scheme")
-            ib = _scheme_bits(n, len(names))
-            if isinstance(f, tuple):
-                return b.meta(f[:1], f[1], ib, inst)
-            return b.least(f, ib, inst)
-        return n * len(names), run
+    meta_implies).  run(batch) gives (holds, units, witness) per candidate.
+    A check with too many instances to enumerate raises ResourceLimit
+    here, before any candidate is scanned."""
+    def check(names, f):
+        ib, inst = _scheme_bits(n, len(names)), _scheme_leaves(names, n)
+        if isinstance(f, tuple):
+            return ib, lambda b: b.meta(f[:1], f[1], ib, inst)
+        return ib, lambda b: b.least(f, ib, inst)
 
     c = spec.conclusion
     return [*(check((), p) for p in spec.premise_formulas),
-            *(check(scheme_vars(s), s, True) for s in spec.premise_schemes),
+            *(check(scheme_vars(s), s) for s in spec.premise_schemes),
             check(_conclusion_names(spec),
                   (c.lhs, c.rhs) if spec.reading == "meta" else c)]
 
@@ -403,18 +403,13 @@ def _hit(batch, checks, bud: Budget):
     """The least candidate bit of batch at which every check but the last
     holds and the last fails (0 when none does), and the last check's
     witness function.  Charges what the scalar scan charges over the
-    candidates up to it, or over the whole batch; a check that raises is
-    charged up to the first candidate that reaches it, then re-raised."""
+    candidates up to it, or over the whole batch.  A check runs only on a
+    batch that some candidate reaches it in."""
     reach, spent, witness = batch.base, [], None
     for j, (_, run) in enumerate(checks):
         if not reach:
             break
-        try:
-            holds, units, witness = run(batch)
-        except (EvalError, ResourceLimit):
-            upto = 2 * (reach & -reach) - 1
-            bud.charge(sum(u(r & upto) for u, r in spent))
-            raise
+        holds, units, witness = run(batch)
         spent.append((units, reach))
         reach &= holds if j < len(checks) - 1 else ~holds
     hit = reach & -reach
@@ -474,12 +469,10 @@ def _revalidate(m, spec: SearchSpec, cert: dict) -> None:
 
 
 def _signature(spec: SearchSpec) -> tuple[dict[str, int], list[str]]:
-    """Predicate arities and sorted propositional atoms over spec."""
-    preds: dict[str, int] = {}
-    for f in spec.formulas():
-        preds.update(pred_symbols(f))
-    atoms = sorted(set().union(*(prop_atoms(f) for f in spec.formulas())))
-    return preds, atoms
+    """Predicate arities and sorted propositional atoms over spec; a
+    predicate used at two arities raises ValueError."""
+    whole = reduce(And, spec.formulas())
+    return pred_symbols(whole), prop_atoms(whole)
 
 
 def _spec_chunk(stage, masks, spec: SearchSpec, bud: Budget):
@@ -599,39 +592,25 @@ def _exchange_space(n: int, d: int):
             _cell_leaves("P", domain, n))
 
 
-def _groups(x: int, g: int, full: int) -> int:
-    """Bit k set iff x has a bit set among bits k << g .. (k + 1 << g) - 1
-    of a block whose all-ones int is full (one group if 2**g covers it)."""
-    size, ones = full.bit_length(), (1 << (1 << g)) - 1
-    return (int(x != 0) if 1 << g >= size else
-            sum(1 << k for k in range(size >> g) if x >> (k << g) & ones))
-
-
 def _div_chunk(stage, masks, _, bud: Budget):
     n, d = stage
     domain, fields, leaves, hole = _exchange_space(n, d)
-    lhs, rhs, preds = BF_LHS("P"), BF_RHS("P"), {"P": 1}
+    lhs, rhs = BF_LHS("P"), BF_RHS("P")
     for fmask, fr in _frames(n, masks):
         m = FoModel(DomainFrame(fr, domain), "constant")
         bits = _fo_bits(m)
-        # bit c: on the existence mask c, some interpretation makes the lhs
-        # valid and the rhs not (meta), or fails the implication at some
-        # world (obj); instance c << bits | i is interpretation i on mask c
-        meta = obj = 0
-        for first, full, cols in _blocks(bits + d * n):
-            lv = {**hole(cols), **leaves(cols[bits:])}
-            ls, rs = (_truth(m, f, lv, full, preds) for f in (lhs, rhs))
-            lvalid, rvalid = reduce(and_, ls, full), reduce(and_, rs, full)
-            meta |= _groups(lvalid & ~rvalid, bits, full) << (first >> bits)
-            obj |= _groups(reduce(or_, (a & ~b for a, b in zip(ls, rs))),
-                           bits, full) << (first >> bits)
-        div = obj & ~meta
-        emask = (div & -div).bit_length() - 1
-        # bf_readings charges 2 units per (instance, world) pair, per mask
-        _charge(bud, (2 * n << bits) * (emask if div else 1 << d * n), 2)
-        if div:
-            fm = _candidate(fr, domain, "varying", fields, emask)
-            return fmask, emask, fm, bf_readings(fm, "P", bud)
+        for b in _batches(m, d * n, [bits], leaves, {"P": 1}):
+            # the existence masks where the rule reading holds and the
+            # implication fails under some interpretation
+            div = (b.meta([lhs], rhs, bits, hole)[0]
+                   & ~b.least(Imp(lhs, rhs), bits, hole)[0])
+            emask = b.number(div & -div) if div else b.c0 + (1 << b.cbb)
+            # bf_readings charges 2 units per (instance, world) pair, per
+            # mask scanned before the witness
+            _charge(bud, (2 * n << bits) * (emask - b.c0), 2)
+            if div:
+                fm = _candidate(fr, domain, "varying", fields, emask)
+                return fmask, emask, fm, bf_readings(fm, "P", bud)
     return None
 
 

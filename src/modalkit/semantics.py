@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .formula import (
     And, Box, BoundVar, Dia, Eq, Exists, Forall, Formula, Iff, Imp, Not, Or,
-    PredAtom, PropAtom, RigidConst, SchemeVar, StrictImp,
+    PredAtom, PropAtom, SchemeVar, StrictImp,
     free_vars, is_propositional, prop_atoms, scheme_vars,
 )
 from .model import FoModel, Frame, PropModel, _bits, _pairs

@@ -291,6 +291,15 @@ class TestCountermodel:
         assert "MODALKIT_BUDGET must be a positive integer" in \
             doc["error"]["message"]
 
+    def test_metavariable_in_premise_is_usage(self, capsys):
+        # refused before the scan, not when a candidate first reaches it
+        code, out, _ = run(capsys, "countermodel", "--conclusion", "p",
+                           "--premise", "P => p", "--json")
+        assert code == EXIT_USAGE
+        doc = json.loads(out)
+        assert doc["error"]["kind"] == "usage"
+        assert "metavariables" in doc["error"]["message"]
+
     @pytest.mark.parametrize("flag", ["--max-worlds", "--max-domain"])
     def test_bound_below_its_least_is_usage(self, capsys, flag):
         # a negative domain bound used to run a propositional search

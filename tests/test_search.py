@@ -122,6 +122,17 @@ class TestSearchSpecValidation:
         with pytest.raises(ValueError):
             SearchSpec(parse("P"), max_worlds=0)
 
+    @pytest.mark.parametrize("premises", [["P => p"], ["q & ~q", "P => p"]])
+    def test_metavariable_in_premise_formula(self, premises):
+        # refused whether or not a candidate would reach that premise
+        with pytest.raises(ValueError, match="metavariables"):
+            SearchSpec(parse("p"), tuple(map(parse, premises)))
+
+    def test_scheme_premise_must_be_propositional(self):
+        with pytest.raises(ValueError, match="propositional"):
+            SearchSpec(parse("p"), premise_schemes=(
+                parse("forall x. alive(x)"),))
+
     def test_negative_domain(self):
         with pytest.raises(ValueError, match="max_domain must be at least 0"):
             SearchSpec(parse("[]P => P"), max_domain=-1)
@@ -406,7 +417,7 @@ TRIPS = {
         100, {"worlds": 2, "domain": 1}),
     "barcan_sweep": (
         lambda jobs, budget: barcan_sweep(2, 1, jobs=jobs, budget=budget),
-        100, {"worlds": 2, "checked": 12}),
+        100, {"worlds": 2, "checked": 8}),
     "bf_agreement_sweep": (
         lambda jobs, budget: bf_agreement_sweep(2, 1, jobs=jobs,
                                                 budget=budget),
@@ -474,6 +485,27 @@ def _count_evaluate(monkeypatch, call):
     return result, len(calls)
 
 
+def test_predicate_at_two_arities_is_refused_before_the_scan():
+    # the second premise is never reached, but the signature is refused
+    spec = SearchSpec(parse("exists x. exists y. r(x, y)"),
+                      (parse("q & ~q"), parse("exists x. r(x)")),
+                      max_worlds=2, max_domain=1)
+    with pytest.raises(ValueError, match="used at arities 1 and 2"):
+        find_fo_countermodel(spec)
+
+
+def test_wide_scheme_stage_is_refused_at_its_first_chunk():
+    # no candidate reaches the conclusion, whose instances at 4 worlds need
+    # 28 bits: the stage is refused before it is scanned, not passed over
+    spec = SearchSpec(parse("A | B | C | D | E | F | G | q"),
+                      premise_formulas=(parse("q & ~q"),), max_worlds=4)
+    with pytest.raises(ResourceLimit) as ei:
+        find_countermodel(spec)
+    assert ei.value.args[0] == \
+        "scheme enumeration needs 4*7 = 28 bits (limit 24)"
+    assert ei.value.frontier == {"worlds": 4}
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_gap_budget_counts_one_unit_per_evaluate_call(monkeypatch, jobs):
     # A scan with no gap charges every call to the parent ledger.
@@ -485,10 +517,13 @@ def test_gap_budget_counts_one_unit_per_evaluate_call(monkeypatch, jobs):
         find_deduction_gap(max_worlds=1, jobs=jobs, budget=calls - 1)
     assert ei.value.frontier == {"worlds": 1}
     # The default search stops at a hit in the first chunk of its second
-    # stage; the ledger only charges chunks whose payload was passed over.
+    # stage; the ledger charges that chunk too, the calls up to the hit.
     hit, total = _count_evaluate(monkeypatch, find_deduction_gap)
     assert find_deduction_gap(jobs=jobs, budget=total).to_dict() == \
         hit.to_dict()
+    with pytest.raises(ResourceLimit) as ei:
+        find_deduction_gap(jobs=jobs, budget=total - 1)
+    assert ei.value.frontier == {"worlds": 2}
     with pytest.raises(ResourceLimit) as ei:
         find_deduction_gap(jobs=jobs, budget=calls - 1)
     assert ei.value.frontier == {"worlds": 1}
@@ -747,6 +782,11 @@ class TestSlicedScanMatchesPerCandidateScan:
     @pytest.mark.parametrize("seed", range(24))
     def test_find_countermodel(self, monkeypatch, block_bits, seed):
         rng = random.Random(seed)
+        if seed in (10, 23):
+            # these draw a metavariable in a premise formula: refused
+            with pytest.raises(ValueError, match="metavariables"):
+                _random_prop_spec(rng)
+            return
         spec = _random_prop_spec(rng)
         stages = [(n,) for n in range(1, spec.max_worlds + 1)]
         with _block_bits(block_bits):
