@@ -134,37 +134,61 @@ FRAME_PROPERTIES = ("reflexive", "transitive", "symmetric", "serial",
                     "euclidean", "equivalence")
 
 
+# Row tests: each decides row i of Frame.rows against the rows after it.  A
+# frame has a property iff every row passes its tests, so a generator that
+# fixes rows from the last down can drop a prefix at its first failing row.
+
+def _symmetric(rows: Sequence[int], i: int) -> bool:
+    for j in range(i + 1, len(rows)):
+        if (rows[i] >> j ^ rows[j] >> i) & 1:
+            return False
+    return True
+
+
+def _transitive(rows: Sequence[int], i: int) -> bool:
+    # a world sees everything that the worlds it sees see
+    r = rows[i]
+    for j, s in enumerate(rows[i + 1:], i + 1):
+        if r >> j & 1 and s | r != r or s >> i & 1 and s | r != s:
+            return False
+    return True
+
+
+def _euclidean(rows: Sequence[int], i: int) -> bool:
+    # the worlds a world sees see everything it sees
+    r = rows[i]
+    for j, s in enumerate(rows[i + 1:], i + 1):
+        if r >> j & 1 and s | r != s or s >> i & 1 and s | r != r:
+            return False
+    return True
+
+
+_ROW_TESTS = {"reflexive": (lambda rows, i: rows[i] >> i & 1,),
+              "transitive": (_transitive,), "symmetric": (_symmetric,),
+              "serial": (lambda rows, i: rows[i] != 0,), "euclidean": (_euclidean,),
+              "total": (lambda rows, i: rows[i] == (1 << len(rows)) - 1,)}
+_ROW_TESTS["equivalence"] = (*_ROW_TESTS["reflexive"], _symmetric, _transitive)
+
+
+def _rows_pass(rows: Sequence[int], tests) -> bool:
+    for t in tests:
+        for i in range(len(rows)):
+            if not t(rows, i):
+                return False
+    return True
+
+
 def frame_property(fr: Frame, prop: str) -> bool:
     """Decide a named relational property by literal finite check."""
-    rows = fr.rows
-    n = len(rows)
-    if prop == "reflexive":
-        return all(rows[i] >> i & 1 for i in range(n))
-    if prop == "serial":
-        return all(rows[i] for i in range(n))
-    if prop == "symmetric":
-        return all((rows[i] >> j & 1) == (rows[j] >> i & 1)
-                   for i in range(n) for j in range(i + 1, n))
-    if prop == "transitive":
-        # j reachable from i: everything j sees, i must see too
-        return all(rows[i] | rows[j] == rows[i]
-                   for i in range(n) for j in range(n) if rows[i] >> j & 1)
-    if prop == "euclidean":
-        # j, k both seen from i forces j to see k: rows[i] subset of rows[j]
-        return all(rows[i] | rows[j] == rows[j]
-                   for i in range(n) for j in range(n) if rows[i] >> j & 1)
-    if prop == "equivalence":
-        return (frame_property(fr, "reflexive")
-                and frame_property(fr, "symmetric")
-                and frame_property(fr, "transitive"))
-    raise ValueError(f"unknown frame property {prop!r}; "
-                     f"expected one of {FRAME_PROPERTIES}")
+    if prop not in FRAME_PROPERTIES:
+        raise ValueError(f"unknown frame property {prop!r}; "
+                         f"expected one of {FRAME_PROPERTIES}")
+    return _rows_pass(fr.rows, _ROW_TESTS[prop])
 
 
 def is_total(fr: Frame) -> bool:
     """Every world sees every world (the no-relation reading of necessity)."""
-    full = (1 << len(fr.worlds)) - 1
-    return all(r == full for r in fr.rows)
+    return _rows_pass(fr.rows, _ROW_TESTS["total"])
 
 
 # ---------------------------------------------------------------------------

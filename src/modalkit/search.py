@@ -34,8 +34,8 @@ from .formula import (And, Exists, Formula, Imp, SchemeVar, const_names,
                       free_vars, is_propositional, pred_symbols, prop_atoms,
                       render, scheme_vars)
 from .model import (DomainFrame, FlexiblePred, FoModel, Frame,
-                    FRAME_PROPERTIES, PropModel, _bits, _extension, _pairs,
-                    _subsets, frame_property, is_total, model_to_dict)
+                    FRAME_PROPERTIES, PropModel, _ROW_TESTS, _bits, _extension,
+                    _pairs, _subsets, frame_property, model_to_dict)
 from .semantics import (BF_LHS, BF_RHS, Budget, ResourceLimit, _as_budget,
                         _assignment, _batches, _cell_leaves, _charge, _fo_bits,
                         _scheme_bits, _scheme_leaves, bf_readings, evaluate)
@@ -71,12 +71,7 @@ def frame_from_mask(n: int, mask: int) -> Frame:
 
 def frame_mask(fr: Frame) -> int:
     """Inverse of frame_from_mask up to world names."""
-    n = len(fr.worlds)
-    idx = fr.index
-    m = 0
-    for a, b in fr.access:
-        m |= 1 << (idx[a] * n + idx[b])
-    return m
+    return sum(r << (i * len(fr.rows)) for i, r in enumerate(fr.rows))
 
 
 def _canonical_mask(n: int, mask: int) -> int:
@@ -94,24 +89,30 @@ def _check_constraints(constraints: Iterable[str]) -> frozenset[str]:
     return cs - {"none"}
 
 
-def _frame_ok(fr: Frame, constraints: frozenset[str]) -> bool:
-    for c in constraints:
-        if c == "total":
-            if not is_total(fr):
-                return False
-        elif not frame_property(fr, c):
-            return False
-    return True
+def _masks(n: int, masks: range, constraints: frozenset[str] = frozenset()
+           ) -> Iterable[int]:
+    """The masks of ``masks`` whose n-world frames meet constraints, in
+    ascending order: rows are fixed from the last (most significant) down,
+    and a prefix is dropped once a row fails or its masks leave ``masks``."""
+    tests = {t: None for c in sorted(constraints) for t in _ROW_TESTS[c]}
+    if not tests:
+        return masks
+    rows = [0] * n
+
+    def fix(i: int, prefix: int) -> Iterator[int]:
+        s = i * n
+        for r in range(max(0, (masks.start - prefix) >> s),
+                       min(1 << n, ((masks.stop - 1 - prefix) >> s) + 1)):
+            rows[i] = r
+            if all(t(rows, i) for t in tests):
+                yield from fix(i - 1, prefix | r << s) if i else (prefix | r,)
+    return fix(n - 1, 0)
 
 
-def _frames(n: int, masks: Iterable[int],
-            constraints: frozenset[str] = frozenset()
+def _frames(n: int, masks: range, constraints: frozenset[str] = frozenset()
             ) -> Iterator[tuple[int, Frame]]:
-    """(mask, frame) for each n-world frame mask that meets constraints."""
-    for mask in masks:
-        fr = frame_from_mask(n, mask)
-        if _frame_ok(fr, constraints):
-            yield mask, fr
+    """(mask, frame) for each mask of ``masks`` that _masks admits."""
+    return ((m, frame_from_mask(n, m)) for m in _masks(n, masks, constraints))
 
 
 def enumerate_frames(n: int, constraints: Iterable[str] = (),
@@ -122,10 +123,9 @@ def enumerate_frames(n: int, constraints: Iterable[str] = (),
     rejected immediately; the frames themselves come lazily."""
     if n < 1:
         raise ValueError("need at least one world")
-    cs = _check_constraints(constraints)
-    masks = (m for m in range(1 << (n * n))
-             if not dedup or _canonical_mask(n, m) == m)
-    return (fr for _, fr in _frames(n, masks, cs))
+    masks = _masks(n, range(1 << (n * n)), _check_constraints(constraints))
+    return (frame_from_mask(n, m) for m in masks
+            if not dedup or _canonical_mask(n, m) == m)
 
 
 def _domain_names(d: int) -> tuple[str, ...]:

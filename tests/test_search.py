@@ -4,7 +4,7 @@ exhaustive sweeps, and independence of the answer from the jobs count."""
 import multiprocessing
 import multiprocessing.pool
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,16 +12,17 @@ from hypothesis import given, settings, strategies as st
 import modalkit.search as search
 import modalkit.semantics as sem
 from conftest import random_prop_formula, seeded_randoms
-from modalkit import (BF_SCHEME, CBF_SCHEME, And, Box, Dia, DomainFrame,
-                      Eq, Exists, FlexiblePred, FoModel, Forall, Frame, Iff,
-                      Imp, Not, Or, PredAtom, PropAtom, PropModel, StrictImp,
-                      ResourceLimit, SchemeVar, SearchResult, SearchSpec,
-                      barcan_sweep, bf_agreement_sweep, bf_readings,
-                      domain_monotonicity, evaluate, find_barcan_divergence,
-                      find_countermodel, find_deduction_gap,
-                      find_fo_countermodel, fo_scheme_valid, frame_property,
-                      meta_implies, model_from_dict, model_to_dict, parse,
-                      render, scheme_valid, valid)
+from modalkit import (BF_SCHEME, CBF_SCHEME, FRAME_PROPERTIES, And, Box, Dia,
+                      DomainFrame, Eq, Exists, FlexiblePred, FoModel, Forall,
+                      Frame, Iff, Imp, Not, Or, PredAtom, PropAtom, PropModel,
+                      StrictImp, ResourceLimit, SchemeVar, SearchResult,
+                      SearchSpec, barcan_sweep, bf_agreement_sweep,
+                      bf_readings, domain_monotonicity, evaluate,
+                      find_barcan_divergence, find_countermodel,
+                      find_deduction_gap, find_fo_countermodel,
+                      fo_scheme_valid, frame_property, is_total, meta_implies,
+                      model_from_dict, model_to_dict, parse, render,
+                      scheme_valid, valid)
 from modalkit.formula import BoundVar, is_propositional
 from modalkit.model import _bits, _extension, _pairs
 from modalkit.search import (CONSTRAINT_NAMES, enumerate_frames, frame_from_mask,
@@ -98,6 +99,136 @@ class TestFrameEnumeration:
     def test_dedup_keeps_constraint(self):
         for f in enumerate_frames(3, ["reflexive"], dedup=True):
             assert frame_property(f, "reflexive")
+
+    def test_dedup_equals_canonical_then_constraint_filter(self):
+        for n in (1, 2, 3):
+            canonical = [m for m in range(1 << (n * n))
+                         if min(relabel_orbit(n, m)) == m]
+            for name in CONSTRAINT_NAMES:
+                cs = frozenset({name}) - {"none"}
+                got = enumerate_frames(n, [name], dedup=True)
+                assert [frame_mask(f) for f in got] == \
+                    [m for m in canonical
+                     if cs <= relational_props(frame_from_mask(n, m))]
+
+    def test_dedup_equivalences_on_four_worlds_are_the_partitions_of_4(self):
+        got = list(enumerate_frames(4, ["equivalence"], dedup=True))
+        blocks = [sorted(len(c) for c in {fr.successors(w)
+                                          for w in fr.worlds})
+                  for fr in got]
+        assert sorted(blocks) == [[1, 1, 1, 1], [1, 1, 2], [1, 3], [2, 2],
+                                  [4]]
+
+
+# ---------------------------------------------------------------------------
+# Constrained frame generation against a relational reference: each
+# property decided on the Frame.access pairs alone, never on rows.
+
+def relational_props(fr: Frame) -> frozenset[str]:
+    """The constraint names (all but "none") that fr meets."""
+    ws, acc = fr.worlds, fr.access
+    succ = {w: {b for a, b in acc if a == w} for w in ws}
+    props = {
+        "reflexive": all((w, w) in acc for w in ws),
+        "serial": all(succ[w] for w in ws),
+        "symmetric": all((b, a) in acc for a, b in acc),
+        "transitive": all((a, c) in acc for a, b in acc for c in succ[b]),
+        "euclidean": all((b, c) in acc for a, b in acc for c in succ[a]),
+        "total": len(acc) == len(ws) ** 2,
+    }
+    props["equivalence"] = (props["reflexive"] and props["symmetric"]
+                            and props["transitive"])
+    return frozenset(p for p, holds in props.items() if holds)
+
+
+_CONSTRAINT_SETS = [frozenset(cs) for k in (1, 2)
+                    for cs in combinations(CONSTRAINT_NAMES[:-1], k)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generated_masks_match_the_relational_reference(n):
+    whole = range(1 << (n * n))
+    table = [relational_props(frame_from_mask(n, m)) for m in whole]
+    for cs in _CONSTRAINT_SETS:
+        want = [m for m in whole if cs <= table[m]]
+        assert list(search._masks(n, whole, cs)) == want, sorted(cs)
+        chunks = [m for lo, hi in search._chunk_ranges(len(whole))
+                  for m in search._masks(n, range(lo, hi), cs)]
+        assert chunks == want, sorted(cs)
+
+
+@given(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=5,
+                unique=True), st.data())
+@settings(max_examples=300, deadline=None)
+def test_row_tests_match_the_relational_reference(worlds, data):
+    """frame_property and is_total on any world names, in any declaration
+    order, over sparse relations and their (dense) complements."""
+    pairs = [(a, b) for a in worlds for b in worlds]
+    access = data.draw(st.sets(st.sampled_from(pairs)))
+    if data.draw(st.booleans()):
+        access = set(pairs) - access
+    fr = Frame(worlds, access)
+    props = relational_props(fr)
+    for prop in FRAME_PROPERTIES:
+        assert frame_property(fr, prop) == (prop in props), prop
+    assert is_total(fr) == ("total" in props)
+
+
+@pytest.mark.parametrize("text, constraint, built", [
+    ("<>P => []<>P", "equivalence", 1 + 2 + 5 + 15),     # Bell numbers
+    ("[]P => [][]P", "transitive", 2 + 13 + 171 + 3994),  # OEIS A006905
+])
+def test_constrained_search_builds_only_admitted_frames(
+        monkeypatch, text, constraint, built):
+    real, calls = search.frame_from_mask, []
+
+    def counting(n, mask):
+        calls.append(mask)
+        return real(n, mask)
+    monkeypatch.setattr(search, "frame_from_mask", counting)
+    spec = SearchSpec(parse(text), frame_constraints={constraint},
+                      max_worlds=4)
+    assert find_countermodel(spec) is None
+    assert len(calls) == built
+
+
+# One search to 4 worlds per constraint: the certificate (None when the
+# bounded space holds no countermodel), the units the scan charges up to
+# its answer, and the world count at which a budget one unit short trips.
+# These are the figures of the scan that built every frame and filtered it
+# afterwards: filtering never charged a unit.
+CONSTRAINED_PINS = {
+    "reflexive": ("[]P => [][]P", 190, 3, {
+        "worlds": 3, "frame_mask": 285, "reading": "object",
+        "conclusion": "[]P => [][]P", "world": "w1",
+        "assignment": {"P": ["w0", "w1"]}}),
+    "transitive": ("[]P => [][]P", 259828, 4, None),
+    "symmetric": ("[]P => [][]P", 23, 2, {
+        "worlds": 2, "frame_mask": 6, "reading": "object",
+        "conclusion": "[]P => [][]P", "world": "w0",
+        "assignment": {"P": ["w1"]}}),
+    "serial": ("[]P => P", 8, 2, {
+        "worlds": 2, "frame_mask": 5, "reading": "object",
+        "conclusion": "[]P => P", "world": "w1", "assignment": {"P": ["w0"]}}),
+    "euclidean": ("<>P => []<>P", 20580, 4, None),
+    "equivalence": ("<>P => []<>P", 1098, 4, None),
+    "total": ("[]P => [][]P", 98, 4, None),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("constraint", sorted(CONSTRAINED_PINS))
+def test_constrained_search_is_pinned(constraint, jobs):
+    text, used, trip_worlds, cert = CONSTRAINED_PINS[constraint]
+    spec = SearchSpec(parse(text), frame_constraints={constraint},
+                      max_worlds=4)
+    r = find_countermodel(spec, jobs=jobs, budget=used)
+    assert (None if r is None else r.certificate) == cert
+    with pytest.raises(ResourceLimit) as ei:
+        find_countermodel(spec, jobs=jobs, budget=used - 1)
+    assert ei.value.args[0] == \
+        f"evaluator-call budget exhausted ({used - 1} calls)"
+    assert ei.value.frontier == {"worlds": trip_worlds}
 
 
 class TestSearchSpecValidation:
@@ -533,14 +664,22 @@ def test_gap_budget_counts_one_unit_per_evaluate_call(monkeypatch, jobs):
 # Differential gate.  The search labels each frame's candidate models as
 # instance columns and builds a model only for the witness; the oracle below
 # is the candidate-by-candidate scan it replaced: one PropModel or FoModel
-# per candidate, checked with the public single-model checks.  Both must
+# per candidate, checked with the public single-model checks, on frames
+# built for every mask and filtered by the relational reference.  Both must
 # give the same payload and Budget.used for every chunk, and the public
 # searches the same result or the same trip.
+
+def _oracle_frames(n, masks, constraints):
+    for fmask in masks:
+        fr = frame_from_mask(n, fmask)
+        if constraints <= relational_props(fr):
+            yield fmask, fr
+
 
 def _oracle_domain_frames(n, d, masks, varying, constraints=frozenset()):
     domain = search._domain_names(d)
     full = (1 << (d * n)) - 1
-    for fmask, fr in search._frames(n, masks, constraints):
+    for fmask, fr in _oracle_frames(n, masks, constraints):
         for emask in range(full + 1) if varying else (full,):
             pairs = _pairs(fr.worlds, domain, emask)
             yield fmask, emask, DomainFrame(
@@ -591,7 +730,7 @@ def _oracle_spec_chunk(stage, masks, spec, bud):
     if len(stage) == 1:
         (n,) = stage
         frames = ((mask, 0, fr) for mask, fr in
-                  search._frames(n, masks, spec.frame_constraints))
+                  _oracle_frames(n, masks, spec.frame_constraints))
     else:
         n, d = stage
         frames = _oracle_domain_frames(n, d, masks, spec.mode == "varying",
