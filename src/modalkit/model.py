@@ -4,6 +4,15 @@ model file format.
 Worlds and domain elements are plain strings; their declaration order is the
 package-wide total order used for witness tie-breaking and serialization.
 All model types are immutable; evaluation never mutates a model.
+
+The constructors hold every well-formedness rule.  They raise ModelError, a
+ValueError, whose path names the offending argument in the layout of the
+JSON model format, which mirrors the constructor arguments: ``Frame``
+reports ``$.worlds[1]`` or ``$.access[0][1]``, ``FoModel`` reports
+``$.flexible_preds.alive.extension.w0[0]``.  They take collections of names
+and tuples as lists, tuples or sets.  The JSON readers check only the
+document's objects and their keys, then call the constructors, so a loaded
+file is checked once.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "Frame", "PropModel", "DomainFrame", "FoModel", "FlexiblePred",
@@ -23,9 +32,10 @@ __all__ = [
 ]
 
 
-class ModelError(Exception):
-    """Raised for an invalid model description; path points at the first
-    offending location in the JSON document (e.g. ``$.exists_in.w0[1]``)."""
+class ModelError(ValueError):
+    """Raised for an ill-formed model, by the constructors and the JSON
+    readers alike; path points at the first offending location in the JSON
+    model format (e.g. ``$.exists_in.w0[1]``)."""
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
@@ -72,6 +82,51 @@ def _extension(domain: tuple[str, ...], worlds: tuple[str, ...], mask: int,
 
 
 # ---------------------------------------------------------------------------
+# Well-formedness checks shared by the constructors.  Search builds a frame,
+# a domain frame and a base model for every frame it scans, so the checks
+# those run build a path string only when they fail.
+
+_SEQS = (list, tuple, set, frozenset)
+
+
+def _want(x, path: str, kinds, what: str):
+    """x, if it is an instance of kinds."""
+    if not isinstance(x, kinds):
+        raise ModelError(path, f"expected {what}")
+    return x
+
+
+def _names(items, path: str, what: str, bad: str,
+           dup: str) -> tuple[tuple[str, ...], set[str]]:
+    """items as a tuple of nonempty, pairwise distinct strings, and as a
+    set."""
+    items, seen = tuple(_want(items, path, _SEQS, what)), set()
+    for x in items:     # every item before x is in seen: x is items[len(seen)]
+        if not isinstance(x, str) or not x:
+            raise ModelError(f"{path}[{len(seen)}]", bad)
+        if x in seen:
+            raise ModelError(f"{path}[{len(seen)}]", f"{dup} {x!r}")
+        seen.add(x)
+    return items, seen
+
+
+def _known(items, known, path: str, noun: str):
+    """items, if each of them is a name in known."""
+    for i, x in enumerate(items):
+        if not isinstance(x, str) or x not in known:
+            raise ModelError(f"{path}[{i}]", f"unknown {noun} {x!r}")
+    return items
+
+
+def _by_world(mapping: Mapping, index: Mapping, path: str):
+    """The items of mapping, if each of its keys is a world of index."""
+    for w in mapping:
+        if w not in index:
+            raise ModelError(f"{path}.{w}", f"unknown world {w!r}")
+    return mapping.items()
+
+
+# ---------------------------------------------------------------------------
 # Frames
 
 @dataclass(frozen=True)
@@ -79,24 +134,31 @@ class Frame:
     worlds: tuple[str, ...]
     access: frozenset[tuple[str, str]]
 
-    def __init__(self, worlds: Iterable[str],
-                 access: Iterable[tuple[str, str]] = ()):
-        worlds = tuple(worlds)
+    def __init__(self, worlds: Collection[str],
+                 access: Collection[tuple[str, str]] = ()):
+        worlds, seen = _names(worlds, "$.worlds", "a list of world names",
+                              "world names must be nonempty strings",
+                              "duplicate world")
         if not worlds:
-            raise ValueError("a frame needs at least one world")
-        seen = set()
-        for w in worlds:
-            if not isinstance(w, str) or not w:
-                raise ValueError(f"world names must be nonempty strings: {w!r}")
-            if w in seen:
-                raise ValueError(f"duplicate world {w!r}")
-            seen.add(w)
-        pairs = frozenset((a, b) for a, b in access)
-        for a, b in pairs:
-            if a not in seen or b not in seen:
-                raise ValueError(f"access edge ({a!r}, {b!r}) leaves the frame")
+            raise ModelError("$.worlds", "at least one world is required")
+        access = tuple(_want(access, "$.access", _SEQS,
+                             "a list of world pairs"))
+        for pair in access:
+            try:
+                match pair:
+                    case [a, b] if a in seen and b in seen:
+                        continue
+            except TypeError:   # an unhashable end, reported below
+                pass
+            # index finds the first pair equal to this one, which fails too
+            p = f"$.access[{access.index(pair)}]"
+            if not isinstance(pair, (list, tuple)):
+                raise ModelError(p, "expected a pair [from, to]")
+            if len(pair) != 2:
+                raise ModelError(p, "a pair [from, to] has exactly two entries")
+            _known(pair, seen, p, "world")
         object.__setattr__(self, "worlds", worlds)
-        object.__setattr__(self, "access", pairs)
+        object.__setattr__(self, "access", frozenset(map(tuple, access)))
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -194,20 +256,15 @@ def is_total(fr: Frame) -> bool:
 # ---------------------------------------------------------------------------
 # Propositional models
 
-def _norm_valuation(valuation: Mapping[str, Iterable[str]],
-                    worlds: tuple[str, ...]) -> dict[str, frozenset[str]]:
+def _valuation(valuation: Mapping[str, Collection[str]],
+               frame: Frame) -> dict[str, frozenset[str]]:
     out = {}
-    wset = set(worlds)
-    for name in valuation:
+    for name, ws in valuation.items():
+        p = f"$.valuation.{name}"
+        out[name] = frozenset(_known(_want(ws, p, _SEQS, "a list of worlds"),
+                                     frame.index, p, "world"))
         if not isinstance(name, str) or not name or not name[0].islower():
-            raise ValueError(
-                f"valuation keys are PropAtom names (lowercase): {name!r}")
-        vs = frozenset(valuation[name])
-        bad = vs - wset
-        if bad:
-            raise ValueError(
-                f"valuation of {name!r} mentions unknown world {sorted(bad)[0]!r}")
-        out[name] = vs
+            raise ModelError(p, "atom names start lowercase")
     return out
 
 
@@ -218,7 +275,7 @@ class PropModel:
 
     def __post_init__(self):
         object.__setattr__(self, "valuation",
-                           _norm_valuation(self.valuation, self.frame.worlds))
+                           _valuation(self.valuation, self.frame))
 
     @property
     def worlds(self) -> tuple[str, ...]:
@@ -234,32 +291,26 @@ class DomainFrame:
     domain: tuple[str, ...]
     exists_in: Mapping[str, frozenset[str]]
 
-    def __init__(self, frame: Frame, domain: Iterable[str],
-                 exists_in: Mapping[str, Iterable[str]] | None = None):
-        domain = tuple(domain)
-        seen = set()
-        for e in domain:
-            if not isinstance(e, str) or not e:
-                raise ValueError(f"domain elements must be nonempty strings: {e!r}")
-            if e in seen:
-                raise ValueError(f"duplicate domain element {e!r}")
-            seen.add(e)
+    def __init__(self, frame: Frame, domain: Collection[str],
+                 exists_in: Mapping[str, Collection[str]] | None = None):
+        domain, eset = _names(domain, "$.domain", "a list of element names",
+                              "domain elements must be nonempty strings",
+                              "duplicate element")
         if exists_in is None:
-            ex = {w: frozenset(domain) for w in frame.worlds}
+            ex = dict.fromkeys(frame.worlds, frozenset(domain))
         else:
+            given = {}
+            for w, es in _by_world(exists_in, frame.index, "$.exists_in"):
+                p = f"$.exists_in.{w}"
+                given[w] = frozenset(_known(
+                    _want(es, p, _SEQS, "a list of elements"), eset, p,
+                    "element"))
             ex = {}
             for w in frame.worlds:
-                if w not in exists_in:
-                    raise ValueError(f"exists_in is missing world {w!r}")
-                es = frozenset(exists_in[w])
-                bad = es - seen
-                if bad:
-                    raise ValueError(
-                        f"exists_in[{w!r}] mentions unknown element {sorted(bad)[0]!r}")
-                ex[w] = es
-            for w in exists_in:
-                if w not in frame.index:
-                    raise ValueError(f"exists_in mentions unknown world {w!r}")
+                if w not in given:
+                    raise ModelError("$.exists_in",
+                                     f"missing entry for world {w!r}")
+                ex[w] = given[w]
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "exists_in", ex)
@@ -305,17 +356,21 @@ class RigidPred:
     extension: frozenset[tuple[str, ...]]
 
 
-def _check_tuples(tuples: Iterable[tuple[str, ...]], arity: int,
-                  domain: frozenset[str], where: str) -> frozenset[tuple[str, ...]]:
+def _arity(arity, path: str) -> int:
+    if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
+        raise ModelError(f"{path}.arity", "arity must be a positive integer")
+    return arity
+
+
+def _tuples(raw, arity: int, domain: frozenset[str],
+            path: str) -> frozenset[tuple[str, ...]]:
     out = set()
-    for tp in tuples:
-        tp = tuple(tp)
+    for i, tp in enumerate(_want(raw, path, _SEQS, "a list of element tuples")):
+        if not isinstance(tp, (list, tuple)):
+            raise ModelError(f"{path}[{i}]", "expected an element tuple")
         if len(tp) != arity:
-            raise ValueError(f"{where}: tuple {tp!r} does not have arity {arity}")
-        for e in tp:
-            if e not in domain:
-                raise ValueError(f"{where}: unknown domain element {e!r}")
-        out.add(tp)
+            raise ModelError(f"{path}[{i}]", f"expected a tuple of arity {arity}")
+        out.add(tuple(_known(tp, domain, f"{path}[{i}]", "element")))
     return frozenset(out)
 
 
@@ -331,47 +386,39 @@ class FoModel:
     def __post_init__(self):
         df = self.dframe
         if self.mode not in ("constant", "varying"):
-            raise ValueError(f"mode must be 'constant' or 'varying': {self.mode!r}")
+            raise ModelError("$.mode", "must be 'constant' or 'varying'")
         full = frozenset(df.domain)
         if self.mode == "constant":
             for w in df.worlds:
                 if df.exists_in[w] != full:
-                    raise ValueError(
-                        f"constant mode requires exists_in[{w!r}] to be the full domain")
-        object.__setattr__(self, "valuation",
-                           _norm_valuation(self.valuation, df.worlds))
+                    raise ModelError(f"$.exists_in.{w}",
+                                     "constant mode requires the full domain")
+        valuation = _valuation(self.valuation, df.frame)
         flex = {}
         for name, fp in self.flexible_preds.items():
-            if fp.arity < 1:
-                raise ValueError(f"predicate {name!r}: arity must be >= 1")
-            ext = {}
-            for w in fp.extension:
-                if w not in df.frame.index:
-                    raise ValueError(
-                        f"predicate {name!r}: unknown world {w!r} in extension")
-                ext[w] = _check_tuples(fp.extension[w], fp.arity, full,
-                                       f"predicate {name!r} at {w!r}")
-            for w in df.worlds:
-                ext.setdefault(w, frozenset())
-            flex[name] = FlexiblePred(fp.arity, ext)
+            p = f"$.flexible_preds.{name}"
+            arity = _arity(fp.arity, p)
+            ext = dict.fromkeys(df.worlds, frozenset())
+            for w, tuples in _by_world(fp.extension, df.frame.index,
+                                       f"{p}.extension"):
+                ext[w] = _tuples(tuples, arity, full, f"{p}.extension.{w}")
+            flex[name] = FlexiblePred(arity, ext)
         rigid = {}
         for name, rp in self.rigid_preds.items():
+            p = f"$.rigid_preds.{name}"
             if name in flex:
-                raise ValueError(f"predicate {name!r} is both flexible and rigid")
-            if rp.arity < 1:
-                raise ValueError(f"predicate {name!r}: arity must be >= 1")
+                raise ModelError(p, "predicate is also declared flexible")
+            arity = _arity(rp.arity, p)
             rigid[name] = RigidPred(
-                rp.arity,
-                _check_tuples(rp.extension, rp.arity, full, f"predicate {name!r}"))
-        consts = {}
+                arity, _tuples(rp.extension, arity, full, f"{p}.extension"))
         for name, e in self.rigid_consts.items():
-            if e not in full:
-                raise ValueError(
-                    f"constant {name!r} names unknown domain element {e!r}")
-            consts[name] = e
+            if not isinstance(e, str) or e not in full:
+                raise ModelError(f"$.rigid_consts.{name}",
+                                 f"unknown domain element {e!r}")
+        object.__setattr__(self, "valuation", valuation)
         object.__setattr__(self, "flexible_preds", flex)
         object.__setattr__(self, "rigid_preds", rigid)
-        object.__setattr__(self, "rigid_consts", consts)
+        object.__setattr__(self, "rigid_consts", dict(self.rigid_consts))
 
     @property
     def frame(self) -> Frame:
@@ -392,247 +439,88 @@ class FoModel:
 
 
 # ---------------------------------------------------------------------------
-# JSON model format
+# JSON model format: the readers check the document's objects and their
+# keys, and leave every other rule to the constructors.
 
-_TOP_KEYS = ("worlds", "access", "valuation", "domain", "mode", "exists_in",
-             "flexible_preds", "rigid_preds", "rigid_consts")
+_FRAME_KEYS = ("worlds", "access")
 _FO_KEYS = ("domain", "mode", "exists_in", "flexible_preds", "rigid_preds",
             "rigid_consts")
 
 
-def _want(obj, path: str, kind: type, what: str):
-    if not isinstance(obj, kind) or isinstance(obj, bool):
-        raise ModelError(path, f"expected {what}")
+def _object(obj, path: str, what: str, keys: Sequence[str], kind: str,
+            required: Sequence[str]) -> dict:
+    """obj, if it is a JSON object whose keys are among keys and include
+    the required ones."""
+    for key in _want(obj, path, dict, what):
+        if key not in keys:
+            raise ModelError(f"{path}.{key}", f"unknown key in a {kind}")
+    for key in required:
+        if key not in obj:
+            raise ModelError(path, f"missing required key {key!r}")
     return obj
 
 
-def _read_worlds(obj: dict, path_prefix: str = "$") -> tuple[str, ...]:
-    if "worlds" not in obj:
-        raise ModelError(path_prefix, "missing required key 'worlds'")
-    raw = _want(obj["worlds"], f"{path_prefix}.worlds", list, "a list of world names")
-    if not raw:
-        raise ModelError(f"{path_prefix}.worlds", "at least one world is required")
-    seen = set()
-    for i, w in enumerate(raw):
-        p = f"{path_prefix}.worlds[{i}]"
-        if not isinstance(w, str) or not w:
-            raise ModelError(p, "world names must be nonempty strings")
-        if w in seen:
-            raise ModelError(p, f"duplicate world {w!r}")
-        seen.add(w)
-    return tuple(raw)
-
-
-def _read_access(obj: dict, worlds: tuple[str, ...],
-                 path_prefix: str = "$") -> set[tuple[str, str]]:
-    if "access" not in obj:
-        raise ModelError(path_prefix, "missing required key 'access'")
-    raw = _want(obj["access"], f"{path_prefix}.access", list, "a list of world pairs")
-    wset = set(worlds)
-    pairs = set()
-    for i, item in enumerate(raw):
-        p = f"{path_prefix}.access[{i}]"
-        item = _want(item, p, list, "a pair [from, to]")
-        if len(item) != 2:
-            raise ModelError(p, "a pair [from, to]" " has exactly two entries")
-        for j, w in enumerate(item):
-            if not isinstance(w, str) or w not in wset:
-                raise ModelError(f"{p}[{j}]", f"unknown world {w!r}")
-        pairs.add((item[0], item[1]))
-    return pairs
-
-
-def _read_world_sets(raw, wset: set[str], path: str,
-                     what: str) -> dict[str, frozenset[str]]:
-    raw = _want(raw, path, dict, f"an object mapping {what}")
-    out = {}
-    for name, vals in raw.items():
-        p = f"{path}.{name}"
-        vals = _want(vals, p, list, "a list of worlds")
-        for i, w in enumerate(vals):
-            if not isinstance(w, str) or w not in wset:
-                raise ModelError(f"{p}[{i}]", f"unknown world {w!r}")
-        out[name] = frozenset(vals)
-    return out
+def _mapping(obj: dict, key: str, what: str, default=None):
+    """obj[key], if it is a JSON object, or default when key is absent."""
+    if key not in obj:
+        return default
+    return _want(obj[key], f"$.{key}", dict, f"an object mapping {what}")
 
 
 def frame_from_dict(obj) -> Frame:
     """Read a bare frame: an object with exactly 'worlds' and 'access'."""
-    obj = _want(obj, "$", dict, "an object")
-    for key in obj:
-        if key not in ("worlds", "access"):
-            raise ModelError(f"$.{key}", "unknown key in a frame description")
-    worlds = _read_worlds(obj)
-    return Frame(worlds, _read_access(obj, worlds))
+    obj = _object(obj, "$", "an object", _FRAME_KEYS, "frame description",
+                  _FRAME_KEYS)
+    return Frame(obj["worlds"], obj["access"])
 
 
 def domain_frame_from_dict(obj) -> DomainFrame:
     """Read a domained frame: 'worlds', 'access', 'domain' and optionally
     'exists_in' (omitted means every world carries the full domain)."""
-    obj = _want(obj, "$", dict, "an object")
-    for key in obj:
-        if key not in ("worlds", "access", "domain", "exists_in"):
-            raise ModelError(f"$.{key}", "unknown key in a domain-frame description")
-    worlds = _read_worlds(obj)
-    frame = Frame(worlds, _read_access(obj, worlds))
-    domain = _read_domain(obj)
-    exists_in = _read_exists_in(obj, worlds, domain) if "exists_in" in obj else None
-    return DomainFrame(frame, domain, exists_in)
+    obj = _object(obj, "$", "an object", (*_FRAME_KEYS, "domain", "exists_in"),
+                  "domain-frame description", (*_FRAME_KEYS, "domain"))
+    return DomainFrame(Frame(obj["worlds"], obj["access"]), obj["domain"],
+                       _mapping(obj, "exists_in", "worlds to element lists"))
 
 
-def _read_domain(obj: dict) -> tuple[str, ...]:
-    raw = _want(obj["domain"], "$.domain", list, "a list of element names")
-    seen = set()
-    for i, e in enumerate(raw):
-        p = f"$.domain[{i}]"
-        if not isinstance(e, str) or not e:
-            raise ModelError(p, "domain elements must be nonempty strings")
-        if e in seen:
-            raise ModelError(p, f"duplicate element {e!r}")
-        seen.add(e)
-    return tuple(raw)
-
-
-def _read_exists_in(obj: dict, worlds: tuple[str, ...],
-                    domain: tuple[str, ...]) -> dict[str, frozenset[str]]:
-    raw = _want(obj["exists_in"], "$.exists_in", dict,
-                "an object mapping worlds to element lists")
-    wset, eset = set(worlds), set(domain)
-    out = {}
-    for w, vals in raw.items():
-        p = f"$.exists_in.{w}"
-        if w not in wset:
-            raise ModelError(p, f"unknown world {w!r}")
-        vals = _want(vals, p, list, "a list of elements")
-        for i, e in enumerate(vals):
-            if not isinstance(e, str) or e not in eset:
-                raise ModelError(f"{p}[{i}]", f"unknown element {e!r}")
-        out[w] = frozenset(vals)
-    for w in worlds:
-        if w not in out:
-            raise ModelError("$.exists_in", f"missing entry for world {w!r}")
-    return out
+def _decl(decl, path: str) -> tuple:
+    """The arity and extension of a predicate declaration."""
+    keys = ("arity", "extension")
+    decl = _object(decl, path, "an object with 'arity' and 'extension'", keys,
+                   "predicate declaration", keys)
+    return decl["arity"], decl["extension"]
 
 
 def model_from_dict(obj) -> PropModel | FoModel:
     """Read a model description; returns a PropModel when no 'domain' key is
     present and an FoModel otherwise.  Raises ModelError at the first
     violation, identified by JSON path."""
-    obj = _want(obj, "$", dict, "an object")
-    for key in obj:
-        if key not in _TOP_KEYS:
-            raise ModelError(f"$.{key}", "unknown key in a model description")
-    worlds = _read_worlds(obj)
-    wset = set(worlds)
-    frame = Frame(worlds, _read_access(obj, worlds))
-
-    valuation: dict[str, frozenset[str]] = {}
-    if "valuation" in obj:
-        valuation = _read_world_sets(obj["valuation"], wset, "$.valuation",
-                                     "atom names to world lists")
-        for name in valuation:
-            if not name or not name[0].islower():
-                raise ModelError(f"$.valuation.{name}",
-                                 "atom names start lowercase")
-
+    obj = _object(obj, "$", "an object", (*_FRAME_KEYS, "valuation", *_FO_KEYS),
+                  "model description", _FRAME_KEYS)
+    frame = Frame(obj["worlds"], obj["access"])
+    valuation = _mapping(obj, "valuation", "atom names to world lists", {})
     if "domain" not in obj:
         for key in _FO_KEYS:
             if key in obj:
                 raise ModelError(f"$.{key}", "requires a 'domain' key")
         return PropModel(frame, valuation)
-
-    domain = _read_domain(obj)
-    eset = set(domain)
-
-    mode = "constant"
-    if "mode" in obj:
-        mode = obj["mode"]
-        if mode not in ("constant", "varying"):
-            raise ModelError("$.mode", "must be 'constant' or 'varying'")
-
-    if "exists_in" in obj:
-        exists_in = _read_exists_in(obj, worlds, domain)
-        if mode == "constant":
-            for w in worlds:
-                if exists_in[w] != eset:
-                    raise ModelError(f"$.exists_in.{w}",
-                                     "constant mode requires the full domain")
-    else:
-        exists_in = {w: frozenset(domain) for w in worlds}
-    dframe = DomainFrame(frame, domain, exists_in)
-
-    flex: dict[str, FlexiblePred] = {}
-    if "flexible_preds" in obj:
-        raw = _want(obj["flexible_preds"], "$.flexible_preds", dict,
-                    "an object mapping predicate names to declarations")
-        for name, decl in raw.items():
-            p = f"$.flexible_preds.{name}"
-            arity = _read_pred_decl(decl, p)
-            ext_raw = _want(decl["extension"], f"{p}.extension", dict,
-                            "an object mapping worlds to tuple lists")
-            ext: dict[str, frozenset[tuple[str, ...]]] = {}
-            for w, tuples in ext_raw.items():
-                pw = f"{p}.extension.{w}"
-                if w not in wset:
-                    raise ModelError(pw, f"unknown world {w!r}")
-                ext[w] = _read_tuples(tuples, arity, eset, pw)
-            flex[name] = FlexiblePred(arity, ext)
-
-    rigid: dict[str, RigidPred] = {}
-    if "rigid_preds" in obj:
-        raw = _want(obj["rigid_preds"], "$.rigid_preds", dict,
-                    "an object mapping predicate names to declarations")
-        for name, decl in raw.items():
-            p = f"$.rigid_preds.{name}"
-            if name in flex:
-                raise ModelError(p, "predicate is also declared flexible")
-            arity = _read_pred_decl(decl, p)
-            rigid[name] = RigidPred(
-                arity, _read_tuples(decl["extension"], arity, eset,
-                                    f"{p}.extension"))
-
-    consts: dict[str, str] = {}
-    if "rigid_consts" in obj:
-        raw = _want(obj["rigid_consts"], "$.rigid_consts", dict,
-                    "an object mapping constant names to elements")
-        for name, e in raw.items():
-            p = f"$.rigid_consts.{name}"
-            if not isinstance(e, str) or e not in eset:
-                raise ModelError(p, f"unknown domain element {e!r}")
-            consts[name] = e
-
-    return FoModel(dframe, mode, valuation, flex, rigid, consts)
-
-
-def _read_pred_decl(decl, path: str) -> int:
-    decl = _want(decl, path, dict, "an object with 'arity' and 'extension'")
-    for key in decl:
-        if key not in ("arity", "extension"):
-            raise ModelError(f"{path}.{key}", "unknown key in a predicate declaration")
-    if "arity" not in decl:
-        raise ModelError(path, "missing required key 'arity'")
-    if "extension" not in decl:
-        raise ModelError(path, "missing required key 'extension'")
-    arity = decl["arity"]
-    if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
-        raise ModelError(f"{path}.arity", "arity must be a positive integer")
-    return arity
-
-
-def _read_tuples(raw, arity: int, eset: set[str],
-                 path: str) -> frozenset[tuple[str, ...]]:
-    raw = _want(raw, path, list, "a list of element tuples")
-    out = set()
-    for i, tp in enumerate(raw):
-        p = f"{path}[{i}]"
-        tp = _want(tp, p, list, "an element tuple")
-        if len(tp) != arity:
-            raise ModelError(p, f"expected a tuple of arity {arity}")
-        for j, e in enumerate(tp):
-            if not isinstance(e, str) or e not in eset:
-                raise ModelError(f"{p}[{j}]", f"unknown element {e!r}")
-        out.add(tuple(tp))
-    return frozenset(out)
+    dframe = DomainFrame(frame, obj["domain"],
+                         _mapping(obj, "exists_in", "worlds to element lists"))
+    flex = {}
+    for name, decl in _mapping(obj, "flexible_preds",
+                               "predicate names to declarations", {}).items():
+        p = f"$.flexible_preds.{name}"
+        arity, ext = _decl(decl, p)
+        flex[name] = FlexiblePred(arity, _want(
+            ext, f"{p}.extension", dict,
+            "an object mapping worlds to tuple lists"))
+    rigid = {name: RigidPred(*_decl(decl, f"$.rigid_preds.{name}"))
+             for name, decl in _mapping(obj, "rigid_preds",
+                                        "predicate names to declarations",
+                                        {}).items()}
+    consts = _mapping(obj, "rigid_consts", "constant names to elements", {})
+    return FoModel(dframe, obj.get("mode", "constant"), valuation, flex,
+                   rigid, consts)
 
 
 # ---------------------------------------------------------------------------

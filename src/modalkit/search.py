@@ -35,7 +35,7 @@ from .formula import (And, Exists, Formula, Imp, SchemeVar, const_names,
                       render, scheme_vars)
 from .model import (DomainFrame, FlexiblePred, FoModel, Frame,
                     FRAME_PROPERTIES, PropModel, _ROW_TESTS, _bits, _extension,
-                    _pairs, _subsets, frame_property, model_to_dict)
+                    _pairs, frame_property, model_to_dict)
 from .semantics import (BF_LHS, BF_RHS, Budget, ResourceLimit, _as_budget,
                         _assignment, _batches, _cell_leaves, _charge, _fo_bits,
                         _scheme_bits, _scheme_leaves, bf_readings, evaluate)
@@ -439,12 +439,6 @@ def _certificate(spec: SearchSpec, worlds, wi: int, i: int) -> dict:
     return cert
 
 
-def _scheme_assignments(names: Sequence[str], worlds: Sequence[str]
-                        ) -> Iterator[dict[str, frozenset[str]]]:
-    for sets in product(_subsets(worlds), repeat=len(names)):
-        yield dict(zip(names, sets))
-
-
 def _revalidate(m, spec: SearchSpec, cert: dict) -> None:
     """Independent re-check of a witness with the reference evaluator."""
     worlds = m.worlds
@@ -452,7 +446,9 @@ def _revalidate(m, spec: SearchSpec, cert: dict) -> None:
     for p in spec.premise_formulas:
         ok = ok and all(evaluate(m, p, w) for w in worlds)
     for s in spec.premise_schemes:
-        for sv in _scheme_assignments(scheme_vars(s), worlds):
+        names = scheme_vars(s)
+        for i in range(1 << len(worlds) * len(names)):
+            sv = _assignment(worlds, names, i)
             ok = ok and all(evaluate(m, s, w, scheme_vals=sv) for w in worlds)
     sv = {k: frozenset(v) for k, v in cert.get("assignment", {}).items()}
     if spec.reading == "object":
@@ -682,13 +678,17 @@ def _sweep_chunk(stage, masks, _, bud: Budget):
     for fmask, fr in _frames(n, masks):
         m = FoModel(DomainFrame(fr, domain), "constant")
         bits = _fo_bits(m)
+        symmetric = frame_property(fr, "symmetric")
         for b in _batches(m, d * n, [bits], leaves, {"P": 1}):
             bf, bf_units, _ = b.least(BF_SCHEME, bits, hole)
             cbf, cbf_units, _ = b.least(CBF_SCHEME, bits, hole)
             bud.charge(bf_units(b.base) + cbf_units(b.base))
             inc, dec = _monotone(fr, b.leaves[Exists], b.full)
-            odd = b.base & ((bf ^ dec) | (cbf ^ inc) | (bf ^ cbf))
-            for c in (1 << i for i in range(odd.bit_length()) if odd >> i & 1):
+            odd = b.base & ((bf ^ dec) | (cbf ^ inc)
+                            | (bf ^ cbf if symmetric else 0))
+            while odd:
+                c = odd & -odd
+                odd ^= c
                 coords = {"worlds": n, "frame_mask": fmask,
                           "exists_mask": b.number(c)}
                 c_bf, c_cbf = bool(bf & c), bool(cbf & c)
@@ -701,7 +701,7 @@ def _sweep_chunk(stage, masks, _, bud: Budget):
                     violations.append({**coords,
                                        "check": "cbf_vs_nondecreasing",
                                        "cbf": c_cbf, "nondecreasing": nondec})
-                if c_bf != c_cbf and frame_property(fr, "symmetric"):
+                if symmetric and c_bf != c_cbf:
                     violations.append({**coords,
                                        "check": "bf_iff_cbf_on_symmetric",
                                        "bf": c_bf, "cbf": c_cbf})
@@ -780,7 +780,8 @@ def _gap_chunk(stage, masks, conclusion: Imp, bud: Budget):
     for fmask, fr in _frames(n, masks):
         m = PropModel(fr, {})
         worlds = fr.worlds
-        for sv in _scheme_assignments(names, worlds):
+        for i in range(1 << len(worlds) * len(names)):
+            sv = _assignment(worlds, names, i)
             lhs_valid = all(_charged(bud, m, lhs, w, sv) for w in worlds)
             rhs_valid = all(_charged(bud, m, rhs, w, sv) for w in worlds)
             if lhs_valid and not rhs_valid:

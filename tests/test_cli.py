@@ -223,6 +223,15 @@ class TestBarcan:
         assert doc["axioms"]["CBF"]["consistent"]
         assert doc["bf_iff_cbf_on_symmetric"] is True
 
+    def test_missing_domain_is_a_model_error(self, capsys, write_json):
+        path = write_json("df.json", TOTAL_FRAME)
+        code, out, _ = run(capsys, "barcan", "--dframe", path, "--json")
+        assert code == EXIT_USAGE
+        doc = json.loads(out)
+        assert doc["error"]["kind"] == "model"
+        assert doc["error"]["path"] == "$"
+        assert "missing required key 'domain'" in doc["error"]["message"]
+
 
 class TestCountermodel:
     def test_found_propositional(self, capsys):

@@ -1,6 +1,8 @@
 """Frames, models, property checks against brute-force oracles, and the
 JSON model format with first-violation paths."""
 
+import copy
+import json
 import random
 from itertools import product
 
@@ -9,7 +11,8 @@ import pytest
 from modalkit import (DomainFrame, FlexiblePred, FoModel, Frame,
                       FRAME_PROPERTIES, ModelError, PropModel, RigidPred,
                       domain_frame_from_dict, domain_monotonicity,
-                      frame_from_dict, frame_property, is_total, load_model,
+                      frame_from_dict, frame_property, is_total,
+                      load_domain_frame, load_frame, load_model,
                       model_from_dict, model_to_dict)
 from modalkit.model import _bits, _extension, _pairs, _subsets
 from modalkit.search import enumerate_frames, frame_from_mask
@@ -319,3 +322,140 @@ class TestModelJson:
         assert list(d) == ["worlds", "access", "valuation", "domain",
                            "mode", "exists_in", "flexible_preds",
                            "rigid_preds", "rigid_consts"]
+
+    def test_domain_frame_without_domain_is_a_model_error(self):
+        with pytest.raises(ModelError) as ei:
+            domain_frame_from_dict({"worlds": ["a"], "access": []})
+        assert (ei.value.path, ei.value.message) == \
+            ("$", "missing required key 'domain'")
+
+
+class TestConstructorPaths:
+    """The constructors raise the readers' ModelError, a ValueError, with
+    the path of the offending argument in the model-file layout."""
+
+    @pytest.mark.parametrize("build,path,message", [
+        (lambda: Frame(()), "$.worlds", "at least one world is required"),
+        (lambda: Frame(("a", "a")), "$.worlds[1]", "duplicate world 'a'"),
+        (lambda: Frame(("a", "")), "$.worlds[1]",
+         "world names must be nonempty strings"),
+        (lambda: Frame("ab"), "$.worlds", "expected a list of world names"),
+        (lambda: Frame(("a",), (("a", "a"), ("a", "b"))), "$.access[1][1]",
+         "unknown world 'b'"),
+        (lambda: Frame(("a",), (("a",),)), "$.access[0]",
+         "a pair [from, to] has exactly two entries"),
+        (lambda: PropModel(Frame(("a",)), {"P": ["a"]}), "$.valuation.P",
+         "atom names start lowercase"),
+        (lambda: DomainFrame(Frame(("a", "b")), ("u",), {"a": ["u"]}),
+         "$.exists_in", "missing entry for world 'b'"),
+        (lambda: DomainFrame(Frame(("a",)), ("u",), {"a": ["u", "w"]}),
+         "$.exists_in.a[1]", "unknown element 'w'"),
+        (lambda: FoModel(DomainFrame(Frame(("a",)), ("u",), {"a": []})),
+         "$.exists_in.a", "constant mode requires the full domain"),
+        (lambda: FoModel(DomainFrame(Frame(("a",)), ("u",)), "varying",
+                         flexible_preds={"r": FlexiblePred(1, {"b": []})}),
+         "$.flexible_preds.r.extension.b", "unknown world 'b'"),
+        (lambda: FoModel(DomainFrame(Frame(("a",)), ("u",)),
+                         rigid_preds={"r": RigidPred(2, [("u",)])}),
+         "$.rigid_preds.r.extension[0]", "expected a tuple of arity 2"),
+        (lambda: FoModel(DomainFrame(Frame(("a",)), ("u",)),
+                         rigid_preds={"r": RigidPred(True, [])}),
+         "$.rigid_preds.r.arity", "arity must be a positive integer"),
+    ])
+    def test_path_and_message(self, build, path, message):
+        with pytest.raises(ModelError) as ei:
+            build()
+        assert isinstance(ei.value, ValueError)
+        assert (ei.value.path, ei.value.message) == (path, message)
+
+
+# ---------------------------------------------------------------------------
+# Seeded mutation corpus: one or two random edits of a good document.
+
+_MUTATION_BASES = [
+    GOOD, GOOD_FO,
+    {k: GOOD[k] for k in ("worlds", "access")},
+    {k: GOOD_FO[k] for k in ("worlds", "access", "domain", "exists_in")},
+    {k: GOOD_FO[k] for k in ("worlds", "access", "domain")},
+]
+_MUTATION_VALUES = [0, 1, -1, True, None, 1.5, "", "w0", "zz", "a", "G",
+                    "alive", "constant", "sometimes", [], ["w0"], ["zz"],
+                    ["w0", "w0"], [["a"]], [["a", "b"]], [1], [[1]], {},
+                    {"w0": []}, {"w0": ["a"]}, {"arity": 0, "extension": {}},
+                    {"arity": 1, "extension": []}]
+_MUTATION_KEYS = ["worlds", "access", "valuation", "domain", "mode",
+                  "exists_in", "flexible_preds", "rigid_preds", "arity",
+                  "extension", "w0", "w1", "zz", "a", "c", "g", "G", "alive",
+                  ""]
+
+
+def _nodes(doc, path=()):
+    """(path of the container, key) for every node below doc."""
+    items = (doc.items() if isinstance(doc, dict) else
+             enumerate(doc) if isinstance(doc, list) else ())
+    out = []
+    for k, v in items:
+        out += [(path, k), *_nodes(v, (*path, k))]
+    return out
+
+
+def _at(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+def _mutate(rng, doc):
+    nodes = _nodes(doc)
+    if not nodes:
+        return rng.choice(_MUTATION_VALUES)
+    path, key = rng.choice(nodes)
+    parent = _at(doc, path)
+    value = copy.deepcopy(rng.choice(_MUTATION_VALUES))
+    edit = rng.randrange(4)
+    if edit == 0:
+        parent[key] = value
+    elif edit == 1:
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.append(value)
+    elif edit == 2:
+        parent[rng.choice(_MUTATION_KEYS)] = value
+    else:
+        parent[rng.choice(_MUTATION_KEYS)] = parent.pop(key)
+    return doc
+
+
+def test_mutated_documents_raise_only_model_errors(tmp_path):
+    """Every reader, from a dict or a file, accepts a mutated document or
+    raises ModelError; what it accepts round-trips through model_to_dict."""
+    rng = random.Random(2024)
+    path = tmp_path / "doc.json"
+    readers = [  # reader, loader, the model it reads, the keys it reads
+        (model_from_dict, load_model, lambda m: m, tuple(GOOD_FO)),
+        (frame_from_dict, load_frame, PropModel, ("worlds", "access")),
+        (domain_frame_from_dict, load_domain_frame,
+         lambda df: FoModel(df, "varying"),
+         ("worlds", "access", "domain", "exists_in")),
+    ]
+    accepted = 0
+    for i in range(2000):
+        doc = copy.deepcopy(rng.choice(_MUTATION_BASES))
+        for _ in range(rng.choice((1, 2))):
+            doc = _mutate(rng, doc)
+        path.write_text(json.dumps(doc))
+        for read, load, as_model, keys in readers:
+            outcomes = []
+            for call in (lambda: read(copy.deepcopy(doc)),
+                         lambda: load(str(path))):
+                try:
+                    outcomes.append(model_to_dict(as_model(call())))
+                except ModelError as e:
+                    outcomes.append((e.path, e.message))
+            assert outcomes[0] == outcomes[1], (i, doc)
+            if isinstance(outcomes[0], dict):
+                accepted += 1
+                d = {k: v for k, v in outcomes[0].items() if k in keys}
+                assert model_to_dict(as_model(read(d))) == outcomes[0], \
+                    (i, doc)
+    assert accepted > 200

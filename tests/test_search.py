@@ -9,6 +9,7 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import modalkit.correspondence as correspondence
 import modalkit.search as search
 import modalkit.semantics as sem
 from conftest import random_prop_formula, seeded_randoms
@@ -965,6 +966,30 @@ class TestSlicedScanMatchesPerCandidateScan:
             _same_trips(monkeypatch, "_div_chunk", _oracle_div_chunk,
                         lambda b: find_barcan_divergence(2, 2, budget=b),
                         used, random.Random(0))
+
+
+@pytest.mark.parametrize("block_bits", [12, 3])
+def test_sweep_reports_violations_as_the_oracle_does(monkeypatch, block_bits):
+    """With perturbed exchange schemes every check of the sweep reports
+    violations, the symmetric-frame check included, and each chunk's report
+    and Budget.used match the per-model oracle's."""
+    bf = parse("(forall x. P(x)) => []forall x. P(x)")
+    cbf = parse("[](forall x. P(x)) => forall x. P(x)")
+    monkeypatch.setattr(correspondence, "BF_SCHEME", bf)
+    monkeypatch.setattr(correspondence, "CBF_SCHEME", cbf)
+    monkeypatch.setitem(globals(), "BF_SCHEME", bf)   # the oracle's schemes
+    monkeypatch.setitem(globals(), "CBF_SCHEME", cbf)
+    with _block_bits(block_bits):
+        _chunk_ledger(search._sweep_chunk, _oracle_sweep_chunk,
+                      [(1, 2), (2, 2)], None)
+        violations = barcan_sweep(2, 2)["violations"]
+    checks = {(v["check"], frame_property(
+        frame_from_mask(v["worlds"], v["frame_mask"]), "symmetric"))
+        for v in violations}
+    assert checks == {(c, sym) for c in ("bf_vs_nonincreasing",
+                                         "cbf_vs_nondecreasing")
+                      for sym in (False, True)} | \
+        {("bf_iff_cbf_on_symmetric", True)}
 
 
 class TestCandidateColumnsMatchReference:
