@@ -116,41 +116,39 @@ def _cmd_frame_valid(args) -> int:
     return EXIT_FOUND
 
 
-def _cmd_correspond(args) -> int:
-    fr = load_frame(args.frame)
-    rep = axiom_report(fr, Budget())
-    doc = {"command": "correspond", **rep}
-    lines = ["properties: " +
-             " ".join(f"{k}={'yes' if v else 'no'}"
-                      for k, v in rep["properties"].items())]
-    all_hold = True
-    for axiom_id, e in rep["axioms"].items():
-        status = "holds" if e["holds"] else "fails"
-        all_hold = all_hold and e["holds"]
+def _yes(v: bool) -> str:
+    return "yes" if v else "no"
+
+
+def _report(args, doc: dict, head: str) -> int:
+    """Emit a report: the head line, then whether each axiom holds, with
+    its frame property when it names one and a note where the two are
+    inconsistent; exit 0 when every axiom holds."""
+    lines = [head]
+    for axiom_id, e in doc["axioms"].items():
         prop = e.get("frame_property")
-        tag = f" ({prop}={'yes' if e['property'] else 'no'})" if prop else ""
+        tag = f" ({prop}={_yes(e['property'])})" if prop else ""
         note = "" if e["consistent"] else "  INCONSISTENT"
+        status = "holds" if e["holds"] else "fails"
         lines.append(f"{axiom_id}: {status}{tag}{note}")
     _emit(args, doc, "\n".join(lines))
-    return EXIT_HOLDS if all_hold else EXIT_FOUND
+    holds = all(e["holds"] for e in doc["axioms"].values())
+    return EXIT_HOLDS if holds else EXIT_FOUND
+
+
+def _cmd_correspond(args) -> int:
+    rep = axiom_report(load_frame(args.frame), Budget())
+    return _report(args, {"command": "correspond", **rep}, "properties: " +
+                   " ".join(f"{k}={_yes(v)}"
+                            for k, v in rep["properties"].items()))
 
 
 def _cmd_barcan(args) -> int:
-    df = load_domain_frame(args.dframe)
-    rep = barcan_report(df, Budget())
-    doc = {"command": "barcan", **rep}
-    mono = rep["monotonicity"]
-    lines = ["domains: " +
-             " ".join(f"{k}={'yes' if v else 'no'}" for k, v in mono.items())
-             + f" symmetric={'yes' if rep['symmetric'] else 'no'}"]
-    all_hold = True
-    for axiom_id, e in rep["axioms"].items():
-        status = "holds" if e["holds"] else "fails"
-        all_hold = all_hold and e["holds"]
-        note = "" if e["consistent"] else "  INCONSISTENT"
-        lines.append(f"{axiom_id}: {status}{note}")
-    _emit(args, doc, "\n".join(lines))
-    return EXIT_HOLDS if all_hold else EXIT_FOUND
+    rep = barcan_report(load_domain_frame(args.dframe), Budget())
+    return _report(args, {"command": "barcan", **rep}, "domains: " +
+                   " ".join(f"{k}={_yes(v)}"
+                            for k, v in rep["monotonicity"].items())
+                   + f" symmetric={_yes(rep['symmetric'])}")
 
 
 def _cmd_countermodel(args) -> int:

@@ -61,15 +61,6 @@ def _pairs(rows: Sequence, cols: Sequence, mask: int) -> tuple:
                  for j, c in enumerate(cols) if mask >> (i * k + j) & 1)
 
 
-def _subsets(items: Sequence) -> list[frozenset]:
-    """Every subset of items, at the index of its mask in the _bits layout:
-    adding items[i] to the subsets built so far sets bit i."""
-    out = [frozenset()]
-    for x in items:
-        out += [s | {x} for s in out]
-    return out
-
-
 @lru_cache(maxsize=4096)
 def _extension(domain: tuple[str, ...], worlds: tuple[str, ...], mask: int,
                arity: int = 1) -> dict[str, frozenset[tuple[str, ...]]]:

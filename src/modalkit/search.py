@@ -10,14 +10,15 @@ chunks are consumed in order and the first in-order hit wins.
 A frame's candidate models are not built one at a time: their existence,
 predicate and valuation bits are instance columns above each check's own
 instance bits, so one truth-set pass labels them all, and a candidate's
-verdict and budget units are reductions over its group of bits (the
-model searches, the Barcan sweep and the divergence search share these
-batches).  A model is built only for the witness, and re-checked with the
-plain reference evaluator before it is returned; a failure there raises
-RuntimeError and would mean a bug in the truth-set evaluator, not in the
-caller's input.  Malformed specs, and stages too wide to enumerate, are
-refused before their first candidate is scanned, so no check raises
-inside a batch.
+verdict and budget units are reductions over its group of bits.  The
+model searches, the Barcan sweep, the divergence search and the
+deduction-gap search (whose candidates are its metavariables'
+instantiations) share these batches.  A model is built only for the
+witness, and every witness is re-checked with the plain reference
+evaluator before it is returned; a failure there raises RuntimeError and
+would mean a bug in the truth-set evaluator, not in the caller's input.
+Malformed specs, and stages too wide to enumerate, are refused before
+their first candidate is scanned, so no check raises inside a batch.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ from .formula import (And, Exists, Formula, Imp, SchemeVar, const_names,
                       free_vars, is_propositional, pred_symbols, prop_atoms,
                       render, scheme_vars)
 from .model import (DomainFrame, FlexiblePred, FoModel, Frame,
-                    FRAME_PROPERTIES, PropModel, _ROW_TESTS, _bits, _extension,
+                    FRAME_PROPERTIES, PropModel, _ROW_TESTS, _extension,
                     _pairs, frame_property, model_to_dict)
 from .semantics import (BF_LHS, BF_RHS, Budget, ResourceLimit, _as_budget,
-                        _assignment, _batches, _cell_leaves, _charge, _fo_bits,
-                        _scheme_bits, _scheme_leaves, bf_readings, evaluate)
+                        _batches, _charge, _decode, _fields, _fo_bits, _leaves,
+                        _scheme_bits, bf_readings, evaluate)
 
 __all__ = [
     "SearchSpec", "SearchResult", "CONSTRAINT_NAMES",
@@ -308,61 +309,12 @@ def _check_domain(name: str, d: int, least: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Candidate spaces: the models a stage scans on one frame, as columns
-
-def _fields(n: int, d: int, preds: dict[str, int], atoms: Sequence[str],
-            varying: bool) -> list[tuple[str | None, int, int, int]]:
-    """(name, arity, offset, width) of each field of a candidate number,
-    least significant first, so that candidates ascend in scan order: the
-    valuation masks (atoms sorted, the first highest; arity 0), the
-    predicate masks (sorted, the first highest; cell-major, as decoded by
-    model._extension) and, when varying, the existence mask (name None;
-    world-major, bit wi*d+ei puts element ei at world wi)."""
-    parts = [(a, 0, n) for a in reversed(atoms)]
-    parts += [(p, preds[p], d ** preds[p] * n)
-              for p in sorted(preds, reverse=True)]
-    if varying:
-        parts.append((None, 1, d * n))
-    out, off = [], 0
-    for name, arity, width in parts:
-        out.append((name, arity, off, width))
-        off += width
-    return out
-
-
-def _candidate_leaves(fields, domain: Sequence[str], n: int):
-    """The _truth leaves of the candidate fields, from their bit columns."""
-    d = len(domain)
-
-    def leaves(cols):
-        out = {}
-        for name, arity, off, width in fields:
-            c = cols[off:off + width]
-            if name is None:
-                out[Exists] = [c[ei::d] for ei in range(d)]
-            elif arity == 0:
-                out[name] = c
-            else:
-                out.update(((name, cell), c[ci * n:(ci + 1) * n]) for ci, cell
-                           in enumerate(product(domain, repeat=arity)))
-        return out
-    return leaves
-
+# Candidate models: the models a stage scans on one frame
 
 def _candidate(fr: Frame, domain, mode: str, fields, c: int):
     """The model that candidate number c stands for on fr: a PropModel
     when domain is None."""
-    worlds, val, flex, exists = fr.worlds, {}, {}, None
-    for name, arity, off, width in fields:
-        mask = c >> off & ((1 << width) - 1)
-        if name is None:
-            pairs = _pairs(worlds, domain, mask)
-            exists = {w: [e for v, e in pairs if v == w] for w in worlds}
-        elif arity == 0:
-            val[name] = _bits(worlds, mask)
-        else:
-            flex[name] = FlexiblePred(arity, _extension(domain, worlds, mask,
-                                                        arity))
+    val, flex, exists = _decode(fields, domain or (), fr.worlds, c)
     if domain is None:
         return PropModel(fr, val)
     return FoModel(DomainFrame(fr, domain, exists), mode, val,
@@ -387,7 +339,8 @@ def _checks(spec: SearchSpec, n: int) -> list:
     A check with too many instances to enumerate raises ResourceLimit
     here, before any candidate is scanned."""
     def check(names, f):
-        ib, inst = _scheme_bits(n, len(names)), _scheme_leaves(names, n)
+        ib = _scheme_bits(n, len(names))
+        inst = _leaves(_fields(n, 0, (), tuple(names)), (), n)
         if isinstance(f, tuple):
             return ib, lambda b: b.meta(f[:1], f[1], ib, inst)
         return ib, lambda b: b.least(f, ib, inst)
@@ -421,8 +374,9 @@ def _certificate(spec: SearchSpec, worlds, wi: int, i: int) -> dict:
     """What the conclusion's witness, world index wi and instance i,
     certifies, in the order the single-model checks' verdicts gave it."""
     names = _conclusion_names(spec)
-    assignment = {k: list(vs) for k, vs in sorted(
-        _assignment(worlds, names, i).items())}
+    val = _decode(_fields(len(worlds), 0, (), tuple(names)), (), worlds,
+                  i)[0]
+    assignment = {k: list(vs) for k, vs in sorted(val.items())}
     cert = {"reading": spec.reading,
             "conclusion": render(spec.conclusion, "ascii")}
     if spec.reading == "meta":
@@ -439,6 +393,11 @@ def _certificate(spec: SearchSpec, worlds, wi: int, i: int) -> dict:
     return cert
 
 
+def _recheck_failed(kind: str) -> RuntimeError:
+    return RuntimeError(f"{kind} witness failed the independent re-check; "
+                        "this is a bug, please report it")
+
+
 def _revalidate(m, spec: SearchSpec, cert: dict) -> None:
     """Independent re-check of a witness with the reference evaluator."""
     worlds = m.worlds
@@ -447,8 +406,9 @@ def _revalidate(m, spec: SearchSpec, cert: dict) -> None:
         ok = ok and all(evaluate(m, p, w) for w in worlds)
     for s in spec.premise_schemes:
         names = scheme_vars(s)
+        fields = _fields(len(worlds), 0, (), tuple(names))
         for i in range(1 << len(worlds) * len(names)):
-            sv = _assignment(worlds, names, i)
+            sv = _decode(fields, (), worlds, i)[0]
             ok = ok and all(evaluate(m, s, w, scheme_vals=sv) for w in worlds)
     sv = {k: frozenset(v) for k, v in cert.get("assignment", {}).items()}
     if spec.reading == "object":
@@ -460,8 +420,7 @@ def _revalidate(m, spec: SearchSpec, cert: dict) -> None:
         ok = ok and not evaluate(m, spec.conclusion.rhs, cert["world"],
                                  scheme_vals=sv)
     if not ok:
-        raise RuntimeError("search witness failed the independent re-check; "
-                           "this is a bug, please report it")
+        raise _recheck_failed("search")
 
 
 def _signature(spec: SearchSpec) -> tuple[dict[str, int], list[str]]:
@@ -479,10 +438,10 @@ def _spec_chunk(stage, masks, spec: SearchSpec, bud: Budget):
     domain = _domain_names(d) if len(stage) > 1 else None
     preds, atoms = _signature(spec)
     varying = spec.mode == "varying" and domain is not None
-    fields = _fields(n, d, preds, atoms, varying)
+    fields = _fields(n, d, tuple(preds.items()), tuple(atoms), varying)
     cb = sum(f[3] for f in fields)
     checks = _checks(spec, n)
-    leaves = _candidate_leaves(fields, domain or (), n)
+    leaves = _leaves(fields, domain or (), n)
     for mask, fr in _frames(n, masks, spec.frame_constraints):
         m = (PropModel(fr, {}) if domain is None
              else FoModel(DomainFrame(fr, domain), "constant"))
@@ -541,8 +500,9 @@ def _fo_stages(spec: SearchSpec) -> Iterator[tuple[int, int]]:
     preds, atoms = _signature(spec)
     for n in range(1, spec.max_worlds + 1):
         for d in range(1, spec.max_domain + 1):
-            bits = n * (d * (spec.mode == "varying") + len(atoms)
-                        + sum(d ** arity for arity in preds.values()))
+            bits = sum(f[3] for f in _fields(
+                n, d, tuple(preds.items()), tuple(atoms),
+                spec.mode == "varying"))
             if bits > FO_SEARCH_BITS:
                 raise ResourceLimit(
                     f"stage {n} worlds x {d} elements needs 2**{bits} "
@@ -579,23 +539,17 @@ def find_fo_countermodel(spec: SearchSpec, jobs: int = 1, budget=None
 # ---------------------------------------------------------------------------
 # The quantifier/Box exchange: divergence search and exhaustive sweeps
 
-def _exchange_space(n: int, d: int):
-    """Domain names, candidate fields (existence masks alone) and hole
-    leaves for the exchange scans over the varying domains on n worlds."""
-    domain = _domain_names(d)
-    fields = _fields(n, d, {}, (), varying=True)
-    return (domain, fields, _candidate_leaves(fields, domain, n),
-            _cell_leaves("P", domain, n))
-
-
 def _div_chunk(stage, masks, _, bud: Budget):
     n, d = stage
-    domain, fields, leaves, hole = _exchange_space(n, d)
+    domain = _domain_names(d)
+    fields = _fields(n, d, (), (), varying=True)
+    exists = _leaves(fields, domain, n)
+    hole = _leaves(_fields(n, d, (("P", 1),), ()), domain, n)
     lhs, rhs = BF_LHS("P"), BF_RHS("P")
     for fmask, fr in _frames(n, masks):
         m = FoModel(DomainFrame(fr, domain), "constant")
         bits = _fo_bits(m)
-        for b in _batches(m, d * n, [bits], leaves, {"P": 1}):
+        for b in _batches(m, d * n, [bits], exists, {"P": 1}):
             # the existence masks where the rule reading holds and the
             # implication fails under some interpretation
             div = (b.meta([lhs], rhs, bits, hole)[0]
@@ -653,8 +607,7 @@ def _revalidate_divergence(fm: FoModel, r) -> None:
                  flexible_preds={"P": FlexiblePred(1, ext)})
     ok = ok and evaluate(m2, lhs, w0) and not evaluate(m2, rhs, w0)
     if not ok:
-        raise RuntimeError("divergence witness failed the independent "
-                           "re-check; this is a bug, please report it")
+        raise _recheck_failed("divergence")
 
 
 def _monotone(fr: Frame, exists, full: int) -> tuple[int, int]:
@@ -672,14 +625,16 @@ def _monotone(fr: Frame, exists, full: int) -> tuple[int, int]:
 def _sweep_chunk(stage, masks, _, bud: Budget):
     from .correspondence import BF_SCHEME, CBF_SCHEME
     n, d = stage
-    domain, _, leaves, hole = _exchange_space(n, d)
+    domain = _domain_names(d)
+    exists = _leaves(_fields(n, d, (), (), varying=True), domain, n)
+    hole = _leaves(_fields(n, d, (("P", 1),), ()), domain, n)
     checked = 0
     violations: list[dict] = []
     for fmask, fr in _frames(n, masks):
         m = FoModel(DomainFrame(fr, domain), "constant")
         bits = _fo_bits(m)
         symmetric = frame_property(fr, "symmetric")
-        for b in _batches(m, d * n, [bits], leaves, {"P": 1}):
+        for b in _batches(m, d * n, [bits], exists, {"P": 1}):
             bf, bf_units, _ = b.least(BF_SCHEME, bits, hole)
             cbf, cbf_units, _ = b.least(CBF_SCHEME, bits, hole)
             bud.charge(bf_units(b.base) + cbf_units(b.base))
@@ -767,38 +722,45 @@ def bf_agreement_sweep(max_worlds: int = 3, max_domain: int = 2,
 # ---------------------------------------------------------------------------
 # Deduction-theorem gap
 
-def _charged(bud: Budget, m, f: Formula, w: str, sv) -> bool:
-    """evaluate, charging the budget its one unit."""
-    bud.charge()
-    return evaluate(m, f, w, scheme_vals=sv)
-
-
 def _gap_chunk(stage, masks, conclusion: Imp, bud: Budget):
+    """The chunk's least gap as (frame mask, model, certificate), or None.
+    The metavariables' world masks are the candidate fields, one instance
+    per candidate."""
     (n,) = stage
-    names = scheme_vars(conclusion)
-    lhs, rhs = conclusion.lhs, conclusion.rhs
+    fields = _fields(n, 0, (), tuple(scheme_vars(conclusion)))
     for fmask, fr in _frames(n, masks):
         m = PropModel(fr, {})
-        worlds = fr.worlds
-        for i in range(1 << len(worlds) * len(names)):
-            sv = _assignment(worlds, names, i)
-            lhs_valid = all(_charged(bud, m, lhs, w, sv) for w in worlds)
-            rhs_valid = all(_charged(bud, m, rhs, w, sv) for w in worlds)
-            if lhs_valid and not rhs_valid:
-                continue  # the rule reading fails here: not a gap
-            fail = next((w for w in worlds
-                         if not _charged(bud, m, conclusion, w, sv)), None)
-            if fail is not None:
+        for b in _batches(m, n * len(fields), [0], _leaves(fields, (), n)):
+            (lhs, lhs_units, _), (rhs, rhs_units, _), (imp, units, witness) = (
+                b.least(f, 0, lambda cols: {})
+                for f in (conclusion.lhs, conclusion.rhs, conclusion))
+            rule = b.base & ~(lhs & ~rhs)
+            gap = rule & ~imp
+            hit = gap & -gap
+            upto = (2 * hit - 1) & b.base
+            bud.charge(lhs_units(upto) + rhs_units(upto) + units(upto & rule))
+            if hit:
+                val = _decode(fields, (), fr.worlds, b.number(hit))[0]
                 return fmask, m, {
                     "kind": "deduction_gap",
                     "conclusion": render(conclusion, "ascii"),
-                    "assignment": {k: sorted(v, key=fr.index.__getitem__)
-                                   for k, v in sorted(sv.items())},
-                    "world": fail,
-                    "lhs_valid": lhs_valid,
-                    "rhs_valid": rhs_valid,
+                    "assignment": {k: list(v) for k, v in sorted(val.items())},
+                    "world": fr.worlds[witness(hit)[0]],
+                    "lhs_valid": bool(lhs & hit),
+                    "rhs_valid": bool(rhs & hit),
                 }
     return None
+
+
+def _revalidate_gap(m, conclusion: Imp, cert: dict) -> None:
+    """Reference-evaluator re-check of a gap: each side's validity, the
+    rule reading, and the implication failing at the reported world."""
+    sv = {k: frozenset(v) for k, v in cert["assignment"].items()}
+    lhs, rhs = (all(evaluate(m, f, w, scheme_vals=sv) for w in m.worlds)
+                for f in (conclusion.lhs, conclusion.rhs))
+    if ((lhs, rhs) != (cert["lhs_valid"], cert["rhs_valid"]) or lhs and not rhs
+            or evaluate(m, conclusion, cert["world"], scheme_vals=sv)):
+        raise _recheck_failed("gap")
 
 
 def find_deduction_gap(conclusion: Formula | None = None,
@@ -809,9 +771,13 @@ def find_deduction_gap(conclusion: Formula | None = None,
     implication formula itself fails — the deduction-theorem direction that
     modal consequence lacks.  Default conclusion: P => Q over metavariables.
 
-    The check uses the reference evaluator directly, and the budget counts
-    its calls.  No such gap fits in a single world; the least witnesses
-    appear at two."""
+    The metavariables' instantiations are the candidates of the shared
+    truth-set batches, and the budget charges one unit for each evaluate
+    call of the instance-by-instance scan: each side of the implication at
+    every world up to its first failure, and the implication itself where
+    the rule reading holds.  The witness is re-checked with the reference
+    evaluator before it is returned.  No such gap fits in a single world;
+    the least witnesses appear at two."""
     if conclusion is None:
         conclusion = Imp(SchemeVar("P"), SchemeVar("Q"))
     if not isinstance(conclusion, Imp):
@@ -826,5 +792,6 @@ def find_deduction_gap(conclusion: Formula | None = None,
     for (n,), hit in _scan(stages, _gap_chunk, conclusion, jobs, budget):
         if hit is not None:
             fmask, m, cert = hit
+            _revalidate_gap(m, conclusion, cert)
             return SearchResult(m, {"worlds": n, "frame_mask": fmask, **cert})
     return None

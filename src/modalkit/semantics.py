@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import product
 from operator import and_
 from typing import Iterable, Mapping, Sequence
 
@@ -28,7 +29,8 @@ from .formula import (
     PredAtom, PropAtom, SchemeVar, StrictImp,
     free_vars, is_propositional, prop_atoms, scheme_vars,
 )
-from .model import FoModel, Frame, PropModel, _bits, _pairs
+from .model import (FlexiblePred, FoModel, Frame, PropModel, _bits,
+                    _extension, _pairs)
 
 __all__ = [
     "EvalError", "UnboundScheme", "UnboundVar", "UnknownSymbol",
@@ -479,7 +481,12 @@ def _meta(m, premises: Sequence[Formula], conclusion: Formula, bits: int,
 
 
 # ---------------------------------------------------------------------------
-# Candidate spaces
+# Instance spaces
+#
+# Every space a scan enumerates is one layout of named fields over the bits
+# of an instance number: a scheme's metavariables are arity-0 fields, a
+# first-order hole is one unary predicate field, and a search's candidate
+# models are their valuation, predicate and existence fields.
 #
 # A search labels many candidate models at once: the candidate's own choices
 # (existence map, predicate cells, valuation) are columns above a check's
@@ -488,6 +495,63 @@ def _meta(m, premises: Sequence[Formula], conclusion: Formula, bits: int,
 # group of 2**g bits, and per-candidate verdicts and units are popcounts over
 # the groups.  A candidate whose instances fill a block is scanned alone, by
 # the same _least and _meta scans as a single model.
+
+@lru_cache(maxsize=1024)
+def _fields(n: int, d: int, preds: tuple[tuple[str, int], ...],
+            atoms: tuple[str, ...], varying: bool = False) -> tuple:
+    """(name, arity, offset, width) of each field of an instance number on
+    n worlds and d elements, least significant first, so that instances
+    ascend in scan order: the arity-0 masks (atoms, the first highest), the
+    masks of the (name, arity) preds (sorted, the first highest; cell-major,
+    as decoded by model._extension) and, when varying, the existence mask
+    (name None; world-major, bit wi*d+ei puts element ei at world wi).
+    Memoised, as are the leaves, since checks rebuild the same few layouts
+    over and over."""
+    parts = [(a, 0) for a in reversed(atoms)]
+    parts += sorted(preds, reverse=True)
+    out, off = [], 0
+    for name, arity in parts + [(None, 1)] * varying:
+        out.append((name, arity, off, d ** arity * n))
+        off += d ** arity * n
+    return tuple(out)
+
+
+@lru_cache(maxsize=1024)
+def _leaves(fields, domain: tuple, n: int):
+    """The _truth leaves of the fields from the columns of their bits:
+    arity-0 fields by name, predicate cells by (name, element tuple), and
+    the existence field under Exists, one column list per element."""
+    d = len(domain)
+    cells = [((name, cell) if arity else name, off + ci * n)
+             for name, arity, off, _ in fields if name is not None
+             for ci, cell in enumerate(product(domain, repeat=arity))]
+    ex = [off for name, _, off, _ in fields if name is None]
+
+    def leaves(cols):
+        out = {key: cols[lo:lo + n] for key, lo in cells}
+        for off in ex:
+            out[Exists] = [cols[off + ei:off + d * n:d] for ei in range(d)]
+        return out
+    return leaves
+
+
+def _decode(fields, domain: tuple, worlds: tuple, i: int):
+    """What instance number i gives the fields, most significant first:
+    (arity-0 name -> worlds where it holds, predicate -> FlexiblePred, world
+    -> elements existing there, or None without an existence field)."""
+    val, flex, exists = {}, {}, None
+    for name, arity, off, width in reversed(fields):
+        mask = i >> off & ((1 << width) - 1)
+        if name is None:
+            pairs = _pairs(worlds, domain, mask)
+            exists = {w: [e for v, e in pairs if v == w] for w in worlds}
+        elif arity:
+            flex[name] = FlexiblePred(arity, _extension(domain, worlds, mask,
+                                                        arity))
+        else:
+            val[name] = _bits(worlds, mask)
+    return val, flex, exists
+
 
 class _Batch:
     """Candidates c0 .. c0 + 2**cbb - 1 of a space of 2**cb on the base
@@ -604,7 +668,7 @@ def scheme_valid(m: PropModel | FoModel, scheme: Formula,
     world-index bitmasks)."""
     if not is_propositional(scheme):
         raise NotPropositional("scheme_valid needs a propositional scheme")
-    return _scheme_check(m, scheme, scheme_vars(scheme), budget)
+    return _scheme_check(m, scheme_vars(scheme), budget, _least, scheme)
 
 
 def frame_valid(fr: Frame, scheme: Formula, budget=None) -> Verdict:
@@ -614,7 +678,7 @@ def frame_valid(fr: Frame, scheme: Formula, budget=None) -> Verdict:
         raise NotPropositional("frame_valid needs a propositional scheme")
     m = PropModel(fr, {})
     names = sorted(set(scheme_vars(scheme)) | set(prop_atoms(scheme)))
-    return _scheme_check(m, scheme, names, budget)
+    return _scheme_check(m, names, budget, _least, scheme)
 
 
 def _scheme_bits(n: int, k: int) -> int:
@@ -625,31 +689,19 @@ def _scheme_bits(n: int, k: int) -> int:
     return n * k
 
 
-def _scheme_leaves(names: Sequence[str], n: int):
-    """names[j] at world wi is instance bit n*(k-1-j) + wi, so instances
-    ascend as product(range(2**n), repeat=k) over the names' world masks."""
-    k = len(names)
-    return lambda cols: {nm: cols[n * (k - 1 - j):n * (k - j)]
-                         for j, nm in enumerate(names)}
-
-
-def _assignment(worlds: Sequence[str], names: Sequence[str], i: int) -> dict:
-    n, k = len(worlds), len(names)
-    return {nm: _bits(worlds, i >> n * (k - 1 - j) & ((1 << n) - 1))
-            for j, nm in enumerate(names)}
-
-
-def _scheme_check(m, scheme: Formula, names: Sequence[str],
-                  budget) -> Verdict:
+def _scheme_check(m, names: Sequence[str], budget, scan, *fs) -> Verdict:
+    """The verdict of scan(m, *fs, bits, leaves) over the instantiations of
+    the metavariables names, charged to budget."""
     bud = _as_budget(budget)
     worlds = m.worlds
     bits = _scheme_bits(len(worlds), len(names))
-    best, units = _least(m, scheme, bits, _scheme_leaves(names, len(worlds)))
+    fields = _fields(len(worlds), 0, (), tuple(names))
+    best, units = scan(m, *fs, bits, _leaves(fields, (), len(worlds)))
     _charge(bud, units)
     if best is None:
         return Verdict(True)
     return Verdict(False, world=worlds[best[0]],
-                   assignment=_assignment(worlds, names, best[1]))
+                   assignment=_decode(fields, (), worlds, best[1])[0])
 
 
 def meta_implies(m: PropModel | FoModel, premises: Sequence[Formula],
@@ -663,18 +715,9 @@ def meta_implies(m: PropModel | FoModel, premises: Sequence[Formula],
     object reading of an implication is ``valid``/``scheme_valid`` of a
     single Imp formula instead.
     """
-    bud = _as_budget(budget)
-    worlds = m.worlds
     names = sorted(set().union(*(scheme_vars(p) for p in premises),
                                scheme_vars(conclusion)))
-    n = len(worlds)
-    best, units = _meta(m, premises, conclusion, _scheme_bits(n, len(names)),
-                        _scheme_leaves(names, n))
-    _charge(bud, units)
-    if best is None:
-        return Verdict(True)
-    return Verdict(False, world=worlds[best[0]],
-                   assignment=_assignment(worlds, names, best[1]))
+    return _scheme_check(m, names, budget, _meta, premises, conclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -687,13 +730,6 @@ def _fo_bits(fm: FoModel) -> int:
             f"interpretation enumeration needs |domain|*|worlds| = {bits} "
             f"bits (limit {FO_PAIRS_LIMIT})")
     return bits
-
-
-def _cell_leaves(hole: str, domain: Sequence[str], n: int):
-    """Hole cell (e,) at world wi is instance bit ci*n + wi for e =
-    domain[ci]: instances are the cell-major masks of model._extension."""
-    return lambda cols: {(hole, (e,)): cols[ci * n:(ci + 1) * n]
-                         for ci, e in enumerate(domain)}
 
 
 def fo_scheme_valid(fm: FoModel, scheme: Formula, hole: str,
@@ -709,8 +745,9 @@ def fo_scheme_valid(fm: FoModel, scheme: Formula, hole: str,
         raise ValueError(f"scheme must be closed, free: {free_vars(scheme)}")
     bud = _as_budget(budget)
     worlds, domain = fm.worlds, fm.domain
-    best, units = _least(fm, scheme, _fo_bits(fm),
-                         _cell_leaves(hole, domain, len(worlds)), {hole: 1})
+    n = len(worlds)
+    best, units = _least(fm, scheme, _fo_bits(fm), _leaves(
+        _fields(n, len(domain), ((hole, 1),), ()), domain, n), {hole: 1})
     _charge(bud, units)
     if best is None:
         return Verdict(True)
@@ -769,7 +806,9 @@ def bf_readings(fm: FoModel, hole: str = "P", budget=None) -> BfReadings:
     worlds, domain = fm.worlds, fm.domain
     bits = _fo_bits(fm)
     lhs, rhs = BF_LHS(hole), BF_RHS(hole)
-    leaves, preds = _cell_leaves(hole, domain, len(worlds)), {hole: 1}
+    leaves = _leaves(_fields(len(worlds), len(domain), ((hole, 1),), ()),
+                     domain, len(worlds))
+    preds = {hole: 1}
     pointwise = meta_iff = meta_imp = True
     best: tuple[int, int] | None = None
     for first, full, cols in _blocks(bits):

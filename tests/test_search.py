@@ -24,7 +24,7 @@ from modalkit import (BF_SCHEME, CBF_SCHEME, FRAME_PROPERTIES, And, Box, Dia,
                       fo_scheme_valid, frame_property, is_total, meta_implies,
                       model_from_dict, model_to_dict, parse, render,
                       scheme_valid, valid)
-from modalkit.formula import BoundVar, is_propositional
+from modalkit.formula import BoundVar, is_propositional, scheme_vars
 from modalkit.model import _bits, _extension, _pairs
 from modalkit.search import (CONSTRAINT_NAMES, enumerate_frames, frame_from_mask,
                              frame_mask)
@@ -463,6 +463,22 @@ class TestDeductionGap:
     def test_no_gap_on_one_world(self):
         assert find_deduction_gap(max_worlds=1) is None
 
+    @pytest.mark.parametrize("tamper", [
+        {"world": "w1"},                                # P => Q holds there
+        {"lhs_valid": True},                            # P is not valid
+        {"assignment": {"P": ["w0", "w1"], "Q": []}},   # the rule fails
+    ])
+    def test_witness_is_rechecked(self, monkeypatch, tamper):
+        real = search._gap_chunk
+
+        def tampered(*args):
+            hit = real(*args)
+            return hit and (*hit[:2], {**hit[2], **tamper})
+        monkeypatch.setattr(search, "_gap_chunk", tampered)
+        with pytest.raises(RuntimeError, match="gap witness failed the "
+                           "independent re-check"):
+            find_deduction_gap()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             find_deduction_gap(parse("[]P"))
@@ -604,19 +620,6 @@ def test_pooled_search_stops_without_terminating_its_pool(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def _count_evaluate(monkeypatch, call):
-    import modalkit.search as search_mod
-    real, calls = search_mod.evaluate, []
-
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs)
-    with monkeypatch.context() as mp:
-        mp.setattr(search_mod, "evaluate", counting)
-        result = call()
-    return result, len(calls)
-
-
 def test_predicate_at_two_arities_is_refused_before_the_scan():
     # the second premise is never reached, but the signature is refused
     spec = SearchSpec(parse("exists x. exists y. r(x, y)"),
@@ -639,20 +642,20 @@ def test_wide_scheme_stage_is_refused_at_its_first_chunk():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_gap_budget_counts_one_unit_per_evaluate_call(monkeypatch, jobs):
-    # A scan with no gap charges every call to the parent ledger.
-    none, calls = _count_evaluate(
-        monkeypatch, lambda: find_deduction_gap(max_worlds=1))
-    assert none is None
+def test_gap_budget_counts_one_unit_per_evaluate_call(jobs):
+    # The units are the evaluate calls of the instance-by-instance scan
+    # (_oracle_gap_chunk), pinned: a scan with no gap charges every call to
+    # the parent ledger.
+    calls = 22
     assert find_deduction_gap(max_worlds=1, jobs=jobs, budget=calls) is None
     with pytest.raises(ResourceLimit) as ei:
         find_deduction_gap(max_worlds=1, jobs=jobs, budget=calls - 1)
     assert ei.value.frontier == {"worlds": 1}
     # The default search stops at a hit in the first chunk of its second
     # stage; the ledger charges that chunk too, the calls up to the hit.
-    hit, total = _count_evaluate(monkeypatch, find_deduction_gap)
+    total = 44
     assert find_deduction_gap(jobs=jobs, budget=total).to_dict() == \
-        hit.to_dict()
+        find_deduction_gap().to_dict()
     with pytest.raises(ResourceLimit) as ei:
         find_deduction_gap(jobs=jobs, budget=total - 1)
     assert ei.value.frontier == {"worlds": 2}
@@ -788,6 +791,40 @@ def _oracle_div_chunk(stage, masks, _, bud):
         r = bf_readings(fm, "P", bud)
         if r.meta_implies and not r.object_implies:
             return fmask, emask, fm, r
+    return None
+
+
+def _oracle_gap_chunk(stage, masks, conclusion, bud):
+    """The deduction-gap scan instance by instance on the reference
+    evaluator, one budget unit per evaluate call."""
+    (n,) = stage
+    names = scheme_vars(conclusion)
+    lhs, rhs = conclusion.lhs, conclusion.rhs
+
+    def charged(m, f, w, sv):
+        bud.charge()
+        return evaluate(m, f, w, scheme_vals=sv)
+    for fmask, fr in _oracle_frames(n, masks, frozenset()):
+        m = PropModel(fr, {})
+        worlds = fr.worlds
+        for vmasks in product(range(1 << n), repeat=len(names)):
+            sv = {nm: _bits(worlds, vm) for nm, vm in zip(names, vmasks)}
+            lhs_valid = all(charged(m, lhs, w, sv) for w in worlds)
+            rhs_valid = all(charged(m, rhs, w, sv) for w in worlds)
+            if lhs_valid and not rhs_valid:
+                continue  # the rule reading fails here: not a gap
+            fail = next((w for w in worlds
+                         if not charged(m, conclusion, w, sv)), None)
+            if fail is not None:
+                return fmask, m, {
+                    "kind": "deduction_gap",
+                    "conclusion": render(conclusion, "ascii"),
+                    "assignment": {k: sorted(v, key=fr.index.__getitem__)
+                                   for k, v in sorted(sv.items())},
+                    "world": fail,
+                    "lhs_valid": lhs_valid,
+                    "rhs_valid": rhs_valid,
+                }
     return None
 
 
@@ -967,6 +1004,20 @@ class TestSlicedScanMatchesPerCandidateScan:
                         lambda b: find_barcan_divergence(2, 2, budget=b),
                         used, random.Random(0))
 
+    @pytest.mark.parametrize("seed", ["P => Q", "P => []P", "[]P => P",
+                                      "P => P", *range(8)])
+    def test_find_deduction_gap(self, monkeypatch, block_bits, seed):
+        rng = random.Random(seed)
+        conclusion = parse(seed) if isinstance(seed, str) else Imp(
+            *(random_prop_formula(rng, 2, (), ("P", "Q", "R"))
+              for _ in range(2)))
+        with _block_bits(block_bits):
+            used = _chunk_ledger(search._gap_chunk, _oracle_gap_chunk,
+                                 [(1,), (2,)], conclusion)
+            _same_trips(monkeypatch, "_gap_chunk", _oracle_gap_chunk,
+                        lambda b: find_deduction_gap(conclusion, budget=b),
+                        used, rng)
+
 
 @pytest.mark.parametrize("block_bits", [12, 3])
 def test_sweep_reports_violations_as_the_oracle_does(monkeypatch, block_bits):
@@ -993,39 +1044,71 @@ def test_sweep_reports_violations_as_the_oracle_does(monkeypatch, block_bits):
 
 
 class TestCandidateColumnsMatchReference:
-    """Bit c of _truth over the candidate columns is evaluate on the model
-    that candidate number c decodes to, for every candidate and world."""
+    """Bit c of _truth over the leaves of an instance space is evaluate on
+    the model (and instantiation) that instance number c decodes to, for
+    every instance and world: candidate models, a scheme's metavariables
+    and a first-order hole."""
 
-    @given(seeded_randoms, st.sampled_from([12, 3]))
-    @settings(max_examples=100, deadline=None)
-    def test_every_candidate(self, rng, block_bits):
+    @given(seeded_randoms, st.sampled_from([12, 3]),
+           st.sampled_from(["candidate", "scheme", "hole"]))
+    @settings(max_examples=150, deadline=None)
+    def test_every_candidate(self, rng, block_bits, space):
         n = rng.randint(1, 2)
         worlds = tuple(f"w{i}" for i in range(n))
         fr = Frame(worlds, [(a, b) for a in worlds for b in worlds
                             if rng.random() < 0.5])
         atoms = sorted(rng.sample(("p", "q"), rng.randint(0, 2)))
-        if rng.random() < 0.25:
-            domain, preds, varying = None, {}, False
-            f = random_prop_formula(rng, rng.randint(0, 4), atoms or ("p",))
-            base = PropModel(fr, {})
-        else:
+        if space == "scheme":
+            domain, preds = (), {}
+            names = sorted(rng.sample(("P", "Q", "R"), rng.randint(0, 3)))
+            fields = sem._fields(n, 0, (), tuple(names))
+            f = random_prop_formula(rng, rng.randint(0, 4), ("p",), names)
+            base = PropModel(fr, {"p": _bits(worlds, rng.getrandbits(n))})
+
+            def decoded(c):
+                return base, sem._decode(fields, (), worlds, c)[0]
+        elif space == "hole":
             # the empty domain, and empty local domains, included
-            domain = search._domain_names(rng.randint(0, 2))
-            # at most 2**12 candidates
-            table = (("alive", 1), ("near", 2))[
-                :rng.randint(1, 1 + (n * len(domain) ** 2 <= 4))]
-            preds, varying = dict(table), rng.random() < 0.7
-            f = _closed_fo_formula(rng, rng.randint(0, 4), (), table,
-                                   atoms or ("p",))
-            base = FoModel(DomainFrame(fr, domain), "constant")
-        mode = "varying" if varying else "constant"
-        fields = search._fields(n, len(domain or ()), preds, atoms, varying)
+            domain, preds = search._domain_names(rng.randint(0, 2)), {"P": 1}
+            fields = sem._fields(n, len(domain), (("P", 1),), ())
+            f = _closed_fo_formula(rng, rng.randint(0, 4), (), (("P", 1),),
+                                   ("p",))
+            base = FoModel(DomainFrame(fr, domain, {
+                w: [e for e in domain if rng.random() < 0.7]
+                for w in worlds}), "varying", {"p": worlds[:1]})
+
+            def decoded(c):
+                return FoModel(base.dframe, "varying", base.valuation,
+                               flexible_preds=sem._decode(
+                                   fields, domain, worlds, c)[1]), None
+        else:
+            if rng.random() < 0.25:
+                domain, preds, varying = None, {}, False
+                f = random_prop_formula(rng, rng.randint(0, 4),
+                                        atoms or ("p",))
+                base = PropModel(fr, {})
+            else:
+                domain = search._domain_names(rng.randint(0, 2))
+                # at most 2**12 candidates
+                table = (("alive", 1), ("near", 2))[
+                    :rng.randint(1, 1 + (n * len(domain) ** 2 <= 4))]
+                preds, varying = dict(table), rng.random() < 0.7
+                f = _closed_fo_formula(rng, rng.randint(0, 4), (), table,
+                                       atoms or ("p",))
+                base = FoModel(DomainFrame(fr, domain), "constant")
+            mode = "varying" if varying else "constant"
+            fields = sem._fields(n, len(domain or ()),
+                                 tuple(preds.items()), tuple(atoms), varying)
+
+            def decoded(c):
+                return search._candidate(fr, domain, mode, fields, c), None
         cb = sum(width for *_, width in fields)
-        leaves = search._candidate_leaves(fields, domain or (), n)
+        leaves = sem._leaves(fields, domain or (), n)
         with _block_bits(block_bits):
             for first, full, cols in sem._blocks(cb):
                 sets = sem._truth(base, f, leaves(cols), full, preds)
                 for i in range(full.bit_length()):
-                    m = search._candidate(fr, domain, mode, fields, first + i)
+                    m, sv = decoded(first + i)
                     assert [x >> i & 1 for x in sets] == \
-                        [evaluate(m, f, w) for w in worlds], first + i
+                        [evaluate(m, f, w, scheme_vals=sv) for w in worlds], \
+                        first + i
