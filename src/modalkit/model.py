@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
@@ -61,13 +61,11 @@ def _pairs(rows: Sequence, cols: Sequence, mask: int) -> tuple:
                  for j, c in enumerate(cols) if mask >> (i * k + j) & 1)
 
 
-@lru_cache(maxsize=4096)
 def _extension(domain: tuple[str, ...], worlds: tuple[str, ...], mask: int,
                arity: int = 1) -> dict[str, frozenset[tuple[str, ...]]]:
     """World -> extension of a flexible predicate, decoded cell-major: bit
     ci*len(worlds)+wi puts the ci-th arity-tuple over domain (in product
-    order) in the extension at worlds[wi].  Memoised, so the returned dict
-    is shared and must not be mutated."""
+    order) in the extension at worlds[wi]."""
     pairs = _pairs(tuple(product(domain, repeat=arity)), worlds, mask)
     return {w: frozenset(c for c, v in pairs if v == w) for w in worlds}
 

@@ -14,9 +14,11 @@ verdict and budget units are reductions over its group of bits.  The
 model searches, the Barcan sweep, the divergence search and the
 deduction-gap search (whose candidates are its metavariables'
 instantiations) share these batches.  A model is built only for the
-witness, and every witness is re-checked with the plain reference
-evaluator before it is returned; a failure there raises RuntimeError and
-would mean a bug in the truth-set evaluator, not in the caller's input.
+witness.  Every search returns through ``_first``, which re-checks what
+the witness's certificate reports with the plain reference evaluator, and
+the spec's frame constraints with the relational frame tests; a failure
+there raises RuntimeError and would mean a bug in the truth-set evaluator
+or the frame generator, not in the caller's input.
 Malformed specs, and stages too wide to enumerate, are refused before
 their first candidate is scanned, so no check raises inside a batch.
 """
@@ -34,9 +36,10 @@ from typing import Iterable, Iterator, Sequence
 from .formula import (And, Exists, Formula, Imp, SchemeVar, const_names,
                       free_vars, is_propositional, pred_symbols, prop_atoms,
                       render, scheme_vars)
+from .correspondence import BF_SCHEME, CBF_SCHEME
 from .model import (DomainFrame, FlexiblePred, FoModel, Frame,
                     FRAME_PROPERTIES, PropModel, _ROW_TESTS, _extension,
-                    _pairs, frame_property, model_to_dict)
+                    _pairs, frame_property, is_total, model_to_dict)
 from .semantics import (BF_LHS, BF_RHS, Budget, ResourceLimit, _as_budget,
                         _batches, _charge, _decode, _fields, _fo_bits, _leaves,
                         _scheme_bits, bf_readings, evaluate)
@@ -295,6 +298,18 @@ def _scan(stages: Iterable[tuple[int, ...]], worker, arg, jobs: int, budget,
             raise ResourceLimit(e.args[0], frontier(stage)) from None
 
 
+def _first(stages, worker, arg, jobs: int, budget, recheck
+           ) -> SearchResult | None:
+    """The first hit of _scan as a SearchResult, or None.  A hit is the
+    worker's (model, certificate); recheck(model, certificate, arg) raises
+    RuntimeError unless the reference evaluator confirms it."""
+    for _, hit in _scan(stages, worker, arg, jobs, budget):
+        if hit is not None:
+            recheck(*hit, arg)
+            return SearchResult(*hit)
+    return None
+
+
 def _check_ceiling(max_worlds: int, ceiling: int, kind: str) -> None:
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
@@ -393,33 +408,35 @@ def _certificate(spec: SearchSpec, worlds, wi: int, i: int) -> dict:
     return cert
 
 
+def _valid(m, f: Formula, sv) -> bool:
+    """Truth of f at every world of m under the instantiation sv."""
+    return all(evaluate(m, f, w, scheme_vals=sv) for w in m.worlds)
+
+
 def _recheck_failed(kind: str) -> RuntimeError:
     return RuntimeError(f"{kind} witness failed the independent re-check; "
                         "this is a bug, please report it")
 
 
-def _revalidate(m, spec: SearchSpec, cert: dict) -> None:
-    """Independent re-check of a witness with the reference evaluator."""
+def _revalidate(m, cert: dict, spec: SearchSpec) -> None:
+    """Independent re-check of a countermodel: the spec's frame constraints
+    by the relational frame tests, every instance of each premise (a
+    premise formula is a scheme with no metavariables) and the conclusion
+    at the reported world and assignment by the reference evaluator."""
     worlds = m.worlds
-    ok = True
-    for p in spec.premise_formulas:
-        ok = ok and all(evaluate(m, p, w) for w in worlds)
-    for s in spec.premise_schemes:
+    ok = all(is_total(m.frame) if p == "total" else frame_property(m.frame, p)
+             for p in spec.frame_constraints)
+    for s in (*spec.premise_formulas, *spec.premise_schemes):
         names = scheme_vars(s)
         fields = _fields(len(worlds), 0, (), tuple(names))
-        for i in range(1 << len(worlds) * len(names)):
-            sv = _decode(fields, (), worlds, i)[0]
-            ok = ok and all(evaluate(m, s, w, scheme_vals=sv) for w in worlds)
+        ok = ok and all(_valid(m, s, _decode(fields, (), worlds, i)[0])
+                        for i in range(1 << len(worlds) * len(names)))
     sv = {k: frozenset(v) for k, v in cert.get("assignment", {}).items()}
-    if spec.reading == "object":
-        ok = ok and not evaluate(m, spec.conclusion, cert["world"],
-                                 scheme_vals=sv)
-    else:
-        ok = ok and all(evaluate(m, spec.conclusion.lhs, w, scheme_vals=sv)
-                        for w in worlds)
-        ok = ok and not evaluate(m, spec.conclusion.rhs, cert["world"],
-                                 scheme_vals=sv)
-    if not ok:
+    c = spec.conclusion
+    if spec.reading == "meta":
+        ok = ok and _valid(m, c.lhs, sv)
+        c = c.rhs
+    if not ok or evaluate(m, c, cert["world"], scheme_vals=sv):
         raise _recheck_failed("search")
 
 
@@ -450,24 +467,13 @@ def _spec_chunk(stage, masks, spec: SearchSpec, bud: Budget):
             hit, witness = _hit(batch, checks, bud)
             if hit:
                 c = batch.number(hit)
-                cert = {"frame_mask": mask}
+                cert = {**_stage_frontier(stage), "frame_mask": mask}
                 if domain is not None:
                     cert["exists_mask"] = (c >> fields[-1][2] if varying
                                            else (1 << d * n) - 1)
                 return (_candidate(fr, domain, spec.mode, fields, c),
                         {**cert, **_certificate(spec, fr.worlds,
                                                 *witness(hit))})
-    return None
-
-
-def _least_countermodel(stages, spec: SearchSpec, jobs: int, budget
-                        ) -> SearchResult | None:
-    for stage, hit in _scan(stages, _spec_chunk, spec, jobs, budget):
-        if hit is not None:
-            m, cert = hit
-            cert = {**_stage_frontier(stage), **cert}
-            _revalidate(m, spec, cert)
-            return SearchResult(m, cert)
     return None
 
 
@@ -486,8 +492,8 @@ def find_countermodel(spec: SearchSpec, jobs: int = 1, budget=None
                 "find_countermodel is propositional; use "
                 "find_fo_countermodel for quantified formulas")
     _check_ceiling(spec.max_worlds, PROP_WORLD_CEILING, "propositional")
-    return _least_countermodel(((n,) for n in range(1, spec.max_worlds + 1)),
-                               spec, jobs, budget)
+    return _first(((n,) for n in range(1, spec.max_worlds + 1)), _spec_chunk,
+                  spec, jobs, budget, _revalidate)
 
 
 # ---------------------------------------------------------------------------
@@ -533,13 +539,15 @@ def find_fo_countermodel(spec: SearchSpec, jobs: int = 1, budget=None
     if spec.max_domain < 1:
         raise ValueError("max_domain must be at least 1 for quantified "
                          "search")
-    return _least_countermodel(_fo_stages(spec), spec, jobs, budget)
+    return _first(_fo_stages(spec), _spec_chunk, spec, jobs, budget,
+                  _revalidate)
 
 
 # ---------------------------------------------------------------------------
 # The quantifier/Box exchange: divergence search and exhaustive sweeps
 
 def _div_chunk(stage, masks, _, bud: Budget):
+    """The chunk's least divergence as (model, certificate), or None."""
     n, d = stage
     domain = _domain_names(d)
     fields = _fields(n, d, (), (), varying=True)
@@ -560,7 +568,10 @@ def _div_chunk(stage, masks, _, bud: Budget):
             _charge(bud, (2 * n << bits) * (emask - b.c0), 2)
             if div:
                 fm = _candidate(fr, domain, "varying", fields, emask)
-                return fmask, emask, fm, bf_readings(fm, "P", bud)
+                return fm, {"kind": "barcan_divergence",
+                            "worlds": n, "domain": d,
+                            "frame_mask": fmask, "exists_mask": emask,
+                            "readings": bf_readings(fm, "P", bud).to_dict()}
     return None
 
 
@@ -576,37 +587,27 @@ def find_barcan_divergence(max_worlds: int = 3, max_domain: int = 2,
     _check_ceiling(max_worlds, FO_WORLD_CEILING, "quantified")
     _check_domain("max_domain", max_domain, 1)
     stages = product(range(1, max_worlds + 1), range(1, max_domain + 1))
-    for (n, d), hit in _scan(stages, _div_chunk, None, jobs, budget):
-        if hit is not None:
-            fmask, emask, fm, r = hit
-            _revalidate_divergence(fm, r)
-            cert = {
-                "kind": "barcan_divergence",
-                "worlds": n, "domain": d,
-                "frame_mask": fmask, "exists_mask": emask,
-                "readings": r.to_dict(),
-            }
-            return SearchResult(fm, cert)
-    return None
+    return _first(stages, _div_chunk, None, jobs, budget,
+                  _revalidate_divergence)
 
 
-def _revalidate_divergence(fm: FoModel, r) -> None:
+def _revalidate_divergence(fm: FoModel, cert: dict, _) -> None:
     """Reference-evaluator re-check that the rule reading holds and the
-    implication reading fails on fm, per the reported witness."""
+    implication reading fails on fm, at the certificate's object witness."""
     lhs, rhs = BF_LHS("P"), BF_RHS("P")
     worlds, domain = fm.worlds, fm.domain
-    ok = True
-    for mask in range(1 << (len(domain) * len(worlds))):
-        m2 = FoModel(fm.dframe, "varying", flexible_preds={
-            "P": FlexiblePred(1, _extension(domain, worlds, mask))})
-        if all(evaluate(m2, lhs, w) for w in worlds):
-            ok = ok and all(evaluate(m2, rhs, w) for w in worlds)
-    interp, w0 = r.object_witness
-    ext = {w: frozenset((e,) for e, wx in interp if wx == w) for w in worlds}
-    m2 = FoModel(fm.dframe, "varying",
-                 flexible_preds={"P": FlexiblePred(1, ext)})
-    ok = ok and evaluate(m2, lhs, w0) and not evaluate(m2, rhs, w0)
-    if not ok:
+
+    def with_p(ext) -> FoModel:
+        return FoModel(fm.dframe, "varying",
+                       flexible_preds={"P": FlexiblePred(1, ext)})
+    models = (with_p(_extension(domain, worlds, mask))
+              for mask in range(1 << (len(domain) * len(worlds))))
+    ok = all(not _valid(m2, lhs, {}) or _valid(m2, rhs, {}) for m2 in models)
+    witness = cert["readings"]["object_witness"]
+    w0 = witness["world"]
+    m2 = with_p({w: frozenset((e,) for e, wx in witness["interpretation"]
+                              if wx == w) for w in worlds})
+    if not ok or not evaluate(m2, lhs, w0) or evaluate(m2, rhs, w0):
         raise _recheck_failed("divergence")
 
 
@@ -623,7 +624,6 @@ def _monotone(fr: Frame, exists, full: int) -> tuple[int, int]:
 
 
 def _sweep_chunk(stage, masks, _, bud: Budget):
-    from .correspondence import BF_SCHEME, CBF_SCHEME
     n, d = stage
     domain = _domain_names(d)
     exists = _leaves(_fields(n, d, (), (), varying=True), domain, n)
@@ -639,27 +639,27 @@ def _sweep_chunk(stage, masks, _, bud: Budget):
             cbf, cbf_units, _ = b.least(CBF_SCHEME, bits, hole)
             bud.charge(bf_units(b.base) + cbf_units(b.base))
             inc, dec = _monotone(fr, b.leaves[Exists], b.full)
-            odd = b.base & ((bf ^ dec) | (cbf ^ inc)
-                            | (bf ^ cbf if symmetric else 0))
+            # (check, (key, verdicts), (key, verdicts)): the two verdict
+            # masks must agree on every candidate
+            table = [("bf_vs_nonincreasing", ("bf", bf),
+                      ("nonincreasing", dec)),
+                     ("cbf_vs_nondecreasing", ("cbf", cbf),
+                      ("nondecreasing", inc))]
+            if symmetric:
+                table.append(("bf_iff_cbf_on_symmetric", ("bf", bf),
+                              ("cbf", cbf)))
+            odd = 0
+            for _, (_, x), (_, y) in table:
+                odd |= b.base & (x ^ y)
             while odd:
                 c = odd & -odd
                 odd ^= c
                 coords = {"worlds": n, "frame_mask": fmask,
                           "exists_mask": b.number(c)}
-                c_bf, c_cbf = bool(bf & c), bool(cbf & c)
-                noninc, nondec = bool(dec & c), bool(inc & c)
-                if c_bf != noninc:
-                    violations.append({**coords,
-                                       "check": "bf_vs_nonincreasing",
-                                       "bf": c_bf, "nonincreasing": noninc})
-                if c_cbf != nondec:
-                    violations.append({**coords,
-                                       "check": "cbf_vs_nondecreasing",
-                                       "cbf": c_cbf, "nondecreasing": nondec})
-                if symmetric and c_bf != c_cbf:
-                    violations.append({**coords,
-                                       "check": "bf_iff_cbf_on_symmetric",
-                                       "bf": c_bf, "cbf": c_cbf})
+                for check, (k1, x), (k2, y) in table:
+                    if bool(x & c) != bool(y & c):
+                        violations.append({**coords, "check": check,
+                                           k1: bool(x & c), k2: bool(y & c)})
         checked += 1 << d * n
     return checked, violations
 
@@ -723,7 +723,7 @@ def bf_agreement_sweep(max_worlds: int = 3, max_domain: int = 2,
 # Deduction-theorem gap
 
 def _gap_chunk(stage, masks, conclusion: Imp, bud: Budget):
-    """The chunk's least gap as (frame mask, model, certificate), or None.
+    """The chunk's least gap as (model, certificate), or None.
     The metavariables' world masks are the candidate fields, one instance
     per candidate."""
     (n,) = stage
@@ -741,7 +741,8 @@ def _gap_chunk(stage, masks, conclusion: Imp, bud: Budget):
             bud.charge(lhs_units(upto) + rhs_units(upto) + units(upto & rule))
             if hit:
                 val = _decode(fields, (), fr.worlds, b.number(hit))[0]
-                return fmask, m, {
+                return m, {
+                    "worlds": n, "frame_mask": fmask,
                     "kind": "deduction_gap",
                     "conclusion": render(conclusion, "ascii"),
                     "assignment": {k: list(v) for k, v in sorted(val.items())},
@@ -752,12 +753,11 @@ def _gap_chunk(stage, masks, conclusion: Imp, bud: Budget):
     return None
 
 
-def _revalidate_gap(m, conclusion: Imp, cert: dict) -> None:
+def _revalidate_gap(m, cert: dict, conclusion: Imp) -> None:
     """Reference-evaluator re-check of a gap: each side's validity, the
     rule reading, and the implication failing at the reported world."""
     sv = {k: frozenset(v) for k, v in cert["assignment"].items()}
-    lhs, rhs = (all(evaluate(m, f, w, scheme_vals=sv) for w in m.worlds)
-                for f in (conclusion.lhs, conclusion.rhs))
+    lhs, rhs = (_valid(m, f, sv) for f in (conclusion.lhs, conclusion.rhs))
     if ((lhs, rhs) != (cert["lhs_valid"], cert["rhs_valid"]) or lhs and not rhs
             or evaluate(m, conclusion, cert["world"], scheme_vals=sv)):
         raise _recheck_failed("gap")
@@ -788,10 +788,5 @@ def find_deduction_gap(conclusion: Formula | None = None,
         raise ValueError("build the conclusion from metavariables (uppercase"
                          " initial), not fixed atoms")
     _check_ceiling(max_worlds, PROP_WORLD_CEILING, "propositional")
-    stages = ((n,) for n in range(1, max_worlds + 1))
-    for (n,), hit in _scan(stages, _gap_chunk, conclusion, jobs, budget):
-        if hit is not None:
-            fmask, m, cert = hit
-            _revalidate_gap(m, conclusion, cert)
-            return SearchResult(m, {"worlds": n, "frame_mask": fmask, **cert})
-    return None
+    return _first(((n,) for n in range(1, max_worlds + 1)), _gap_chunk,
+                  conclusion, jobs, budget, _revalidate_gap)

@@ -107,6 +107,31 @@ class TestCheck:
                            "--env", "x=b")
         assert (code, out) == (EXIT_FOUND, "false\n")
 
+    def test_env_without_equals_is_usage(self, capsys, write_json):
+        path = write_json("fo.json", FO_MODEL)
+        code, out, err = run(capsys, "check", "--model", path,
+                             "--formula", "alive(x)", "--env", "x")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: --env expects name=element, got 'x'\n"
+
+    def test_open_formula_without_env(self, capsys, write_json):
+        # without --env the parser reads x as a rigid constant
+        path = write_json("fo.json", FO_MODEL)
+        code, out, err = run(capsys, "check", "--model", path,
+                             "--formula", "alive(x)")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: unknown constant 'x'\n"
+
+    def test_evaluation_error_is_usage(self, capsys, write_json):
+        path = write_json("m.json", PROP_MODEL)
+        code, out, err = run(capsys, "check", "--model", path,
+                             "--formula", "[]P", "--json")
+        assert code == EXIT_USAGE
+        assert json.loads(out) == {"error": {
+            "kind": "evaluation",
+            "message": "scheme variable 'P' has no instantiation"}}
+        assert err == "scheme variable 'P' has no instantiation\n"
+
     def test_unknown_world(self, capsys, write_json):
         path = write_json("m.json", PROP_MODEL)
         code, _, err = run(capsys, "check", "--model", path,
@@ -267,6 +292,19 @@ class TestCountermodel:
         assert doc["found"] is True
         assert doc["certificate"]["exists_mask"] == 1
 
+    def test_quantified_none_found(self, capsys):
+        # the Barcan formula holds on constant domains
+        argv = ("countermodel", "--conclusion",
+                "(forall x. []P(x)) => [](forall x. P(x))",
+                "--max-worlds", "2", "--max-domain", "1")
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (
+            EXIT_HOLDS, "no countermodel up to 2 worlds, domain up to 1\n")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == EXIT_HOLDS
+        assert json.loads(out) == {"command": "countermodel", "found": False,
+                                   "max_worlds": 2, "max_domain": 1}
+
     def test_quantified_needs_max_domain(self, capsys):
         code, _, err = run(capsys, "countermodel",
                            "--conclusion", "forall x. P(x)")
@@ -362,6 +400,11 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "check", "--formula", "p")[0] == EXIT_USAGE
+
+    def test_formula_nested_too_deeply_is_usage(self, capsys):
+        code, out, err = run(capsys, "render", "--formula", "~" * 3000 + "p")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: formula nested too deeply\n"
 
     def test_missing_model_file(self, capsys):
         code, _, err = run(capsys, "check", "--model", "/no/such.json",

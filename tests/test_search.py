@@ -4,12 +4,12 @@ exhaustive sweeps, and independence of the answer from the jobs count."""
 import multiprocessing
 import multiprocessing.pool
 import random
+from dataclasses import replace
 from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import modalkit.correspondence as correspondence
 import modalkit.search as search
 import modalkit.semantics as sem
 from conftest import random_prop_formula, seeded_randoms
@@ -463,22 +463,6 @@ class TestDeductionGap:
     def test_no_gap_on_one_world(self):
         assert find_deduction_gap(max_worlds=1) is None
 
-    @pytest.mark.parametrize("tamper", [
-        {"world": "w1"},                                # P => Q holds there
-        {"lhs_valid": True},                            # P is not valid
-        {"assignment": {"P": ["w0", "w1"], "Q": []}},   # the rule fails
-    ])
-    def test_witness_is_rechecked(self, monkeypatch, tamper):
-        real = search._gap_chunk
-
-        def tampered(*args):
-            hit = real(*args)
-            return hit and (*hit[:2], {**hit[2], **tamper})
-        monkeypatch.setattr(search, "_gap_chunk", tampered)
-        with pytest.raises(RuntimeError, match="gap witness failed the "
-                           "independent re-check"):
-            find_deduction_gap()
-
     def test_validation(self):
         with pytest.raises(ValueError):
             find_deduction_gap(parse("[]P"))
@@ -487,6 +471,61 @@ class TestDeductionGap:
         with pytest.raises(ValueError):
             find_deduction_gap(Imp(SchemeVar("P"), Box(SchemeVar("P"))),
                                max_worlds=9)
+
+
+def _merged(cert: dict, tamper: dict) -> dict:
+    """cert with tamper written over it, nested dicts merged key by key."""
+    return {**cert, **{k: _merged(cert[k], v) if isinstance(v, dict)
+                       and isinstance(cert.get(k), dict) else v
+                       for k, v in tamper.items()}}
+
+
+@pytest.mark.parametrize("chunk, call, tamper, kind", [
+    # the tollens conclusion holds at w1
+    pytest.param("_spec_chunk", lambda: find_countermodel(SearchSpec(TOLLENS)),
+                 {"world": "w1"}, "search", id="countermodel-world"),
+    # no interpretation refutes the implication at w0
+    pytest.param("_div_chunk", lambda: find_barcan_divergence(2, 1),
+                 {"readings": {"object_witness": {"world": "w0"}}},
+                 "divergence", id="divergence-world"),
+    # P => Q holds at w1
+    pytest.param("_gap_chunk", find_deduction_gap, {"world": "w1"}, "gap",
+                 id="gap-world"),
+    # P is not valid
+    pytest.param("_gap_chunk", find_deduction_gap, {"lhs_valid": True}, "gap",
+                 id="gap-lhs-valid"),
+    # the rule reading fails
+    pytest.param("_gap_chunk", find_deduction_gap,
+                 {"assignment": {"P": ["w0", "w1"], "Q": []}}, "gap",
+                 id="gap-assignment"),
+])
+def test_witness_is_rechecked(monkeypatch, chunk, call, tamper, kind):
+    """Every search re-checks the (model, certificate) its chunk worker
+    reports, and refuses a certificate the model does not bear out."""
+    real = getattr(search, chunk)
+
+    def tampered(*args):
+        hit = real(*args)
+        return hit and (hit[0], _merged(hit[1], tamper))
+    call()      # untampered, the witness passes its re-check
+    monkeypatch.setattr(search, chunk, tampered)
+    with pytest.raises(RuntimeError, match=f"{kind} witness failed the "
+                       "independent re-check"):
+        call()
+
+
+def test_recheck_covers_frame_constraints(monkeypatch):
+    """A frame generator that drops the constraints hands the search the
+    non-reflexive one-world frame; the re-check refuses it."""
+    real = search._masks
+    monkeypatch.setattr(search, "_masks",
+                        lambda n, masks, constraints=frozenset():
+                        real(n, masks))
+    spec = SearchSpec(parse("[]P => P"), frame_constraints={"reflexive"},
+                      max_worlds=2)
+    with pytest.raises(RuntimeError, match="search witness failed the "
+                       "independent re-check"):
+        find_countermodel(spec)
 
 
 class TestSweeps:
@@ -499,6 +538,23 @@ class TestSweeps:
         out = bf_agreement_sweep(max_worlds=2, max_domain=2)
         assert out == {"max_worlds": 2, "max_domain": 2, "checked": 36,
                        "disagreements": [], "all_agree": True}
+
+    def test_agreement_sweep_reports_disagreements(self, monkeypatch):
+        # a reading that flips the implication on one-world frames
+        real = search.bf_readings
+
+        def flipped(fm, hole, bud):
+            r = real(fm, hole, bud)
+            return (replace(r, object_implies=False) if len(fm.worlds) == 1
+                    else r)
+        monkeypatch.setattr(search, "bf_readings", flipped)
+        readings = {"pointwise": True, "meta_iff": True, "meta_implies": True,
+                    "object_implies": False}
+        assert bf_agreement_sweep(max_worlds=2, max_domain=1) == {
+            "max_worlds": 2, "max_domain": 1, "checked": 18,
+            "disagreements": [{"worlds": 1, "domain": 1, "frame_mask": fm,
+                               "readings": readings} for fm in (0, 1)],
+            "all_agree": False}
 
     def test_sweep_ceiling(self):
         with pytest.raises(ValueError):
@@ -755,7 +811,8 @@ def _oracle_spec_chunk(stage, masks, spec, bud):
                         for p, pm in zip(names, pmasks)})
                 cert = _oracle_check_model(m, spec, bud)
                 if cert is not None:
-                    masks = {"frame_mask": fmask}
+                    masks = {**dict(zip(("worlds", "domain"), stage)),
+                             "frame_mask": fmask}
                     if len(stage) > 1:
                         masks["exists_mask"] = emask
                     return m, {**masks, **cert}
@@ -790,7 +847,9 @@ def _oracle_div_chunk(stage, masks, _, bud):
         fm = FoModel(df, "varying")
         r = bf_readings(fm, "P", bud)
         if r.meta_implies and not r.object_implies:
-            return fmask, emask, fm, r
+            return fm, {"kind": "barcan_divergence", "worlds": n, "domain": d,
+                        "frame_mask": fmask, "exists_mask": emask,
+                        "readings": r.to_dict()}
     return None
 
 
@@ -816,7 +875,8 @@ def _oracle_gap_chunk(stage, masks, conclusion, bud):
             fail = next((w for w in worlds
                          if not charged(m, conclusion, w, sv)), None)
             if fail is not None:
-                return fmask, m, {
+                return m, {
+                    "worlds": n, "frame_mask": fmask,
                     "kind": "deduction_gap",
                     "conclusion": render(conclusion, "ascii"),
                     "assignment": {k: sorted(v, key=fr.index.__getitem__)
@@ -1026,8 +1086,8 @@ def test_sweep_reports_violations_as_the_oracle_does(monkeypatch, block_bits):
     and Budget.used match the per-model oracle's."""
     bf = parse("(forall x. P(x)) => []forall x. P(x)")
     cbf = parse("[](forall x. P(x)) => forall x. P(x)")
-    monkeypatch.setattr(correspondence, "BF_SCHEME", bf)
-    monkeypatch.setattr(correspondence, "CBF_SCHEME", cbf)
+    monkeypatch.setattr(search, "BF_SCHEME", bf)
+    monkeypatch.setattr(search, "CBF_SCHEME", cbf)
     monkeypatch.setitem(globals(), "BF_SCHEME", bf)   # the oracle's schemes
     monkeypatch.setitem(globals(), "CBF_SCHEME", cbf)
     with _block_bits(block_bits):

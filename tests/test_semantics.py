@@ -130,6 +130,22 @@ class TestEvaluateFo:
         with pytest.raises(UnboundVar):
             evaluate(m, PredAtom("alive", (BoundVar("x"),)), "u")
 
+    @pytest.mark.parametrize("first_order, text", [
+        (False, "P"),                       # an unbound metavariable
+        (False, "forall x. p"),             # a quantifier on a PropModel
+        (True, "exists x. happy(x)"),       # an unknown predicate
+        (True, "exists x. alive(x, x)"),    # a predicate at the wrong arity
+    ])
+    def test_checks_raise_what_evaluate_raises(self, chain_model,
+                                               first_order, text):
+        m, f = shrink_model() if first_order else chain_model, parse(text)
+        with pytest.raises(EvalError) as want:
+            evaluate(m, f, m.worlds[0])
+        with pytest.raises(EvalError) as got:
+            valid(m, f)
+        assert (type(got.value), str(got.value)) == \
+            (type(want.value), str(want.value))
+
     def test_error_hierarchy(self):
         for exc in (UnboundScheme, UnboundVar, UnknownSymbol, ArityMismatch,
                     NotPropositional):
@@ -478,6 +494,11 @@ class TestFrameValid:
         assert v.assignment == {"P": ("b",)}
         m = PropModel(fr, {"p": v.assignment["P"]})
         assert not evaluate(m, parse("[]p => p"), v.world)
+
+    def test_rejects_quantified_scheme(self):
+        with pytest.raises(NotPropositional, match="frame_valid needs a "
+                           "propositional scheme"):
+            frame_valid(Frame(("a",)), parse("forall x. []P(x)"))
 
     def test_k_on_arbitrary_frames(self):
         rng = random.Random(13)
