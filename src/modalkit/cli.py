@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from .formula import FORMATS, bind_free, free_vars, is_propositional, render
+from .formula import FORMATS, bind_free, is_propositional, render
 from .model import ModelError, load_domain_frame, load_frame, load_model
 from .parser import ParseError, parse
 from .correspondence import axiom_report, barcan_report
@@ -74,13 +74,7 @@ def _cmd_check(args) -> int:
     env = _parse_env(args.env)
     if env:
         f = bind_free(f, env.keys())
-    missing = set(free_vars(f)) - set(env)
-    if missing:
-        raise ValueError(f"open formula; supply --env for "
-                         f"{sorted(missing)}")
     if args.world is not None:
-        if args.world not in m.frame.index:
-            raise ValueError(f"unknown world {args.world!r}")
         value = evaluate(m, f, args.world, env=env)
         _emit(args, {"command": "check", "formula": args.formula,
                      "world": args.world, "value": value},

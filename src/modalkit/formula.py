@@ -332,52 +332,47 @@ def bind_free(f: Formula, names: set[str] | frozenset[str]) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Rendering
+# Concrete syntax, shared by render and the parser
 
 FORMATS = ("ascii", "unicode", "latex")
 
-# Operator spellings per format.  The unicode column deliberately keeps the
-# implication family in ASCII ("=>", "<=>", "|>") while the other connectives
-# get symbols; both spellings are accepted back by the parser.
-_TABLES = {
-    "ascii": {
-        "not": "~", "and": "&", "or": "|", "imp": "=>", "iff": "<=>",
-        "box": "[]", "dia": "<>", "strict": "|>",
-        "forall": "forall ", "exists": "exists ",
-    },
-    "unicode": {
-        "not": "¬", "and": "∧", "or": "∨", "imp": "=>",
-        "iff": "<=>", "box": "□", "dia": "◇", "strict": "|>",
-        "forall": "∀", "exists": "∃",
-    },
-    "latex": {
-        "not": r"\neg", "and": r"\wedge", "or": r"\vee", "imp": r"\supset",
-        "iff": r"\leftrightarrow", "box": r"\Box", "dia": r"\Diamond",
-        "strict": r"\strictif", "forall": "\\forall ", "exists": "\\exists ",
-    },
+# Each connective's spelling per format, in FORMATS order, then the aliases
+# that only the parser accepts.  The parser reads every spelling but latex.
+# The unicode column deliberately keeps the implication family in ASCII.
+_SPELLINGS = {
+    Not: ("~", "¬", r"\neg"),
+    Box: ("[]", "□", r"\Box"),
+    Dia: ("<>", "◇", r"\Diamond"),
+    And: ("&", "∧", r"\wedge"),
+    Or: ("|", "∨", r"\vee"),
+    Imp: ("=>", "=>", r"\supset", "⊃", "→"),
+    StrictImp: ("|>", "|>", r"\strictif", "⥽"),
+    Iff: ("<=>", "<=>", r"\leftrightarrow", "↔"),
+    Forall: ("forall", "∀", r"\forall"),
+    Exists: ("exists", "∃", r"\exists"),
 }
 
-# Precedence levels used for minimal parenthesisation.  Quantifiers are not
-# on the numeric ladder: their body extends maximally to the right, so a
+# Binary binding levels, loosest first: the connectives of a level and
+# whether a chain of them nests to the right.  Connectives that share a
+# level may not be mixed without parentheses.
+_LEVELS = (((Iff,), True), ((Imp, StrictImp), True), ((Or,), False),
+           ((And,), False))
+
+# Precedence for minimal parenthesisation: a binary connective's level,
+# then the unary prefixes, then atoms.  Quantifiers (absent, so -1) are
+# below every level: their body extends maximally to the right, so a
 # quantified operand needs parentheses exactly when output follows it.
-_ATOM, _UN, _AND, _OR, _IMP, _IFF = 5, 4, 3, 2, 1, 0
-_QPREC = -1
+_PREC = {c: i for i, (ops, _) in enumerate(_LEVELS) for c in ops}
+_PREC.update(dict.fromkeys(_UNARY, len(_LEVELS)))
+_PREC.update(dict.fromkeys((PropAtom, SchemeVar, PredAtom, Eq),
+                           len(_LEVELS) + 1))
+
+_TABLES = {fmt: {c: s[i] for c, s in _SPELLINGS.items()}
+           for i, fmt in enumerate(FORMATS)}
 
 
 def _prec(f: Formula) -> int:
-    if isinstance(f, (PropAtom, SchemeVar, PredAtom, Eq)):
-        return _ATOM
-    if isinstance(f, _UNARY):
-        return _UN
-    if isinstance(f, And):
-        return _AND
-    if isinstance(f, Or):
-        return _OR
-    if isinstance(f, (Imp, StrictImp)):
-        return _IMP
-    if isinstance(f, Iff):
-        return _IFF
-    return _QPREC
+    return _PREC.get(type(f), -1)
 
 
 def render(f: Formula, fmt: str = "unicode") -> str:
@@ -395,7 +390,7 @@ def _ident(name: str, latex: bool) -> str:
     return name.replace("_", r"\_") if latex else name
 
 
-def _render(f: Formula, t: dict[str, str], lx: bool, tail: bool) -> str:
+def _render(f: Formula, t: dict[type, str], lx: bool, tail: bool) -> str:
     if isinstance(f, (PropAtom, SchemeVar)):
         return _ident(f.name, lx)
     if isinstance(f, PredAtom):
@@ -404,38 +399,32 @@ def _render(f: Formula, t: dict[str, str], lx: bool, tail: bool) -> str:
     if isinstance(f, Eq):
         return f"{_ident(f.lhs.name, lx)} = {_ident(f.rhs.name, lx)}"
     if isinstance(f, _UNARY):
-        op = t[{Not: "not", Box: "box", Dia: "dia"}[type(f)]]
-        body = _sub(f.body, t, lx, tail, _UN)
+        body = _sub(f.body, t, lx, tail, len(_LEVELS))
         if lx:
             sep = " "
         else:
             sep = " " if isinstance(f.body, _QUANT) and not body.startswith("(") else ""
-        return op + sep + body
-    if isinstance(f, And):
-        return (_sub(f.lhs, t, lx, False, _AND) + f" {t['and']} "
-                + _sub(f.rhs, t, lx, tail, _AND + 1))
-    if isinstance(f, Or):
-        return (_sub(f.lhs, t, lx, False, _OR) + f" {t['or']} "
-                + _sub(f.rhs, t, lx, tail, _OR + 1))
-    if isinstance(f, (Imp, StrictImp)):
-        op = t["imp"] if isinstance(f, Imp) else t["strict"]
-        # => and |> share a level and may not be mixed without parentheses,
-        # so the right operand is bare only for the same connective.
-        return (_sub(f.lhs, t, lx, False, _IMP + 1) + f" {op} "
-                + _sub(f.rhs, t, lx, tail, _IMP + 1, same_ok=type(f)))
-    if isinstance(f, Iff):
-        return (_sub(f.lhs, t, lx, False, _IFF + 1) + f" {t['iff']} "
-                + _sub(f.rhs, t, lx, tail, _IFF + 1, same_ok=Iff))
+        return t[type(f)] + sep + body
+    if isinstance(f, _BINARY):
+        # A right-nesting level leaves its right operand bare only for the
+        # same connective, since connectives sharing a level may not mix.
+        p = _prec(f)
+        if _LEVELS[p][1]:
+            lhs, same = _sub(f.lhs, t, lx, False, p + 1), type(f)
+        else:
+            lhs, same = _sub(f.lhs, t, lx, False, p), None
+        return f"{lhs} {t[type(f)]} " + _sub(f.rhs, t, lx, tail, p + 1, same)
     if isinstance(f, _QUANT):
-        kw = t["forall"] if isinstance(f, Forall) else t["exists"]
-        return f"{kw}{_ident(f.var, lx)}. {_render(f.body, t, lx, True)}"
+        kw = t[type(f)]
+        sep = " " if kw[-1].isalpha() else ""
+        return f"{kw}{sep}{_ident(f.var, lx)}. {_render(f.body, t, lx, True)}"
     raise TypeError(f"not a Formula: {f!r}")
 
 
-def _sub(f: Formula, t: dict[str, str], lx: bool, tail: bool, min_prec: int,
+def _sub(f: Formula, t: dict[type, str], lx: bool, tail: bool, min_prec: int,
          same_ok: type | None = None) -> str:
     p = _prec(f)
-    if p == _QPREC:
+    if p < 0:
         parens = not tail
     elif p < min_prec:
         parens = same_ok is None or type(f) is not same_ok

@@ -1,16 +1,13 @@
 """Concrete syntax for formulas: tokenizer and recursive-descent parser.
 
-The grammar accepts both ASCII and symbol spellings of every operator
-(``~``/``¬``, ``[]``/``□``, ``<>``/``◇``, ``&``/``∧``, ``|``/``∨``, ``=>``/``⊃``/``→``,
-``|>``/``⥽``, ``<=>``/``↔``, ``forall``/``∀``, ``exists``/``∃``) and they can be mixed
-freely in one input.  Binding, tightest first:
-
-    unary  ~ [] <>        (nest without parentheses)
-    &
-    |                     (left-associative)
-    => and |>             (right-associative, same level; mixing the two
-                           without parentheses is an error)
-    <=>                   (right-associative)
+Every connective's spellings and the binary binding levels come from the
+one syntax table in ``formula`` (``_SPELLINGS`` and ``_LEVELS``), which
+``render`` reads too.  The grammar accepts the ASCII and Unicode spellings
+and the aliases of every connective, mixed freely in one input.  The unary
+prefixes bind tightest and nest without parentheses.  Each binary level,
+loosest first, collects its operands and nests them to the left or to the
+right; connectives that share a level (``=>`` and ``|>``) may not be mixed
+without parentheses.
 
 Quantifier bodies extend maximally to the right.  A bare lowercase
 identifier is a PropAtom, a bare uppercase identifier is a SchemeVar, and
@@ -24,11 +21,13 @@ UTF-8 byte offsets into the input.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import reduce
 
 from .formula import (
-    And, Box, BoundVar, Dia, Eq, Exists, Forall, Formula, Iff, Imp, Not, Or,
-    PredAtom, PropAtom, RigidConst, SchemeVar, StrictImp, Term,
+    _LEVELS, _QUANT, _SPELLINGS, _UNARY, BoundVar, Eq, Formula, PredAtom,
+    PropAtom, RigidConst, SchemeVar, Term,
 )
 
 __all__ = ["SourceSpan", "ParseError", "parse"]
@@ -52,65 +51,41 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_KEYWORDS = {"forall": "FORALL", "exists": "EXISTS"}
+# A token's kind is its connective's class, the punctuation itself, "IDENT"
+# for any other identifier, or "EOF".
+_KINDS = {s: c for c, (ascii_, uni, _, *aliases) in _SPELLINGS.items()
+          for s in (ascii_, uni, *aliases)}
+_KINDS.update((p, p) for p in "().,=")
 
-_MULTI = (("<=>", "IFF"), ("=>", "IMP"), ("|>", "STRICT"), ("<>", "DIA"),
-          ("[]", "BOX"))
-
-_SINGLE = {
-    "~": "NOT", "&": "AND", "|": "OR", "(": "LP", ")": "RP",
-    ".": "DOT", ",": "COMMA", "=": "EQ",
-    "¬": "NOT", "∧": "AND", "∨": "OR", "⊃": "IMP",
-    "→": "IMP", "↔": "IFF", "□": "BOX", "◇": "DIA",
-    "⥽": "STRICT", "∀": "FORALL", "∃": "EXISTS",
-}
+# Whitespace, an identifier (a keyword spelling is one too), the longest
+# symbol, or any other character, which is an error.
+_TOKEN_RE = re.compile(r"\s+|([A-Za-z][A-Za-z0-9_]*)|({})|(.)".format(
+    "|".join(map(re.escape, sorted((s for s in _KINDS if not s.isalpha()),
+                                   key=len, reverse=True)))), re.DOTALL)
 
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str
+    kind: object
     text: str
     span: SourceSpan
 
 
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    i = 0          # character index
-    b = 0          # byte offset of character i
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            b += len(ch.encode("utf-8"))
+    i = b = 0      # a character index and its byte offset
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group is None:
             continue
-        if ch.isalpha() and ch.isascii():
-            j = i + 1
-            while j < n and (text[j].isascii()
-                             and (text[j].isalnum() or text[j] == "_")):
-                j += 1
-            word = text[i:j]
-            span = SourceSpan(b, b + len(word))
-            toks.append(_Token(_KEYWORDS.get(word, "IDENT"), word, span))
-            i, b = j, b + len(word)
-            continue
-        matched = False
-        for op, kind in _MULTI:
-            if text.startswith(op, i):
-                toks.append(_Token(kind, op, SourceSpan(b, b + len(op))))
-                i += len(op)
-                b += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        kind = _SINGLE.get(ch)
-        nbytes = len(ch.encode("utf-8"))
-        if kind is None:
-            raise ParseError(f"unknown token {ch!r}", SourceSpan(b, b + nbytes))
-        toks.append(_Token(kind, ch, SourceSpan(b, b + nbytes)))
-        i += 1
-        b += nbytes
+        s, word = m.start(), m.group()
+        b += len(text[i:s].encode("utf-8"))
+        end = b + len(word.encode("utf-8"))
+        if group == 3:
+            raise ParseError(f"unknown token {word!r}", SourceSpan(b, end))
+        toks.append(_Token(_KINDS.get(word, "IDENT"), word, SourceSpan(b, end)))
+        i = s
+    b += len(text[i:].encode("utf-8"))
     toks.append(_Token("EOF", "", SourceSpan(b, b)))
     return toks
 
@@ -140,90 +115,67 @@ class _Parser:
             raise ParseError(f"expected {what}, found {found}", t.span)
         return self.next()
 
-    # formula := iff
-    def formula(self) -> Formula:
-        return self.iff()
-
-    def iff(self) -> Formula:
-        lhs = self.imp()
-        if self.peek().kind == "IFF":
-            self.next()
-            return Iff(lhs, self.iff())
-        return lhs
-
-    def imp(self) -> Formula:
-        operands = [self.disj()]
-        ops: list[_Token] = []
-        while self.peek().kind in ("IMP", "STRICT"):
-            ops.append(self.next())
-            operands.append(self.disj())
-        if not ops:
+    def formula(self, level: int = 0) -> Formula:
+        """A formula whose binary connectives bind at `level` or tighter."""
+        if level == len(_LEVELS):
+            return self.unary()
+        ops, right = _LEVELS[level]
+        operands = [self.formula(level + 1)]
+        if self.peek().kind not in ops:
             return operands[0]
-        for t in ops[1:]:
-            if t.kind != ops[0].kind:
-                raise ParseError(
-                    "mixed '=>' and '|>' need parentheses", t.span)
-        node = Imp if ops[0].kind == "IMP" else StrictImp
-        out = operands[-1]
-        for lhs in reversed(operands[:-1]):
-            out = node(lhs, out)
-        return out
-
-    def disj(self) -> Formula:
-        out = self.conj()
-        while self.peek().kind == "OR":
-            self.next()
-            out = Or(out, self.conj())
-        return out
-
-    def conj(self) -> Formula:
-        out = self.unary()
-        while self.peek().kind == "AND":
-            self.next()
-            out = And(out, self.unary())
-        return out
+        toks: list[_Token] = []
+        while self.peek().kind in ops:
+            toks.append(self.next())
+            operands.append(self.formula(level + 1))
+        node = toks[0].kind
+        for t in toks[1:]:
+            if t.kind is not node:
+                mixed = " and ".join(repr(_SPELLINGS[c][0]) for c in ops)
+                raise ParseError(f"mixed {mixed} need parentheses", t.span)
+        if right:
+            return reduce(lambda rhs, lhs: node(lhs, rhs), reversed(operands))
+        return reduce(node, operands)
 
     def unary(self) -> Formula:
         k = self.peek().kind
-        if k in ("NOT", "BOX", "DIA"):
+        if k in _UNARY:
             self.next()
-            body = self.unary()
-            return {"NOT": Not, "BOX": Box, "DIA": Dia}[k](body)
-        if k in ("FORALL", "EXISTS"):
+            return k(self.unary())
+        if k in _QUANT:
             return self.quantifier()
         return self.atom()
 
     def quantifier(self) -> Formula:
         kw = self.next()
         var = self.expect("IDENT", "a variable name").text
-        self.expect("DOT", "'.' after the bound variable")
+        self.expect(".", "'.' after the bound variable")
         self.bound.append(var)
         try:
             body = self.formula()
         finally:
             self.bound.pop()
-        return (Forall if kw.kind == "FORALL" else Exists)(var, body)
+        return kw.kind(var, body)
 
     def atom(self) -> Formula:
         t = self.peek()
-        if t.kind == "LP":
+        if t.kind == "(":
             self.next()
             inner = self.formula()
-            self.expect("RP", "')'")
+            self.expect(")", "')'")
             return inner
         if t.kind != "IDENT":
             found = "end of input" if t.kind == "EOF" else repr(t.text)
             raise ParseError(f"expected a formula, found {found}", t.span)
         self.next()
-        if self.peek().kind == "LP":
+        if self.peek().kind == "(":
             self.next()
             args = [self.term()]
-            while self.peek().kind == "COMMA":
+            while self.peek().kind == ",":
                 self.next()
                 args.append(self.term())
-            self.expect("RP", "')' closing the argument list")
+            self.expect(")", "')' closing the argument list")
             return PredAtom(t.text, tuple(args))
-        if self.peek().kind == "EQ":
+        if self.peek().kind == "=":
             self.next()
             return Eq(self.make_term(t.text), self.term())
         if t.text[0].isupper():

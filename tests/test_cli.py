@@ -138,6 +138,11 @@ class TestCheck:
                            "--formula", "g", "--world", "zz")
         assert code == EXIT_USAGE
         assert "unknown world" in err
+        code, out, _ = run(capsys, "check", "--model", path,
+                           "--formula", "g", "--world", "zz", "--json")
+        assert code == EXIT_USAGE
+        assert json.loads(out) == {"error": {
+            "kind": "usage", "message": "unknown world 'zz'"}}
 
     def test_parse_error(self, capsys, write_json):
         path = write_json("m.json", PROP_MODEL)

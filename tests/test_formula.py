@@ -259,6 +259,9 @@ class TestRender:
         ("[]P => P", "□P => P"),
         ("P |> Q", "P |> Q"),
         ("forall x. alive(x)", "∀x. alive(x)"),
+        ("P | Q", "P ∨ Q"),
+        ("P <=> Q", "P <=> Q"),
+        ("exists x. alive(x)", "∃x. alive(x)"),
     ])
     def test_unicode_table(self, text, expected):
         assert render(parse(text), "unicode") == expected

@@ -142,3 +142,14 @@ class TestRoundTrip:
         except ParseError:
             return
         assert parse(render(f, "ascii")) == f
+
+
+def test_nesting_depth_of_the_recursive_front_end():
+    """parse and render spend a fixed number of stack frames per nesting
+    level; a change that spends more per level shrinks these depths, which
+    sit well inside the default recursion limit today."""
+    assert parse("(" * 100 + "p" + ")" * 100) == PropAtom("p")
+    f = parse("~" * 800 + "p")
+    for _ in range(400):
+        f = f.body
+    assert render(f, "ascii") == "~" * 400 + "p"
