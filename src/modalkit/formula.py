@@ -60,7 +60,42 @@ Term = BoundVar | RigidConst
 # ---------------------------------------------------------------------------
 # Formulas
 
-@dataclass(frozen=True)
+def _eq(self, other):
+    """Structural equality on an explicit stack, unbounded by recursion."""
+    if type(other) is not type(self):
+        return NotImplemented
+    todo = [(self, other)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b) or not isinstance(a, Formula) and a != b:
+            return False
+        if isinstance(a, Formula):
+            todo += [(getattr(a, k), getattr(b, k)) for k in a.__match_args__]
+    return True
+
+
+def _hash(self) -> int:
+    memo = self.__dict__
+    if "_hash" not in memo:     # over _walk: each node's class, leaf fields
+        memo["_hash"] = hash(tuple(
+            (type(g), *(getattr(g, k) for k in g.__match_args__
+                        if not isinstance(getattr(g, k), Formula)))
+            for g, _ in _walk(self)))
+    return memo["_hash"]
+
+
+def _node(cls):
+    """A formula node class: a frozen dataclass with _eq and _hash, whose
+    pickle leaves the kept hash out, as str hashes vary by interpreter."""
+    cls = dataclass(frozen=True, eq=False)(cls)
+    cls.__eq__, cls.__hash__, cls.__getstate__ = _eq, _hash, lambda self: {
+        k: v for k, v in self.__dict__.items() if k != "_hash"}
+    return cls
+
+
+@_node
 class PropAtom:
     name: str
 
@@ -71,7 +106,7 @@ class PropAtom:
                 f"propositional atom name must start lowercase: {self.name!r}")
 
 
-@dataclass(frozen=True)
+@_node
 class SchemeVar:
     name: str
 
@@ -82,7 +117,7 @@ class SchemeVar:
                 f"scheme variable name must start uppercase: {self.name!r}")
 
 
-@dataclass(frozen=True)
+@_node
 class PredAtom:
     """First-order atom; rigid or flexible is decided by the model."""
 
@@ -99,7 +134,7 @@ class PredAtom:
                 raise ValueError(f"predicate argument must be a Term: {a!r}")
 
 
-@dataclass(frozen=True)
+@_node
 class Eq:
     """Built-in rigid equality between terms."""
 
@@ -112,46 +147,46 @@ class Eq:
                 raise ValueError(f"equality applies to Terms: {a!r}")
 
 
-@dataclass(frozen=True)
+@_node
 class Not:
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And:
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or:
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Imp:
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Iff:
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Box:
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Dia:
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class StrictImp:
     """Strict implication: no accessible world satisfies lhs without rhs."""
 
@@ -159,7 +194,7 @@ class StrictImp:
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Forall:
     var: str
     body: Formula
@@ -168,7 +203,7 @@ class Forall:
         _check_ident(self.var, "bound variable name")
 
 
-@dataclass(frozen=True)
+@_node
 class Exists:
     var: str
     body: Formula

@@ -7,18 +7,19 @@ first hit, so results are reproducible run to run.  ``jobs > 1`` fans the
 scan out over worker processes in fixed chunks and keeps the same answer:
 chunks are consumed in order and the first in-order hit wins.
 
-A frame's candidate models are not built one at a time: their existence,
-predicate and valuation bits are instance columns above each check's own
-instance bits, so one truth-set pass labels them all, and a candidate's
-verdict and budget units are reductions over its group of bits.  The
-model searches, the Barcan sweep, the divergence search and the
-deduction-gap search (whose candidates are its metavariables'
-instantiations) share these batches.  A model is built only for the
-witness.  Every search returns through ``_first``, which re-checks what
-the witness's certificate reports with the plain reference evaluator, and
-the spec's frame constraints with the relational frame tests; a failure
-there raises RuntimeError and would mean a bug in the truth-set evaluator
-or the frame generator, not in the caller's input.
+Candidate models are not built one at a time: their existence, predicate
+and valuation bits are instance columns above each check's own instance
+bits, so one truth-set pass labels them all, and a candidate's verdict
+and budget units are reductions over its group of bits.  The model
+searches, the Barcan sweep, the divergence search and the deduction-gap
+search (whose candidates are its metavariables' instantiations) share
+these batches.  The model searches also put a chunk's frames above their
+candidates, with the edges as columns, and build a frame and a model only
+for the witness.  Every search returns through ``_first``, which
+re-checks what the witness's certificate reports with the plain reference
+evaluator, and the spec's frame constraints with the relational frame
+tests; a failure there raises RuntimeError and would mean a bug in the
+truth-set evaluator or the frame generator, not in the caller's input.
 Malformed specs, and stages too wide to enumerate, are refused before
 their first candidate is scanned, so no check raises inside a batch.
 """
@@ -29,7 +30,7 @@ import string
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import islice, permutations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -111,12 +112,6 @@ def _masks(n: int, masks: range, constraints: frozenset[str] = frozenset()
             if all(t(rows, i) for t in tests):
                 yield from fix(i - 1, prefix | r << s) if i else (prefix | r,)
     return fix(n - 1, 0)
-
-
-def _frames(n: int, masks: range, constraints: frozenset[str] = frozenset()
-            ) -> Iterator[tuple[int, Frame]]:
-    """(mask, frame) for each mask of ``masks`` that _masks admits."""
-    return ((m, frame_from_mask(n, m)) for m in _masks(n, masks, constraints))
 
 
 def enumerate_frames(n: int, constraints: Iterable[str] = (),
@@ -373,7 +368,7 @@ def _hit(batch, checks, bud: Budget):
     witness function.  Charges what the scalar scan charges over the
     candidates up to it, or over the whole batch.  A check runs only on a
     batch that some candidate reaches it in."""
-    reach, spent, witness = batch.base, [], None
+    reach, spent, witness = batch.live, [], None
     for j, (_, run) in enumerate(checks):
         if not reach:
             break
@@ -447,10 +442,17 @@ def _signature(spec: SearchSpec) -> tuple[dict[str, int], list[str]]:
     return pred_symbols(whole), prop_atoms(whole)
 
 
+@lru_cache(maxsize=None)
+def _blank(n: int, domain: tuple[str, ...] | None):
+    """A stage's model with no edges, valuation or predicates."""
+    fr = Frame(tuple(f"w{i}" for i in range(n)))
+    return (PropModel(fr, {}) if domain is None
+            else FoModel(DomainFrame(fr, domain), "constant"))
+
+
 def _spec_chunk(stage, masks, spec: SearchSpec, bud: Budget):
     """The chunk's least countermodel as (model, certificate), or None.
-    Each frame's candidates are labelled as columns over one base model; a
-    model is built only for the witness."""
+    Its admitted frames and their candidates are columns over _blank."""
     n, d = stage if len(stage) > 1 else (stage[0], 0)
     domain = _domain_names(d) if len(stage) > 1 else None
     preds, atoms = _signature(spec)
@@ -458,22 +460,19 @@ def _spec_chunk(stage, masks, spec: SearchSpec, bud: Budget):
     fields = _fields(n, d, tuple(preds.items()), tuple(atoms), varying)
     cb = sum(f[3] for f in fields)
     checks = _checks(spec, n)
-    leaves = _leaves(fields, domain or (), n)
-    for mask, fr in _frames(n, masks, spec.frame_constraints):
-        m = (PropModel(fr, {}) if domain is None
-             else FoModel(DomainFrame(fr, domain), "constant"))
-        for batch in _batches(m, cb, [ib for ib, _ in checks], leaves,
-                              preds):
-            hit, witness = _hit(batch, checks, bud)
-            if hit:
-                c = batch.number(hit)
-                cert = {**_stage_frontier(stage), "frame_mask": mask}
-                if domain is not None:
-                    cert["exists_mask"] = (c >> fields[-1][2] if varying
-                                           else (1 << d * n) - 1)
-                return (_candidate(fr, domain, spec.mode, fields, c),
-                        {**cert, **_certificate(spec, fr.worlds,
-                                                *witness(hit))})
+    frames = list(_masks(n, masks, spec.frame_constraints))
+    for batch in _batches(_blank(n, domain), cb, [ib for ib, _ in checks],
+                          _leaves(fields, domain or (), n), preds, frames):
+        hit, witness = _hit(batch, checks, bud)
+        if hit:
+            k, c = divmod(batch.number(hit), 1 << cb)
+            fr = frame_from_mask(n, frames[k])
+            cert = {**_stage_frontier(stage), "frame_mask": frames[k]}
+            if domain is not None:
+                cert["exists_mask"] = (c >> fields[-1][2] if varying
+                                       else (1 << d * n) - 1)
+            return (_candidate(fr, domain, spec.mode, fields, c),
+                    {**cert, **_certificate(spec, fr.worlds, *witness(hit))})
     return None
 
 
@@ -554,7 +553,8 @@ def _div_chunk(stage, masks, _, bud: Budget):
     exists = _leaves(fields, domain, n)
     hole = _leaves(_fields(n, d, (("P", 1),), ()), domain, n)
     lhs, rhs = BF_LHS("P"), BF_RHS("P")
-    for fmask, fr in _frames(n, masks):
+    for fmask in masks:
+        fr = frame_from_mask(n, fmask)
         m = FoModel(DomainFrame(fr, domain), "constant")
         bits = _fo_bits(m)
         for b in _batches(m, d * n, [bits], exists, {"P": 1}):
@@ -630,7 +630,8 @@ def _sweep_chunk(stage, masks, _, bud: Budget):
     hole = _leaves(_fields(n, d, (("P", 1),), ()), domain, n)
     checked = 0
     violations: list[dict] = []
-    for fmask, fr in _frames(n, masks):
+    for fmask in masks:
+        fr = frame_from_mask(n, fmask)
         m = FoModel(DomainFrame(fr, domain), "constant")
         bits = _fo_bits(m)
         symmetric = frame_property(fr, "symmetric")
@@ -690,7 +691,8 @@ def _agree_chunk(stage, masks, _, bud: Budget):
     domain = _domain_names(d)
     checked = 0
     disagreements: list[dict] = []
-    for fmask, fr in _frames(n, masks):
+    for fmask in masks:
+        fr = frame_from_mask(n, fmask)
         r = bf_readings(FoModel(DomainFrame(fr, domain), "constant"), "P",
                         bud)
         checked += 1
@@ -728,7 +730,8 @@ def _gap_chunk(stage, masks, conclusion: Imp, bud: Budget):
     per candidate."""
     (n,) = stage
     fields = _fields(n, 0, (), tuple(scheme_vars(conclusion)))
-    for fmask, fr in _frames(n, masks):
+    for fmask in masks:
+        fr = frame_from_mask(n, fmask)
         m = PropModel(fr, {})
         for b in _batches(m, n * len(fields), [0], _leaves(fields, (), n)):
             (lhs, lhs_units, _), (rhs, rhs_units, _), (imp, units, witness) = (

@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
-from operator import and_
+from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
 
 from .formula import (
@@ -309,8 +309,9 @@ def _truth(m: PropModel | FoModel, f: Formula, leaves: Mapping, full: int,
     name, the cells of each predicate in ``preds`` (name -> arity) by
     (name, element tuple), and under ``Exists`` the per-world existence
     columns of each element of m.domain (by default, m.domain_at's).
-    Structural errors raise the exceptions evaluate raises."""
-    worlds, succ = m.worlds, m.frame.succ
+    Edge columns under ``Box`` ([i][j]: where worlds[i] sees worlds[j])
+    replace m.frame's.  Structural errors raise what evaluate raises."""
+    worlds, succ, edges = m.worlds, m.frame.succ, leaves.get(Box)
     ones, zeros = [full] * len(worlds), [0] * len(worlds)
     preds = preds or {}
     fo = isinstance(m, FoModel)
@@ -342,12 +343,13 @@ def _truth(m: PropModel | FoModel, f: Formula, leaves: Mapping, full: int,
             if isinstance(g, Iff):
                 return [full ^ a ^ b for a, b in zip(ls, rs)]
             imp = [(full ^ a) | b for a, b in zip(ls, rs)]
-            return imp if isinstance(g, Imp) else _meet(imp, succ, full)
+            return imp if isinstance(g, Imp) else _meet(imp, succ, full,
+                                                        edges)
         if isinstance(g, Box):
-            return _meet(go(g.body, env), succ, full)
+            return _meet(go(g.body, env), succ, full, edges)
         if isinstance(g, Dia):
             nots = [full ^ a for a in go(g.body, env)]
-            return [full ^ a for a in _meet(nots, succ, full)]
+            return [full ^ a for a in _meet(nots, succ, full, edges)]
         if not fo:
             raise NotPropositional(
                 f"{type(g).__name__} needs a first-order model, got a PropModel")
@@ -388,9 +390,13 @@ def _truth(m: PropModel | FoModel, f: Formula, leaves: Mapping, full: int,
     return go(f, {})
 
 
-def _meet(sets: Sequence[int], succ: Sequence[Sequence[int]],
-          full: int) -> list[int]:
-    """Per world, the instances where sets holds at every successor."""
+def _meet(sets: Sequence[int], succ: Sequence[Sequence[int]], full: int,
+          edges: Sequence[Sequence[int]] | None = None) -> list[int]:
+    """Per world i, the instances where sets holds at every successor:
+    full ^ OR_j (edges[i][j] & ~sets[j]), or the AND over succ[i]."""
+    if edges is not None:
+        nots = [full ^ x for x in sets]
+        return [full ^ reduce(or_, map(and_, row, nots), 0) for row in edges]
     out = []
     for s in succ:
         x = full
@@ -553,6 +559,22 @@ def _decode(fields, domain: tuple, worlds: tuple, i: int):
     return val, flex, exists
 
 
+def _edges(n: int, frames: Sequence[int], w: int) -> list[list[int]]:
+    """Edge columns over slots k, bits k << w to (k + 1) << w, on n-world
+    frames[k]: [i][j] covers the slots whose mask has bit i*n+j.  One frame
+    gives constants, -1 (fits any block, as _meet ANDs it inside) or 0."""
+    if len(frames) == 1:
+        return [[-(frames[0] >> i * n + j & 1) for j in range(n)]
+                for i in range(n)]
+    ones = (1 << (1 << w)) - 1
+    base = ((1 << (len(frames) << w)) - 1) // ones   # each slot's bit 0
+    c = min(n * n, 1 << w)     # the mask bits one pass places in a slot
+    ys = [sum((m >> e0 & (1 << c) - 1) << (k << w)
+              for k, m in enumerate(frames)) for e0 in range(0, n * n, c)]
+    cols = [(ys[e // c] >> e % c & base) * ones for e in range(n * n)]
+    return [cols[i * n:i * n + n] for i in range(n)]
+
+
 class _Batch:
     """Candidates c0 .. c0 + 2**cbb - 1 of a space of 2**cb on the base
     model m; ``cand(cols)`` gives their leaves from the columns of the
@@ -560,15 +582,25 @@ class _Batch:
     c0 + i (bit 0 when the batch holds one candidate).  The checks give
     (holds, units, witness): the candidates where the check holds, units(s)
     what the single-model scan charges over the candidates in mask s, and
-    witness(c) the (world index, instance) of candidate bit c's failure."""
+    witness(c) the (world index, instance) of candidate bit c's failure.
+    With ``frames`` (masks), candidate k << cb | c is candidate c on
+    frames[k], whose slot of 2**(g + cb) bits gives the edge columns; live
+    drops from base the slots past the end of frames."""
 
-    def __init__(self, m, cb: int, c0: int, cbb: int, g: int, cand, preds):
+    def __init__(self, m, cb: int, c0: int, cbb: int, g: int, cand, preds,
+                 frames=None):
         self.m, self.cb, self.c0, self.cbb, self.g = m, cb, c0, cbb, g
         self.cand, self.preds = cand, preds
         _, self.full, self.cols = next(_blocks(g + cb, g + cbb, c0 << g))
         self.ones = (1 << (1 << g)) - 1
-        self.base = self.full // self.ones
-        self.leaves = cand(self.cols[g:])
+        self.base = self.live = self.full // self.ones
+        self.edges = {}
+        if frames is not None:
+            slots = frames[c0 >> cb:(c0 >> cb) + (1 << max(0, cbb - cb))]
+            self.edges[Box] = _edges(len(m.worlds), slots, g + cb)
+            if cbb > cb:
+                self.live &= (1 << (len(slots) << g + cb)) - 1
+        self.leaves = {**cand(self.cols[g:]), **self.edges}
 
     def number(self, c: int) -> int:
         """The candidate whose bit is c."""
@@ -592,8 +624,8 @@ class _Batch:
 
     def _alone(self, scan, ib: int, inst):
         best, units = scan(ib + self.cb, lambda cols: {
-            **inst(cols), **self.cand(cols[ib:])}, self.preds, ib,
-            self.c0 << ib)
+            **inst(cols), **self.cand(cols[ib:]), **self.edges}, self.preds,
+            ib, self.c0 << ib)
         return int(best is None), lambda s: units * (s & 1), lambda c: best
 
     def _result(self, holds: int, terms, hits):
@@ -637,13 +669,15 @@ class _Batch:
             self._own(ib)))
 
 
-def _batches(m, cb: int, ibs: Sequence[int], cand, preds=None):
-    """The batches of 2**cb candidates in order, as many to a block as the
-    widest of checks with ``ibs`` instance bits leaves room for."""
+def _batches(m, cb: int, ibs: Sequence[int], cand, preds=None, frames=None):
+    """The batches of 2**cb candidates in order, on each of ``frames`` in
+    turn when given (see _Batch), as many to a block as the widest of checks
+    with ``ibs`` instance bits leaves room for."""
     top = max(ibs, default=0)
-    cbb = max(0, min(cb, _BLOCK_BITS - top))
-    for c0 in range(0, 1 << cb, 1 << cbb):
-        yield _Batch(m, cb, c0, cbb, top if cbb else 0, cand, preds)
+    k = 1 if frames is None else len(frames)
+    cbb = max(0, min(cb + (k - 1).bit_length(), _BLOCK_BITS - top))
+    for c0 in range(0, k << cb, 1 << cbb):
+        yield _Batch(m, cb, c0, cbb, top if cbb else 0, cand, preds, frames)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,23 @@ class TestDeepFormulas:
         assert [q(f) for q in QUERIES] == [[], [], {"near": 3}, ["c"], ["y"],
                                            False]
 
+    def test_equality_and_hash_of_a_100000_deep_chain(self):
+        wraps = (Not, Box, lambda g: And(g, p))
+
+        def chain(leaf):
+            f = leaf
+            for i in range(100000):
+                f = wraps[i % 3](f)
+            return f
+        f, twin, other = chain(P), chain(P), chain(SchemeVar("Q"))
+        assert f == twin and f != other
+        assert hash(f) == hash(twin) and {f: 1}[twin] == 1
+        # the kept hash is not pickled: str hashes vary by interpreter
+        small = Not(Box(p))
+        g = pickle.loads(pickle.dumps((hash(small), small)[1]))
+        assert "_hash" in small.__dict__ and "_hash" not in g.__dict__
+        assert g == small and hash(g) == hash(small)
+
 
 def _reference(f):
     """The six answers by plain recursion: (atoms, metavariables, predicate

@@ -175,22 +175,45 @@ def test_row_tests_match_the_relational_reference(worlds, data):
     assert is_total(fr) == ("total" in props)
 
 
-@pytest.mark.parametrize("text, constraint, built", [
+@pytest.mark.parametrize("text, constraint, admitted", [
     ("<>P => []<>P", "equivalence", 1 + 2 + 5 + 15),     # Bell numbers
     ("[]P => [][]P", "transitive", 2 + 13 + 171 + 3994),  # OEIS A006905
 ])
 def test_constrained_search_builds_only_admitted_frames(
-        monkeypatch, text, constraint, built):
-    real, calls = search.frame_from_mask, []
+        monkeypatch, text, constraint, admitted):
+    """The scan labels exactly the admitted frames, as edge columns, and
+    builds a Frame for none of them when no countermodel is found."""
+    real_masks, real_frame, labelled, built = (search._masks,
+                                               search.frame_from_mask, [], [])
 
-    def counting(n, mask):
-        calls.append(mask)
-        return real(n, mask)
-    monkeypatch.setattr(search, "frame_from_mask", counting)
+    def counting_masks(n, masks, constraints=frozenset()):
+        out = list(real_masks(n, masks, constraints))
+        labelled.extend(out)
+        return out
+
+    def counting_frames(n, mask):
+        built.append(mask)
+        return real_frame(n, mask)
+    monkeypatch.setattr(search, "_masks", counting_masks)
+    monkeypatch.setattr(search, "frame_from_mask", counting_frames)
     spec = SearchSpec(parse(text), frame_constraints={constraint},
                       max_worlds=4)
     assert find_countermodel(spec) is None
-    assert len(calls) == built
+    assert len(labelled) == admitted
+    assert built == []
+
+
+def test_found_countermodel_builds_only_its_frame(monkeypatch):
+    real, built = search.frame_from_mask, []
+
+    def counting(n, mask):
+        built.append(mask)
+        return real(n, mask)
+    monkeypatch.setattr(search, "frame_from_mask", counting)
+    spec = SearchSpec(parse("[]P => [][]P"), frame_constraints={"reflexive"},
+                      max_worlds=4)
+    r = find_countermodel(spec)
+    assert built == [r.certificate["frame_mask"]] == [285]
 
 
 # One search to 4 worlds per constraint: the certificate (None when the
@@ -230,6 +253,17 @@ def test_constrained_search_is_pinned(constraint, jobs):
     assert ei.value.args[0] == \
         f"evaluator-call budget exhausted ({used - 1} calls)"
     assert ei.value.frontier == {"worlds": trip_worlds}
+
+
+def test_k_to_four_worlds_is_pinned():
+    """K over p and q holds on every frame to 4 worlds: 65536 frames at the
+    last stage, 16 to a block.  The units are the per-frame scan's."""
+    spec = SearchSpec(parse("[](p => q) => ([]p => []q)"), max_worlds=4)
+    used = 67207688
+    assert find_countermodel(spec, jobs=1, budget=used) is None
+    with pytest.raises(ResourceLimit) as ei:
+        find_countermodel(spec, jobs=1, budget=used - 1)
+    assert ei.value.frontier == {"worlds": 4}
 
 
 class TestSearchSpecValidation:
@@ -1014,7 +1048,38 @@ _PINNED_FO_SPECS = {
 }
 
 
-@pytest.mark.parametrize("block_bits", [12, 3])
+# Valid on every frame the constraint admits, so every chunk is scanned.
+_PINNED_SPARSE_SPECS = {
+    "4 transitive": SearchSpec(parse("[]P => [][]P"),
+                               frame_constraints={"transitive"}),
+    "5 euclidean": SearchSpec(parse("<>P => []<>P"),
+                              frame_constraints={"euclidean"}),
+    "B symmetric meta": SearchSpec(parse("P => []<>P"), reading="meta",
+                                   frame_constraints={"symmetric"}),
+}
+
+
+_SCHEMES = tuple(parse(t) for t in (
+    "[]P => P", "[]P => [][]P", "<>P => []<>P", "P => []<>P", "[]P => <>P",
+    "<>[]P => []<>P", "<>P => []P", "P => []P"))
+
+
+def _sparse_prop_spec(rng):
+    """A spec whose constraints admit few, scattered masks of a chunk, over
+    schemes that some of those frames refute and others do not."""
+    a, b = rng.sample(_SCHEMES, 2)
+    if rng.random() < 0.5:
+        b = Or(b, random_prop_formula(rng, 2, ("p",), ("P",)))
+    reading = rng.choice(("object", "meta"))
+    conclusion = (Imp(a, b) if reading == "meta"
+                  else rng.choice((a, Or(a, b), And(a, b))))
+    constraints = rng.sample(("transitive", "euclidean", "symmetric",
+                              "reflexive"), rng.randint(1, 2))
+    return SearchSpec(conclusion, frame_constraints=constraints,
+                      reading=reading)
+
+
+@pytest.mark.parametrize("block_bits", [12, 3, 6])
 class TestSlicedScanMatchesPerCandidateScan:
     @pytest.mark.parametrize("seed", range(24))
     def test_find_countermodel(self, monkeypatch, block_bits, seed):
@@ -1045,6 +1110,28 @@ class TestSlicedScanMatchesPerCandidateScan:
             _same_trips(monkeypatch, "_spec_chunk", _oracle_spec_chunk,
                         lambda b: find_fo_countermodel(spec, budget=b), used,
                         rng)
+
+    @pytest.mark.parametrize("seed", [*range(8), *_PINNED_SPARSE_SPECS])
+    def test_sparse_frames(self, monkeypatch, block_bits, seed):
+        """Several frames to a block, with the block's last slots unused:
+        every chunk to 3 worlds with the public search's trips, and two
+        chunks of the 4-world stage."""
+        rng = random.Random(seed)
+        spec = (_PINNED_SPARSE_SPECS[seed] if seed in _PINNED_SPARSE_SPECS
+                else _sparse_prop_spec(rng))
+        with _block_bits(block_bits):
+            used = _chunk_ledger(search._spec_chunk, _oracle_spec_chunk,
+                                 [(1,), (2,), (3,)], spec)
+            _same_trips(monkeypatch, "_spec_chunk", _oracle_spec_chunk,
+                        lambda b: find_countermodel(spec, budget=b), used,
+                        rng)
+            for lo, hi in rng.sample(search._chunk_ranges(1 << 16), 2):
+                outs = []
+                for run in (search._spec_chunk, _oracle_spec_chunk):
+                    bud = Budget(10**9)
+                    outs.append((_plain(run((4,), range(lo, hi), spec, bud)),
+                                 bud.used))
+                assert outs[0] == outs[1], (lo, hi)
 
     def test_barcan_sweep(self, monkeypatch, block_bits):
         stages = [(1, 2), (2, 2)]
