@@ -10,16 +10,16 @@ chunks are consumed in order and the first in-order hit wins.
 Candidate models are not built one at a time: their existence, predicate
 and valuation bits are instance columns above each check's own instance
 bits, so one truth-set pass labels them all, and a candidate's verdict
-and budget units are reductions over its group of bits.  The model
-searches, the Barcan sweep, the divergence search and the deduction-gap
-search (whose candidates are its metavariables' instantiations) share
-these batches.  The model searches also put a chunk's frames above their
-candidates, with the edges as columns, and build a frame and a model only
-for the witness.  Every search returns through ``_first``, which
-re-checks what the witness's certificate reports with the plain reference
-evaluator, and the spec's frame constraints with the relational frame
-tests; a failure there raises RuntimeError and would mean a bug in the
-truth-set evaluator or the frame generator, not in the caller's input.
+and budget units are reductions over its group of bits.  Every scan, the
+sweeps and the deduction-gap search (whose candidates are its
+metavariables' instantiations) included, shares these batches: a chunk's
+frames sit above their candidates, with the edges as columns, and a frame
+and a model are built only for a witness or a reported disagreement.
+Every search returns through ``_first``, which re-checks what the
+witness's certificate reports with the plain reference evaluator, and the
+spec's frame constraints with the relational frame tests; a failure there
+raises RuntimeError and would mean a bug in the truth-set evaluator or
+the frame generator, not in the caller's input.
 Malformed specs, and stages too wide to enumerate, are refused before
 their first candidate is scanned, so no check raises inside a batch.
 """
@@ -32,9 +32,10 @@ from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import islice, permutations, product
+from operator import and_
 from typing import Iterable, Iterator, Sequence
 
-from .formula import (And, Exists, Formula, Imp, SchemeVar, const_names,
+from .formula import (And, Box, Exists, Formula, Imp, SchemeVar, const_names,
                       free_vars, is_propositional, pred_symbols, prop_atoms,
                       render, scheme_vars)
 from .correspondence import BF_SCHEME, CBF_SCHEME
@@ -128,8 +129,6 @@ def enumerate_frames(n: int, constraints: Iterable[str] = (),
 
 
 def _domain_names(d: int) -> tuple[str, ...]:
-    if d > len(string.ascii_lowercase):
-        raise ValueError("domain sizes beyond 26 are not supported")
     return tuple(string.ascii_lowercase[:d])
 
 
@@ -314,8 +313,11 @@ def _check_ceiling(max_worlds: int, ceiling: int, kind: str) -> None:
 
 
 def _check_domain(name: str, d: int, least: int) -> None:
+    """A domain bound from least to 26, the elements' one-letter names."""
     if d < least:
         raise ValueError(f"{name} must be at least {least}")
+    if d > len(string.ascii_lowercase):
+        raise ValueError(f"{name} {d} exceeds the domain ceiling 26")
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +464,12 @@ def _spec_chunk(stage, masks, spec: SearchSpec, bud: Budget):
     checks = _checks(spec, n)
     frames = list(_masks(n, masks, spec.frame_constraints))
     for batch in _batches(_blank(n, domain), cb, [ib for ib, _ in checks],
-                          _leaves(fields, domain or (), n), preds, frames):
+                          _leaves(fields, domain or (), n), frames, preds):
         hit, witness = _hit(batch, checks, bud)
         if hit:
-            k, c = divmod(batch.number(hit), 1 << cb)
-            fr = frame_from_mask(n, frames[k])
-            cert = {**_stage_frontier(stage), "frame_mask": frames[k]}
+            fmask, c = batch.number(hit)
+            fr = frame_from_mask(n, fmask)
+            cert = {**_stage_frontier(stage), "frame_mask": fmask}
             if domain is not None:
                 cert["exists_mask"] = (c >> fields[-1][2] if varying
                                        else (1 << d * n) - 1)
@@ -535,9 +537,7 @@ def find_fo_countermodel(spec: SearchSpec, jobs: int = 1, budget=None
             raise ValueError("schematic metavariables are only supported "
                              "in purely propositional (sub)formulas")
     _check_ceiling(spec.max_worlds, FO_WORLD_CEILING, "quantified")
-    if spec.max_domain < 1:
-        raise ValueError("max_domain must be at least 1 for quantified "
-                         "search")
+    _check_domain("max_domain", spec.max_domain, 1)
     return _first(_fo_stages(spec), _spec_chunk, spec, jobs, budget,
                   _revalidate)
 
@@ -545,33 +545,42 @@ def find_fo_countermodel(spec: SearchSpec, jobs: int = 1, budget=None
 # ---------------------------------------------------------------------------
 # The quantifier/Box exchange: divergence search and exhaustive sweeps
 
+def _divergences(stage, masks, varying: bool, bud: Budget) -> Iterator:
+    """(frame mask, candidate, model, its BfReadings) of each model, in scan
+    order, where the rule reading of the exchange holds and the implication
+    fails: over the stage's constant-domain frames, or its existence masks
+    when varying.  Each model is charged as bf_readings charges it, which
+    gives the readings of those yielded."""
+    n, d = stage
+    m = _blank(n, _domain_names(d))
+    bits = _fo_bits(m)
+    fields = _fields(n, d, (), (), varying)
+    hole = _leaves(_fields(n, d, (("P", 1),), ()), m.domain, n)
+    lhs, rhs = BF_LHS("P"), BF_RHS("P")
+    for b in _batches(m, d * n if varying else 0, [bits],
+                      _leaves(fields, m.domain, n), list(masks), {"P": 1}):
+        rest = b.live
+        div = rest & (b.meta([lhs], rhs, bits, hole)[0]
+                      & ~b.least(Imp(lhs, rhs), bits, hole)[0])
+        while True:
+            hit = div & -div
+            _charge(bud, (2 * n << bits) * (rest & (hit - 1)).bit_count(), 2)
+            if not hit:
+                break
+            div ^= hit
+            rest &= -2 * hit
+            fmask, c = b.number(hit)
+            fm = _candidate(frame_from_mask(n, fmask), m.domain,
+                            "varying" if varying else "constant", fields, c)
+            yield fmask, c, fm, bf_readings(fm, "P", bud)
+
+
 def _div_chunk(stage, masks, _, bud: Budget):
     """The chunk's least divergence as (model, certificate), or None."""
-    n, d = stage
-    domain = _domain_names(d)
-    fields = _fields(n, d, (), (), varying=True)
-    exists = _leaves(fields, domain, n)
-    hole = _leaves(_fields(n, d, (("P", 1),), ()), domain, n)
-    lhs, rhs = BF_LHS("P"), BF_RHS("P")
-    for fmask in masks:
-        fr = frame_from_mask(n, fmask)
-        m = FoModel(DomainFrame(fr, domain), "constant")
-        bits = _fo_bits(m)
-        for b in _batches(m, d * n, [bits], exists, {"P": 1}):
-            # the existence masks where the rule reading holds and the
-            # implication fails under some interpretation
-            div = (b.meta([lhs], rhs, bits, hole)[0]
-                   & ~b.least(Imp(lhs, rhs), bits, hole)[0])
-            emask = b.number(div & -div) if div else b.c0 + (1 << b.cbb)
-            # bf_readings charges 2 units per (instance, world) pair, per
-            # mask scanned before the witness
-            _charge(bud, (2 * n << bits) * (emask - b.c0), 2)
-            if div:
-                fm = _candidate(fr, domain, "varying", fields, emask)
-                return fm, {"kind": "barcan_divergence",
-                            "worlds": n, "domain": d,
-                            "frame_mask": fmask, "exists_mask": emask,
-                            "readings": bf_readings(fm, "P", bud).to_dict()}
+    for fmask, emask, fm, r in _divergences(stage, masks, True, bud):
+        return fm, {"kind": "barcan_divergence", "worlds": stage[0],
+                    "domain": stage[1], "frame_mask": fmask,
+                    "exists_mask": emask, "readings": r.to_dict()}
     return None
 
 
@@ -611,58 +620,56 @@ def _revalidate_divergence(fm: FoModel, cert: dict, _) -> None:
         raise _recheck_failed("divergence")
 
 
-def _monotone(fr: Frame, exists, full: int) -> tuple[int, int]:
-    """Truth sets of domain monotonicity over existence columns
-    exists[e][w]: (nondecreasing, nonincreasing) along every edge."""
+def _monotone(edges, exists, full: int) -> tuple[int, int]:
+    """Truth sets of domain monotonicity over edge columns edges[a][b] and
+    existence columns exists[e][w]: (nondecreasing, nonincreasing) along
+    every edge."""
     inc = dec = full
-    for a, succ in enumerate(fr.succ):
-        for b in succ:
-            for col in exists:
-                inc &= (full ^ col[a]) | col[b]
-                dec &= (full ^ col[b]) | col[a]
+    for a, row in enumerate(edges):
+        for b, r in enumerate(row):
+            if r:   # absent edges constrain nothing
+                for col in exists:
+                    inc &= ~(r & col[a] & ~col[b])
+                    dec &= ~(r & col[b] & ~col[a])
     return inc, dec
 
 
 def _sweep_chunk(stage, masks, _, bud: Budget):
     n, d = stage
-    domain = _domain_names(d)
-    exists = _leaves(_fields(n, d, (), (), varying=True), domain, n)
-    hole = _leaves(_fields(n, d, (("P", 1),), ()), domain, n)
-    checked = 0
+    m = _blank(n, _domain_names(d))
+    bits = _fo_bits(m)
+    hole = _leaves(_fields(n, d, (("P", 1),), ()), m.domain, n)
+    exists = _leaves(_fields(n, d, (), (), varying=True), m.domain, n)
     violations: list[dict] = []
-    for fmask in masks:
-        fr = frame_from_mask(n, fmask)
-        m = FoModel(DomainFrame(fr, domain), "constant")
-        bits = _fo_bits(m)
-        symmetric = frame_property(fr, "symmetric")
-        for b in _batches(m, d * n, [bits], exists, {"P": 1}):
-            bf, bf_units, _ = b.least(BF_SCHEME, bits, hole)
-            cbf, cbf_units, _ = b.least(CBF_SCHEME, bits, hole)
-            bud.charge(bf_units(b.base) + cbf_units(b.base))
-            inc, dec = _monotone(fr, b.leaves[Exists], b.full)
-            # (check, (key, verdicts), (key, verdicts)): the two verdict
-            # masks must agree on every candidate
-            table = [("bf_vs_nonincreasing", ("bf", bf),
-                      ("nonincreasing", dec)),
-                     ("cbf_vs_nondecreasing", ("cbf", cbf),
-                      ("nondecreasing", inc))]
-            if symmetric:
-                table.append(("bf_iff_cbf_on_symmetric", ("bf", bf),
-                              ("cbf", cbf)))
-            odd = 0
-            for _, (_, x), (_, y) in table:
-                odd |= b.base & (x ^ y)
-            while odd:
-                c = odd & -odd
-                odd ^= c
-                coords = {"worlds": n, "frame_mask": fmask,
-                          "exists_mask": b.number(c)}
-                for check, (k1, x), (k2, y) in table:
-                    if bool(x & c) != bool(y & c):
-                        violations.append({**coords, "check": check,
-                                           k1: bool(x & c), k2: bool(y & c)})
-        checked += 1 << d * n
-    return checked, violations
+    for b in _batches(m, d * n, [bits], exists, list(masks), {"P": 1}):
+        bf, bf_units, _ = b.least(BF_SCHEME, bits, hole)
+        cbf, cbf_units, _ = b.least(CBF_SCHEME, bits, hole)
+        bud.charge(bf_units(b.live) + cbf_units(b.live))
+        edges = b.edges[Box]
+        inc, dec = _monotone(edges, b.leaves[Exists], b.full)
+        symmetric = reduce(and_, (~(edges[i][j] ^ edges[j][i])
+                                  for i in range(n) for j in range(i)), b.full)
+        # (check, where it applies, (key, verdicts), (key, verdicts)): the
+        # two verdict masks must agree on every candidate where it applies
+        table = [("bf_vs_nonincreasing", b.full, ("bf", bf),
+                  ("nonincreasing", dec)),
+                 ("cbf_vs_nondecreasing", b.full, ("cbf", cbf),
+                  ("nondecreasing", inc)),
+                 ("bf_iff_cbf_on_symmetric", symmetric, ("bf", bf),
+                  ("cbf", cbf))]
+        odd = 0
+        for _, on, (_, x), (_, y) in table:
+            odd |= b.live & on & (x ^ y)
+        while odd:
+            c = odd & -odd
+            odd ^= c
+            fmask, e = b.number(c)
+            coords = {"worlds": n, "frame_mask": fmask, "exists_mask": e}
+            for check, on, (k1, x), (k2, y) in table:
+                if on & c and bool(x & c) != bool(y & c):
+                    violations.append({**coords, "check": check,
+                                       k1: bool(x & c), k2: bool(y & c)})
+    return len(masks) << d * n, violations
 
 
 def barcan_sweep(max_worlds: int = 3, domain_size: int = 2, jobs: int = 1,
@@ -688,19 +695,10 @@ def barcan_sweep(max_worlds: int = 3, domain_size: int = 2, jobs: int = 1,
 
 def _agree_chunk(stage, masks, _, bud: Budget):
     n, d = stage
-    domain = _domain_names(d)
-    checked = 0
-    disagreements: list[dict] = []
-    for fmask in masks:
-        fr = frame_from_mask(n, fmask)
-        r = bf_readings(FoModel(DomainFrame(fr, domain), "constant"), "P",
-                        bud)
-        checked += 1
-        if r.meta_implies != r.object_implies:
-            disagreements.append({"worlds": n, "domain": d,
-                                  "frame_mask": fmask,
-                                  "readings": r.to_dict()})
-    return checked, disagreements
+    return len(masks), [
+        {"worlds": n, "domain": d, "frame_mask": fmask,
+         "readings": r.to_dict()}
+        for fmask, _, _, r in _divergences(stage, masks, False, bud)]
 
 
 def bf_agreement_sweep(max_worlds: int = 3, max_domain: int = 2,
@@ -730,29 +728,29 @@ def _gap_chunk(stage, masks, conclusion: Imp, bud: Budget):
     per candidate."""
     (n,) = stage
     fields = _fields(n, 0, (), tuple(scheme_vars(conclusion)))
-    for fmask in masks:
-        fr = frame_from_mask(n, fmask)
-        m = PropModel(fr, {})
-        for b in _batches(m, n * len(fields), [0], _leaves(fields, (), n)):
-            (lhs, lhs_units, _), (rhs, rhs_units, _), (imp, units, witness) = (
-                b.least(f, 0, lambda cols: {})
-                for f in (conclusion.lhs, conclusion.rhs, conclusion))
-            rule = b.base & ~(lhs & ~rhs)
-            gap = rule & ~imp
-            hit = gap & -gap
-            upto = (2 * hit - 1) & b.base
-            bud.charge(lhs_units(upto) + rhs_units(upto) + units(upto & rule))
-            if hit:
-                val = _decode(fields, (), fr.worlds, b.number(hit))[0]
-                return m, {
-                    "worlds": n, "frame_mask": fmask,
-                    "kind": "deduction_gap",
-                    "conclusion": render(conclusion, "ascii"),
-                    "assignment": {k: list(v) for k, v in sorted(val.items())},
-                    "world": fr.worlds[witness(hit)[0]],
-                    "lhs_valid": bool(lhs & hit),
-                    "rhs_valid": bool(rhs & hit),
-                }
+    for b in _batches(_blank(n, None), n * len(fields), [0],
+                      _leaves(fields, (), n), list(masks)):
+        (lhs, lhs_units, _), (rhs, rhs_units, _), (imp, units, witness) = (
+            b.least(f, 0, lambda cols: {})
+            for f in (conclusion.lhs, conclusion.rhs, conclusion))
+        rule = b.live & ~(lhs & ~rhs)
+        gap = rule & ~imp
+        hit = gap & -gap
+        upto = (2 * hit - 1) & b.live
+        bud.charge(lhs_units(upto) + rhs_units(upto) + units(upto & rule))
+        if hit:
+            fmask, c = b.number(hit)
+            m = PropModel(frame_from_mask(n, fmask), {})
+            val = _decode(fields, (), m.worlds, c)[0]
+            return m, {
+                "worlds": n, "frame_mask": fmask,
+                "kind": "deduction_gap",
+                "conclusion": render(conclusion, "ascii"),
+                "assignment": {k: list(v) for k, v in sorted(val.items())},
+                "world": m.worlds[witness(hit)[0]],
+                "lhs_valid": bool(lhs & hit),
+                "rhs_valid": bool(rhs & hit),
+            }
     return None
 
 

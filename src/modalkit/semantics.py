@@ -576,35 +576,35 @@ def _edges(n: int, frames: Sequence[int], w: int) -> list[list[int]]:
 
 
 class _Batch:
-    """Candidates c0 .. c0 + 2**cbb - 1 of a space of 2**cb on the base
-    model m; ``cand(cols)`` gives their leaves from the columns of the
-    candidate bits.  A candidate mask has bit i << g set for candidate
-    c0 + i (bit 0 when the batch holds one candidate).  The checks give
-    (holds, units, witness): the candidates where the check holds, units(s)
-    what the single-model scan charges over the candidates in mask s, and
-    witness(c) the (world index, instance) of candidate bit c's failure.
-    With ``frames`` (masks), candidate k << cb | c is candidate c on
-    frames[k], whose slot of 2**(g + cb) bits gives the edge columns; live
-    drops from base the slots past the end of frames."""
+    """Candidates c0 .. c0 + 2**cbb - 1 of a space of 2**cb candidates on
+    each of ``frames`` (masks) over the base model m: candidate k << cb | c
+    is candidate c on frames[k], and ``cand(cols)`` gives its leaves from
+    the columns of the candidate bits.  A candidate mask has bit i << g set
+    for candidate c0 + i (bit 0 when the batch holds one candidate); each
+    frame's slot of 2**(g + cb) bits gives the edge columns, and live drops
+    from base the slots past the end of frames.  The checks give (holds,
+    units, witness): the candidates where the check holds, units(s) what
+    the single-model scan charges over the candidates in mask s, and
+    witness(c) the (world index, instance) of candidate bit c's failure."""
 
     def __init__(self, m, cb: int, c0: int, cbb: int, g: int, cand, preds,
-                 frames=None):
+                 frames):
         self.m, self.cb, self.c0, self.cbb, self.g = m, cb, c0, cbb, g
-        self.cand, self.preds = cand, preds
+        self.cand, self.preds, self.frames = cand, preds, frames
         _, self.full, self.cols = next(_blocks(g + cb, g + cbb, c0 << g))
         self.ones = (1 << (1 << g)) - 1
         self.base = self.live = self.full // self.ones
-        self.edges = {}
-        if frames is not None:
-            slots = frames[c0 >> cb:(c0 >> cb) + (1 << max(0, cbb - cb))]
-            self.edges[Box] = _edges(len(m.worlds), slots, g + cb)
-            if cbb > cb:
-                self.live &= (1 << (len(slots) << g + cb)) - 1
+        slots = frames[c0 >> cb:(c0 >> cb) + (1 << max(0, cbb - cb))]
+        self.edges = {Box: _edges(len(m.worlds), slots, g + cb)}
+        if cbb > cb:
+            self.live &= (1 << (len(slots) << g + cb)) - 1
         self.leaves = {**cand(self.cols[g:]), **self.edges}
 
-    def number(self, c: int) -> int:
-        """The candidate whose bit is c."""
-        return self.c0 + ((c.bit_length() - 1) >> self.g)
+    def number(self, c: int) -> tuple[int, int]:
+        """The frame mask and the candidate whose bit is c."""
+        k, cand = divmod(self.c0 + ((c.bit_length() - 1) >> self.g),
+                         1 << self.cb)
+        return self.frames[k], cand
 
     def _any(self, x: int) -> int:
         """The candidates whose group has a bit set in x."""
@@ -669,14 +669,13 @@ class _Batch:
             self._own(ib)))
 
 
-def _batches(m, cb: int, ibs: Sequence[int], cand, preds=None, frames=None):
-    """The batches of 2**cb candidates in order, on each of ``frames`` in
-    turn when given (see _Batch), as many to a block as the widest of checks
-    with ``ibs`` instance bits leaves room for."""
+def _batches(m, cb: int, ibs: Sequence[int], cand, frames, preds=None):
+    """The batches of 2**cb candidates on each of ``frames`` in turn (see
+    _Batch), as many to a block as the widest of checks with ``ibs``
+    instance bits leaves room for."""
     top = max(ibs, default=0)
-    k = 1 if frames is None else len(frames)
-    cbb = max(0, min(cb + (k - 1).bit_length(), _BLOCK_BITS - top))
-    for c0 in range(0, k << cb, 1 << cbb):
+    cbb = max(0, min(cb + (len(frames) - 1).bit_length(), _BLOCK_BITS - top))
+    for c0 in range(0, len(frames) << cb, 1 << cbb):
         yield _Batch(m, cb, c0, cbb, top if cbb else 0, cand, preds, frames)
 
 

@@ -4,7 +4,6 @@ exhaustive sweeps, and independence of the answer from the jobs count."""
 import multiprocessing
 import multiprocessing.pool
 import random
-from dataclasses import replace
 from itertools import combinations, permutations, product
 
 import pytest
@@ -216,6 +215,26 @@ def test_found_countermodel_builds_only_its_frame(monkeypatch):
     assert built == [r.certificate["frame_mask"]] == [285]
 
 
+@pytest.mark.parametrize("call, witness", [
+    (lambda: barcan_sweep(2, 2), False),
+    (lambda: bf_agreement_sweep(2, 2), False),
+    (lambda: find_barcan_divergence(2, 1), True),
+    (lambda: find_deduction_gap(), True),
+], ids=["barcan_sweep", "bf_agreement_sweep", "find_barcan_divergence",
+        "find_deduction_gap"])
+def test_scans_build_only_their_payload_frames(monkeypatch, call, witness):
+    """The sweeps and the exchange and gap searches label their frames as
+    edge columns: a Frame is built for a witness only."""
+    real, built = search.frame_from_mask, []
+
+    def counting(n, mask):
+        built.append(mask)
+        return real(n, mask)
+    monkeypatch.setattr(search, "frame_from_mask", counting)
+    out = call()
+    assert built == ([out.certificate["frame_mask"]] if witness else [])
+
+
 # One search to 4 worlds per constraint: the certificate (None when the
 # bounded space holds no countermodel), the units the scan charges up to
 # its answer, and the world count at which a budget one unit short trips.
@@ -322,6 +341,19 @@ BAD_BOUNDS = {
                                       "max_domain must be at least 1"),
     "find_deduction_gap worlds": (lambda: find_deduction_gap(max_worlds=0),
                                   "max_worlds must be at least 1"),
+    # elements are named a to z
+    "barcan_sweep domain 27": (lambda: barcan_sweep(1, 27),
+                               "domain_size 27 exceeds the domain ceiling"),
+    "bf_agreement_sweep domain 27": (lambda: bf_agreement_sweep(1, 27),
+                                     "max_domain 27 exceeds the domain "
+                                     "ceiling"),
+    "find_barcan_divergence domain 27": (
+        lambda: find_barcan_divergence(1, 27),
+        "max_domain 27 exceeds the domain ceiling"),
+    "find_fo_countermodel domain 27": (
+        lambda: find_fo_countermodel(SearchSpec(BF_SCHEME, max_worlds=1,
+                                                max_domain=27)),
+        "max_domain 27 exceeds the domain ceiling"),
 }
 
 
@@ -330,6 +362,16 @@ def test_bad_bound_is_a_value_error(case):
     call, message = BAD_BOUNDS[case]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_domain_ceiling_is_refused_before_the_scan(monkeypatch):
+    def scanned(task):
+        raise AssertionError("a chunk was scanned")
+    monkeypatch.setattr(search, "_run_chunk", scanned)
+    for case in BAD_BOUNDS:
+        if case.endswith("domain 27"):
+            with pytest.raises(ValueError, match="domain ceiling"):
+                BAD_BOUNDS[case][0]()
 
 
 def test_empty_domain_sweep_is_a_real_sweep():
@@ -574,21 +616,36 @@ class TestSweeps:
                        "disagreements": [], "all_agree": True}
 
     def test_agreement_sweep_reports_disagreements(self, monkeypatch):
-        # a reading that flips the implication on one-world frames
-        real = search.bf_readings
+        """With a perturbed exchange, forall x P(x) against its boxed form,
+        the implication fails on every frame with an edge between two
+        worlds while the rule reading holds: each is reported with its
+        readings, as the per-frame oracle reports it."""
+        def lhs(hole="P"):
+            return Forall("x", PredAtom(hole, (BoundVar("x"),)))
 
-        def flipped(fm, hole, bud):
-            r = real(fm, hole, bud)
-            return (replace(r, object_implies=False) if len(fm.worlds) == 1
-                    else r)
-        monkeypatch.setattr(search, "bf_readings", flipped)
-        readings = {"pointwise": True, "meta_iff": True, "meta_implies": True,
-                    "object_implies": False}
-        assert bf_agreement_sweep(max_worlds=2, max_domain=1) == {
-            "max_worlds": 2, "max_domain": 1, "checked": 18,
-            "disagreements": [{"worlds": 1, "domain": 1, "frame_mask": fm,
-                               "readings": readings} for fm in (0, 1)],
-            "all_agree": False}
+        def rhs(hole="P"):
+            return Box(lhs(hole))
+        for module in (sem, search):
+            monkeypatch.setattr(module, "BF_LHS", lhs)
+            monkeypatch.setattr(module, "BF_RHS", rhs)
+        for block_bits in (12, 3):
+            with _block_bits(block_bits):
+                # at 3 worlds a block holds several frames
+                _chunk_ledger(search._agree_chunk, _oracle_agree_chunk,
+                              [(1, 1), (2, 1), (2, 2), (3, 1)], None)
+                out = bf_agreement_sweep(max_worlds=2, max_domain=2)
+            with monkeypatch.context() as mp:
+                mp.setattr(search, "_agree_chunk", _oracle_agree_chunk)
+                assert bf_agreement_sweep(max_worlds=2, max_domain=2) == out
+        assert (out["checked"], out["all_agree"]) == (36, False)
+        crossing = [fm for fm in range(16) if fm & 0b0110]
+        assert [(x["worlds"], x["domain"], x["frame_mask"])
+                for x in out["disagreements"]] == \
+            [(2, d, fm) for d in (1, 2) for fm in crossing]
+        for x in out["disagreements"]:
+            r = x["readings"]
+            assert (r["meta_implies"], r["object_implies"]) == (True, False)
+            assert r["object_witness"]["world"] in ("w0", "w1")
 
     def test_sweep_ceiling(self):
         with pytest.raises(ValueError):
@@ -875,6 +932,23 @@ def _oracle_sweep_chunk(stage, masks, _, bud):
     return checked, violations
 
 
+def _oracle_agree_chunk(stage, masks, _, bud):
+    """The agreement sweep model by model: bf_readings of every
+    constant-domain model."""
+    n, d = stage
+    checked, disagreements = 0, []
+    for fmask in masks:
+        fm = FoModel(DomainFrame(frame_from_mask(n, fmask),
+                                 search._domain_names(d)), "constant")
+        r = bf_readings(fm, "P", bud)
+        checked += 1
+        if r.meta_implies != r.object_implies:
+            disagreements.append({"worlds": n, "domain": d,
+                                  "frame_mask": fmask,
+                                  "readings": r.to_dict()})
+    return checked, disagreements
+
+
 def _oracle_div_chunk(stage, masks, _, bud):
     n, d = stage
     for fmask, emask, df in _oracle_domain_frames(n, d, masks, True):
@@ -1150,6 +1224,15 @@ class TestSlicedScanMatchesPerCandidateScan:
             _same_trips(monkeypatch, "_div_chunk", _oracle_div_chunk,
                         lambda b: find_barcan_divergence(2, 2, budget=b),
                         used, random.Random(0))
+
+    def test_bf_agreement_sweep(self, monkeypatch, block_bits):
+        stages = [(1, 1), (1, 2), (2, 1), (2, 2)]
+        with _block_bits(block_bits):
+            used = _chunk_ledger(search._agree_chunk, _oracle_agree_chunk,
+                                 stages, None)
+            _same_trips(monkeypatch, "_agree_chunk", _oracle_agree_chunk,
+                        lambda b: bf_agreement_sweep(2, 2, budget=b), used,
+                        random.Random(0))
 
     @pytest.mark.parametrize("seed", ["P => Q", "P => []P", "[]P => P",
                                       "P => P", *range(8)])
