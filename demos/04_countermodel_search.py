@@ -56,8 +56,9 @@ print(cbf.certificate["exists_mask"],
       cbf.model.dframe.exists_in)
 
 # Exhaustive sweeps confirm the domain-monotonicity pairing on every frame
-# and existence map in bounds; jobs=N parallelises the scan without
-# changing a single byte of the answer.
+# and existence map in bounds; jobs=N parallelises the scan of stages of 3
+# or more worlds (smaller ones always run in this process) without changing
+# a single byte of the answer.
 from modalkit import barcan_sweep
 
 summary = barcan_sweep(max_worlds=2, domain_size=2, jobs=2)

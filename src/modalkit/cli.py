@@ -10,7 +10,8 @@ Exit status contract, shared by every subcommand:
 
 With ``--json``, stdout carries exactly one JSON document and nothing else;
 human-readable diagnostics go to stderr.  ``--jobs N`` parallelizes search
-partitioning without changing any output.
+partitioning without changing any output; search stages of at most 2 worlds
+run in this process whatever ``--jobs`` says.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .formula import FORMATS, bind_free, is_propositional, render
 from .model import ModelError, load_domain_frame, load_frame, load_model
@@ -193,7 +195,11 @@ def _cmd_render(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser, built on the first call and shared after it:
+    building it costs about as much as a small request, and ``parse_args``
+    reads it without changing it and returns a fresh namespace each call."""
     p = argparse.ArgumentParser(
         prog="modalkit",
         description="Finite-model workbench for propositional and "

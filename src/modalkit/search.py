@@ -4,8 +4,9 @@ Everything here scans a fixed, documented order — world count ascending,
 then frame bitmask, then (for quantified models) domain size, existence
 mask, predicate-interpretation masks, and valuation masks — and returns the
 first hit, so results are reproducible run to run.  ``jobs > 1`` fans the
-scan out over worker processes in fixed chunks and keeps the same answer:
-chunks are consumed in order and the first in-order hit wins.
+scan of each stage of 3 or more worlds out over worker processes in fixed
+chunks and keeps the same answer: chunks are consumed in order and the first
+in-order hit wins.  Stages of 1 or 2 worlds always run in this process.
 
 Candidate models are not built one at a time: their existence, predicate
 and valuation bits are instance columns above each check's own instance
@@ -61,6 +62,11 @@ FO_WORLD_CEILING = 3
 # Refuse a first-order stage whose per-frame enumeration needs more bits
 # (existence map + predicate interpretations + valuations) than this.
 FO_SEARCH_BITS = 22
+# A stage with at most this many frame masks (1 or 2 worlds) runs its chunks
+# in this process whatever ``jobs`` says: forking a pool costs more than the
+# whole stage.  The choice reads only the stage, so it cannot move an
+# output byte or a trip point.
+_IN_PROCESS_MASKS = 16
 
 CONSTRAINT_NAMES = FRAME_PROPERTIES + ("total", "none")
 
@@ -216,7 +222,9 @@ def _chunk_ranges(total: int) -> list[tuple[int, int]]:
 
 def _consume(worker, tasks: Sequence, jobs: int) -> Iterator:
     """Yield worker(task) in task order.  With jobs > 1 the tasks run on a
-    fork-based process pool, at most 2*jobs ahead of the consumer.  However
+    fork-based process pool, at most 2*jobs ahead of the consumer; _scan
+    passes jobs=1 for a stage of at most 2 worlds (_IN_PROCESS_MASKS), so
+    such a stage runs in this process whatever ``jobs`` says.  However
     the consumer stops (a hit, a budget trip, a worker's exception), the
     chunks in flight are waited for and the pool is closed and joined, never
     terminated: terminating a worker can kill it while it holds the result
@@ -275,10 +283,12 @@ def _scan(stages: Iterable[tuple[int, ...]], worker, arg, jobs: int, budget,
     limit = _as_budget(budget).limit
     used = 0
     for stage in stages:
+        masks = 1 << (stage[0] ** 2)
         tasks = [(worker, stage, lo, hi, arg, limit)
-                 for lo, hi in _chunk_ranges(1 << (stage[0] ** 2))]
+                 for lo, hi in _chunk_ranges(masks)]
+        stage_jobs = 1 if masks <= _IN_PROCESS_MASKS else jobs
         try:
-            with closing(_consume(_run_chunk, tasks, jobs)) as results:
+            with closing(_consume(_run_chunk, tasks, stage_jobs)) as results:
                 for chunk_used, payload in results:
                     used += chunk_used
                     if used > limit:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import multiprocessing.pool
 import random
 
 import pytest
 from hypothesis import strategies as st
 
+import modalkit.search as search
 from modalkit import (And, Box, BoundVar, Dia, Eq, Exists, Forall, Frame,
                       Iff, Imp, Not, Or, PredAtom, PropAtom, PropModel,
                       RigidConst, SchemeVar, StrictImp)
@@ -25,6 +27,22 @@ def chain_model():
     """Two worlds in a chain w0 -> w1 -> w1, with g true at w1 only."""
     return PropModel(Frame(("w0", "w1"), (("w0", "w1"), ("w1", "w1"))),
                      {"g": ("w1",)})
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Send every stage with jobs > 1 to a process pool, the 1- and 2-world
+    stages that otherwise run in-process included, and count the pools
+    started, so a test of the pooled scan can assert that it had one."""
+    monkeypatch.setattr(search, "_IN_PROCESS_MASKS", 0)
+    starts = []
+    init = multiprocessing.pool.Pool.__init__
+
+    def counted(self, *args, **kwargs):
+        starts.append(1)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counted)
+    return starts
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 and the budget environment variable."""
 
 import json
+import multiprocessing.pool
 import os
 import shutil
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import modalkit
 from modalkit.cli import (EXIT_FOUND, EXIT_HOLDS, EXIT_LIMIT, EXIT_USAGE,
-                          main)
+                          _build_parser, main)
 
 PROP_MODEL = {
     "worlds": ["w0", "w1"],
@@ -367,7 +368,7 @@ class TestCountermodel:
         assert code == EXIT_USAGE
         assert "jobs must be at least 1" in err
 
-    def test_jobs_do_not_change_output(self, capsys):
+    def test_jobs_do_not_change_output(self, capsys, pool_starts):
         outputs = []
         for jobs in ("1", "2"):
             code, out, _ = run(capsys, "countermodel",
@@ -375,6 +376,20 @@ class TestCountermodel:
                                "--jobs", jobs, "--json")
             assert code == EXIT_FOUND
             outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert pool_starts
+
+    def test_small_stages_start_no_pool(self, capsys, monkeypatch):
+        # stages of 1 and 2 worlds run in this process whatever --jobs says
+        def refused(self, *args, **kwargs):
+            raise AssertionError("a process pool was started")
+        monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", refused)
+        outputs = [run(capsys, "countermodel",
+                       "--conclusion", "(P => Q) => ([]~Q => []~P)",
+                       "--max-worlds", "2", "--jobs", jobs, "--json")
+                   for jobs in ("1", "2")]
+        assert outputs[0][0] == EXIT_FOUND
+        assert json.loads(outputs[0][1])["certificate"]["worlds"] == 2
         assert outputs[0] == outputs[1]
 
 
@@ -394,6 +409,58 @@ class TestRender:
         # the unicode table keeps the implication family in ASCII
         code, out, _ = run(capsys, "render", "--formula", "[]P => P")
         assert (code, out) == (EXIT_HOLDS, "□P => P\n")
+
+
+class TestParserReuse:
+    """main builds its argparse parser once per process; a call must behave
+    as it would on a freshly built parser."""
+
+    @staticmethod
+    def after_and_fresh(capsys, argv):
+        """argv's result on the parser as earlier calls left it, then on a
+        freshly built one."""
+        reused = run(capsys, *argv)
+        _build_parser.cache_clear()
+        return reused, run(capsys, *argv)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--premise", "p & ~p"),
+        ("--scheme-premise", "[]P => P"),
+        ("--require", "reflexive"),
+    ])
+    def test_countermodel_append_flags_do_not_leak(self, capsys, flag,
+                                                   value):
+        bare = ("countermodel", "--conclusion", "[]P => P", "--json")
+        code, _, _ = run(capsys, *bare, flag, value)
+        assert code == EXIT_HOLDS
+        reused, fresh = self.after_and_fresh(capsys, bare)
+        assert reused == fresh
+        assert reused[0] == EXIT_FOUND
+
+    def test_env_does_not_leak(self, capsys, write_json):
+        path = write_json("fo.json", FO_MODEL)
+        bare = ("check", "--model", path, "--formula", "alive(x)",
+                "--world", "w0")
+        assert run(capsys, *bare, "--env", "x=a")[:2] == (EXIT_HOLDS,
+                                                          "true\n")
+        reused, fresh = self.after_and_fresh(capsys, bare)
+        assert reused == fresh
+        assert reused[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv, code", [
+        (("--help",), EXIT_HOLDS),
+        (("countermodel", "--help"), EXIT_HOLDS),
+        (("countermodel",), EXIT_USAGE),
+        (("frobnicate",), EXIT_USAGE),
+    ])
+    def test_help_and_usage_errors_match_a_fresh_parser(self, capsys, argv,
+                                                        code):
+        run(capsys, "render", "--formula", "p")
+        reused, fresh = self.after_and_fresh(capsys, argv)
+        assert reused == fresh
+        assert reused[0] == code
+        assert (reused[1] if code == EXIT_HOLDS else reused[2]).startswith(
+            "usage: modalkit")
 
 
 class TestUsage:

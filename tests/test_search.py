@@ -261,7 +261,7 @@ CONSTRAINED_PINS = {
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("constraint", sorted(CONSTRAINED_PINS))
-def test_constrained_search_is_pinned(constraint, jobs):
+def test_constrained_search_is_pinned(constraint, jobs, pool_starts):
     text, used, trip_worlds, cert = CONSTRAINED_PINS[constraint]
     spec = SearchSpec(parse(text), frame_constraints={constraint},
                       max_worlds=4)
@@ -272,6 +272,7 @@ def test_constrained_search_is_pinned(constraint, jobs):
     assert ei.value.args[0] == \
         f"evaluator-call budget exhausted ({used - 1} calls)"
     assert ei.value.frontier == {"worlds": trip_worlds}
+    assert bool(pool_starts) == (jobs > 1)
 
 
 def test_k_to_four_worlds_is_pinned():
@@ -656,34 +657,40 @@ class TestSweeps:
 
 class TestJobsInvariance:
     """The parallel scan must return byte-identical results and hit budget
-    limits at the same point regardless of the jobs count."""
+    limits at the same point regardless of the jobs count.  Every case runs
+    its jobs=2 scan on a real pool (the pool_starts fixture)."""
 
-    def test_countermodel_results_identical(self):
+    def test_countermodel_results_identical(self, pool_starts):
         spec = SearchSpec(TOLLENS)
         a = find_countermodel(spec, jobs=1).to_dict()
         b = find_countermodel(spec, jobs=2).to_dict()
         assert a == b
+        assert pool_starts
 
-    def test_fo_results_identical(self):
+    def test_fo_results_identical(self, pool_starts):
         spec = SearchSpec(CBF_SCHEME, max_worlds=2, max_domain=1,
                           mode="varying")
         a = find_fo_countermodel(spec, jobs=1).to_dict()
         b = find_fo_countermodel(spec, jobs=2).to_dict()
         assert a == b
+        assert pool_starts
 
-    def test_divergence_identical(self):
+    def test_divergence_identical(self, pool_starts):
         a = find_barcan_divergence(2, 1, jobs=1).to_dict()
         b = find_barcan_divergence(2, 1, jobs=2).to_dict()
         assert a == b
+        assert pool_starts
 
-    def test_gap_identical(self):
+    def test_gap_identical(self, pool_starts):
         assert find_deduction_gap(jobs=1).to_dict() == \
             find_deduction_gap(jobs=2).to_dict()
+        assert pool_starts
 
-    def test_sweep_identical(self):
+    def test_sweep_identical(self, pool_starts):
         assert barcan_sweep(2, 1, jobs=1) == barcan_sweep(2, 1, jobs=2)
+        assert pool_starts
 
-    def test_budget_trips_at_same_point(self):
+    def test_budget_trips_at_same_point(self, pool_starts):
         spec = SearchSpec(TOLLENS)
         trips = []
         for jobs in (1, 2):
@@ -692,6 +699,7 @@ class TestJobsInvariance:
             trips.append((ei.value.args[0], ei.value.frontier))
         assert trips[0] == trips[1]
         assert trips[0][1] == {"worlds": 2}
+        assert pool_starts
 
 
 # One entry per search driver: a call that scans more than one stage, and a
@@ -726,13 +734,14 @@ TRIPS = {
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("driver", sorted(TRIPS))
-def test_budget_trip_point_is_pinned(driver, jobs):
+def test_budget_trip_point_is_pinned(driver, jobs, pool_starts):
     call, budget, frontier = TRIPS[driver]
     with pytest.raises(ResourceLimit) as ei:
         call(jobs, budget)
     assert ei.value.args[0] == \
         f"evaluator-call budget exhausted ({budget} calls)"
     assert ei.value.frontier == frontier
+    assert bool(pool_starts) == (jobs > 1)
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -750,7 +759,8 @@ def test_bad_budget_env_var_is_a_usage_error(monkeypatch, raw):
         find_countermodel(SearchSpec(parse("[]P => P"), max_worlds=1))
 
 
-def test_pooled_search_stops_without_terminating_its_pool(monkeypatch):
+def test_pooled_search_stops_without_terminating_its_pool(monkeypatch,
+                                                         pool_starts):
     """Pool.terminate can kill a worker while it holds the result queue's
     lock, which hangs the pool; an early stop must close and join."""
     terminated = []
@@ -763,7 +773,7 @@ def test_pooled_search_stops_without_terminating_its_pool(monkeypatch):
     assert (r.certificate["worlds"], r.certificate["frame_mask"]) == (1, 0)
     with pytest.raises(ResourceLimit):
         find_countermodel(SearchSpec(TOLLENS), jobs=2, budget=60)
-    assert terminated == []
+    assert pool_starts and terminated == []
     assert multiprocessing.active_children() == []
 
 
@@ -789,7 +799,7 @@ def test_wide_scheme_stage_is_refused_at_its_first_chunk():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_gap_budget_counts_one_unit_per_evaluate_call(jobs):
+def test_gap_budget_counts_one_unit_per_evaluate_call(jobs, pool_starts):
     # The units are the evaluate calls of the instance-by-instance scan
     # (_oracle_gap_chunk), pinned: a scan with no gap charges every call to
     # the parent ledger.
@@ -809,6 +819,7 @@ def test_gap_budget_counts_one_unit_per_evaluate_call(jobs):
     with pytest.raises(ResourceLimit) as ei:
         find_deduction_gap(jobs=jobs, budget=calls - 1)
     assert ei.value.frontier == {"worlds": 1}
+    assert bool(pool_starts) == (jobs > 1)
 
 
 # ---------------------------------------------------------------------------
