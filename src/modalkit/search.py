@@ -10,12 +10,14 @@ in-order hit wins.  Stages of 1 or 2 worlds always run in this process.
 
 Candidate models are not built one at a time: their existence, predicate
 and valuation bits are instance columns above each check's own instance
-bits, so one truth-set pass labels them all, and a candidate's verdict
-and budget units are reductions over its group of bits.  Every scan, the
-sweeps and the deduction-gap search (whose candidates are its
-metavariables' instantiations) included, shares these batches: a chunk's
-frames sit above their candidates, with the edges as columns, and a frame
-and a model are built only for a witness or a reported disagreement.
+bits, so one truth-set pass labels them all, and a candidate's verdict is
+a reduction over its group of bits.  Each check a candidate reaches, up to
+and including the hit candidate, charges the budget the check's full size,
+formulas x 2**(instance bits) x worlds.  Every scan, the sweeps and the
+deduction-gap search (whose candidates are its metavariables'
+instantiations) included, shares these batches: a chunk's frames sit above
+their candidates, with the edges as columns, and a frame and a model are
+built only for a witness or a reported disagreement.
 Every search returns through ``_first``, which re-checks what the
 witness's certificate reports with the plain reference evaluator, and the
 spec's frame constraints with the relational frame tests; a failure there
@@ -44,7 +46,7 @@ from .model import (DomainFrame, FlexiblePred, FoModel, Frame,
                     FRAME_PROPERTIES, PropModel, _ROW_TESTS, _extension,
                     _pairs, frame_property, is_total, model_to_dict)
 from .semantics import (BF_LHS, BF_RHS, Budget, ResourceLimit, _as_budget,
-                        _batches, _charge, _decode, _fields, _fo_bits, _leaves,
+                        _batches, _decode, _fields, _fo_bits, _leaves,
                         _scheme_bits, bf_readings, evaluate)
 
 __all__ = [
@@ -354,18 +356,19 @@ def _conclusion_names(spec: SearchSpec) -> list[str]:
 
 
 def _checks(spec: SearchSpec, n: int) -> list:
-    """(instance bits, run) for each check a candidate passes through, in
-    the scalar scan's order: premise formulas (valid), premise schemes
+    """(instance bits, unit, run) for each check a candidate passes
+    through, in order: premise formulas (valid), premise schemes
     (scheme_valid), then the conclusion (scheme_valid or valid, or
-    meta_implies).  run(batch) gives (holds, units, witness) per candidate.
-    A check with too many instances to enumerate raises ResourceLimit
-    here, before any candidate is scanned."""
+    meta_implies).  unit is the check's size, what it charges each
+    candidate that reaches it; run(batch) gives (holds, witness) per
+    candidate.  A check with too many instances to enumerate raises
+    ResourceLimit here, before any candidate is scanned."""
     def check(names, f):
         ib = _scheme_bits(n, len(names))
         inst = _leaves(_fields(n, 0, (), tuple(names)), (), n)
         if isinstance(f, tuple):
-            return ib, lambda b: b.meta(f[:1], f[1], ib, inst)
-        return ib, lambda b: b.least(f, ib, inst)
+            return ib, 2 * n << ib, lambda b: b.meta(f[:1], f[1], ib, inst)
+        return ib, n << ib, lambda b: b.least(f, ib, inst)
 
     c = spec.conclusion
     return [*(check((), p) for p in spec.premise_formulas),
@@ -377,18 +380,18 @@ def _checks(spec: SearchSpec, n: int) -> list:
 def _hit(batch, checks, bud: Budget):
     """The least candidate bit of batch at which every check but the last
     holds and the last fails (0 when none does), and the last check's
-    witness function.  Charges what the scalar scan charges over the
-    candidates up to it, or over the whole batch.  A check runs only on a
+    witness function.  Charges each check's unit per candidate that reaches
+    it, up to the hit or over the whole batch.  A check runs only on a
     batch that some candidate reaches it in."""
     reach, spent, witness = batch.live, [], None
-    for j, (_, run) in enumerate(checks):
+    for j, (_, unit, run) in enumerate(checks):
         if not reach:
             break
-        holds, units, witness = run(batch)
-        spent.append((units, reach))
+        holds, witness = run(batch)
+        spent.append((unit, reach))
         reach &= holds if j < len(checks) - 1 else ~holds
     hit = reach & -reach
-    bud.charge(sum(u(r & (2 * hit - 1)) for u, r in spent))
+    bud.charge(sum(u * (r & (2 * hit - 1)).bit_count() for u, r in spent))
     return hit, witness
 
 
@@ -473,7 +476,7 @@ def _spec_chunk(stage, masks, spec: SearchSpec, bud: Budget):
     cb = sum(f[3] for f in fields)
     checks = _checks(spec, n)
     frames = list(_masks(n, masks, spec.frame_constraints))
-    for batch in _batches(_blank(n, domain), cb, [ib for ib, _ in checks],
+    for batch in _batches(_blank(n, domain), cb, [c[0] for c in checks],
                           _leaves(fields, domain or (), n), frames, preds):
         hit, witness = _hit(batch, checks, bud)
         if hit:
@@ -513,8 +516,10 @@ def find_countermodel(spec: SearchSpec, jobs: int = 1, budget=None
 def _fo_stages(spec: SearchSpec) -> Iterator[tuple[int, int]]:
     """(worlds, domain) stages in scan order.  A stage whose per-frame
     enumeration needs more than FO_SEARCH_BITS bits is refused when the scan
-    reaches it, after the earlier stages have been searched."""
+    reaches it, after the earlier stages have been searched; the frontier
+    names the last of those, or (0, 0) when there is none."""
     preds, atoms = _signature(spec)
+    last = (0, 0)
     for n in range(1, spec.max_worlds + 1):
         for d in range(1, spec.max_domain + 1):
             bits = sum(f[3] for f in _fields(
@@ -524,8 +529,9 @@ def _fo_stages(spec: SearchSpec) -> Iterator[tuple[int, int]]:
                 raise ResourceLimit(
                     f"stage {n} worlds x {d} elements needs 2**{bits} "
                     f"models per frame (limit 2**{FO_SEARCH_BITS})",
-                    frontier={"worlds": n, "domain": d - 1})
+                    frontier=_stage_frontier(last))
             yield n, d
+            last = n, d
 
 
 def find_fo_countermodel(spec: SearchSpec, jobs: int = 1, budget=None
@@ -559,8 +565,8 @@ def _divergences(stage, masks, varying: bool, bud: Budget) -> Iterator:
     """(frame mask, candidate, model, its BfReadings) of each model, in scan
     order, where the rule reading of the exchange holds and the implication
     fails: over the stage's constant-domain frames, or its existence masks
-    when varying.  Each model is charged as bf_readings charges it, which
-    gives the readings of those yielded."""
+    when varying.  Each model is charged bf_readings' size, by that call for
+    those yielded, whose readings it gives."""
     n, d = stage
     m = _blank(n, _domain_names(d))
     bits = _fo_bits(m)
@@ -574,7 +580,7 @@ def _divergences(stage, masks, varying: bool, bud: Budget) -> Iterator:
                       & ~b.least(Imp(lhs, rhs), bits, hole)[0])
         while True:
             hit = div & -div
-            _charge(bud, (2 * n << bits) * (rest & (hit - 1)).bit_count(), 2)
+            bud.charge((2 * n << bits) * (rest & (hit - 1)).bit_count())
             if not hit:
                 break
             div ^= hit
@@ -652,9 +658,8 @@ def _sweep_chunk(stage, masks, _, bud: Budget):
     exists = _leaves(_fields(n, d, (), (), varying=True), m.domain, n)
     violations: list[dict] = []
     for b in _batches(m, d * n, [bits], exists, list(masks), {"P": 1}):
-        bf, bf_units, _ = b.least(BF_SCHEME, bits, hole)
-        cbf, cbf_units, _ = b.least(CBF_SCHEME, bits, hole)
-        bud.charge(bf_units(b.live) + cbf_units(b.live))
+        bf, cbf = (b.least(f, bits, hole)[0] for f in (BF_SCHEME, CBF_SCHEME))
+        bud.charge((2 * n << bits) * b.live.bit_count())
         edges = b.edges[Box]
         inc, dec = _monotone(edges, b.leaves[Exists], b.full)
         symmetric = reduce(and_, (~(edges[i][j] ^ edges[j][i])
@@ -740,14 +745,14 @@ def _gap_chunk(stage, masks, conclusion: Imp, bud: Budget):
     fields = _fields(n, 0, (), tuple(scheme_vars(conclusion)))
     for b in _batches(_blank(n, None), n * len(fields), [0],
                       _leaves(fields, (), n), list(masks)):
-        (lhs, lhs_units, _), (rhs, rhs_units, _), (imp, units, witness) = (
+        (lhs, _), (rhs, _), (imp, witness) = (
             b.least(f, 0, lambda cols: {})
             for f in (conclusion.lhs, conclusion.rhs, conclusion))
         rule = b.live & ~(lhs & ~rhs)
         gap = rule & ~imp
         hit = gap & -gap
         upto = (2 * hit - 1) & b.live
-        bud.charge(lhs_units(upto) + rhs_units(upto) + units(upto & rule))
+        bud.charge(n * (2 * upto.bit_count() + (upto & rule).bit_count()))
         if hit:
             fmask, c = b.number(hit)
             m = PropModel(frame_from_mask(n, fmask), {})
@@ -783,12 +788,11 @@ def find_deduction_gap(conclusion: Formula | None = None,
     modal consequence lacks.  Default conclusion: P => Q over metavariables.
 
     The metavariables' instantiations are the candidates of the shared
-    truth-set batches, and the budget charges one unit for each evaluate
-    call of the instance-by-instance scan: each side of the implication at
-    every world up to its first failure, and the implication itself where
-    the rule reading holds.  The witness is re-checked with the reference
-    evaluator before it is returned.  No such gap fits in a single world;
-    the least witnesses appear at two."""
+    truth-set batches.  Each candidate up to the hit charges the budget one
+    unit per world for each side of the implication, and for the
+    implication itself where the rule reading holds.  The witness is
+    re-checked with the reference evaluator before it is returned.  No such
+    gap fits in a single world; the least witnesses appear at two."""
     if conclusion is None:
         conclusion = Imp(SchemeVar("P"), SchemeVar("Q"))
     if not isinstance(conclusion, Imp):

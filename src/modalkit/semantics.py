@@ -71,8 +71,9 @@ class NotPropositional(EvalError):
 class ResourceLimit(Exception):
     """An enumeration would exceed its configured budget.
 
-    ``frontier`` describes how far work got before refusal (for searches,
-    the largest size completed)."""
+    ``frontier`` says how far a search got: the stage in progress at a
+    budget trip or a check too wide to enumerate, or the last stage searched
+    when a first-order stage is refused for its width (FO_SEARCH_BITS)."""
 
     def __init__(self, message: str, frontier=None):
         super().__init__(message)
@@ -103,13 +104,11 @@ def _env_budget() -> int:
 
 
 class Budget:
-    """Meters evaluator work: one unit is one formula at one (instance,
-    world) pair of a check, counted in its scan order up to and including
-    the witness.  A search labels its candidate models as instance columns
-    and builds a model only for the witness, but still charges one unit per
-    pair the candidate-by-candidate scan would visit.  The default limit
-    comes from MODALKIT_BUDGET or 10**8; a MODALKIT_BUDGET that is not a
-    positive integer raises ValueError."""
+    """Meters evaluator work: a check charges its full size, formulas x
+    instances x worlds, once per model it is run on, and a search charges
+    it once per candidate that reaches the check, up to and including the
+    hit candidate.  The default limit comes from MODALKIT_BUDGET or 10**8;
+    a MODALKIT_BUDGET that is not a positive integer raises ValueError."""
 
     def __init__(self, limit: int | None = None):
         self.limit = _env_budget() if limit is None else limit
@@ -406,23 +405,13 @@ def _meet(sets: Sequence[int], succ: Sequence[Sequence[int]], full: int,
     return out
 
 
-def _charge(bud: Budget, units: int, step: int = 1) -> None:
-    """Charge what a scan charging ``step`` units at a time charges by its
-    end, or by the step that crosses the limit, so a trip happens at the
-    same point and leaves ``used`` where that scan left it."""
-    bud.charge(min(units, step * max(1, (bud.limit - bud.used) // step + 1)))
-
-
 def _least(m, f: Formula, bits: int, leaves, preds=None, span=None,
-           start: int = 0) -> tuple[tuple[int, int] | None, int]:
+           start: int = 0) -> tuple[int, int] | None:
     """(world index, instance) of the first failure of f in world-major
     scan order over the 2**span instances from start (all 2**bits by
     default; instances counted from start), or None when every instance
-    holds everywhere; and the units that scan charges, one per (instance,
-    world) pair it visits, up to and including the failure.
-    ``leaves(cols)`` builds the _truth leaves of a block from its
-    instance-bit columns."""
-    span = bits if span is None else span
+    holds everywhere.  ``leaves(cols)`` builds the _truth leaves of a block
+    from its instance-bit columns."""
     n, best = len(m.worlds), None
     for first, full, cols in _blocks(bits, span, start):
         sets = _truth(m, f, leaves(cols), full, preds)
@@ -433,57 +422,40 @@ def _least(m, f: Formula, bits: int, leaves, preds=None, span=None,
                 break
         if best is not None and best[0] == 0:
             break
-    total = 1 << span
-    return best, n * total if best is None else best[0] * total + best[1] + 1
+    return best
 
 
-def _meta_groups(psets, csets, full: int, base: int, any_, own: int):
+def _meta_groups(psets, csets, full: int, base: int, any_):
     """The meta reading over the groups of a block, one from each bit of
-    base: (the groups where it holds, (units per bit, charged bits) terms,
-    per world each failing group's witness bit).  any_(x) marks the groups
-    where x has a bit set; own, the bits a group scans."""
-    ones = full // base
-    pre, reach = [], full
-    for sets in psets:
-        for x in sets:
-            pre.append(reach)
-            reach &= x
+    base: (the groups where it holds, per world each failing group's witness
+    bit).  any_(x) marks the groups where x has a bit set."""
+    reach = reduce(and_, (x for sets in psets for x in sets), full)
     fail = reach & ~reduce(and_, csets, full)
     t = any_(fail)
-    y = fail & t * ones
+    y = fail & t * (full // base)
     low = y & ~(y - t)      # each failing group's least failure
-    upto = ((y ^ (y - t)) | (base & ~t) * ones) & own
     hits, seen = [], 0
     for x in csets:
         hits.append(low & ~x & ~seen)
         seen |= hits[-1]
-    return base & ~t, [(1, x & upto) for x in pre] + [
-        (len(csets), reach & upto & ~low)] + [
-        (wi + 1, h) for wi, h in enumerate(hits)], hits
+    return base & ~t, hits
 
 
 def _meta(m, premises: Sequence[Formula], conclusion: Formula, bits: int,
           leaves, preds=None, span=None, start: int = 0
-          ) -> tuple[tuple[int, int] | None, int]:
+          ) -> tuple[int, int] | None:
     """(least failing world of the conclusion, instance) at the least
     instance, over the same range as _least, where every premise holds at
-    every world and the conclusion does not, or None; and the units of the
-    scan over instances, premises and worlds in order.  An instance is
-    charged at each world of a premise it reaches while that premise held at
-    every earlier world, and at every world of the conclusion when all
-    premises held, up to the failing world at the witness."""
-    span = bits if span is None else span
-    units = 0
+    every world and the conclusion does not, or None."""
     for first, full, cols in _blocks(bits, span, start):
         lv = leaves(cols)
-        holds, terms, hits = _meta_groups(
+        holds, hits = _meta_groups(
             [_truth(m, p, lv, full, preds) for p in premises],
-            _truth(m, conclusion, lv, full, preds), full, 1, bool, full)
-        units += sum(k * x.bit_count() for k, x in terms)
+            _truth(m, conclusion, lv, full, preds), full, 1, bool)
         if not holds:
             wi, h = next((wi, h) for wi, h in enumerate(hits) if h)
-            return (wi, first - start + h.bit_length() - 1), units
-    return None, units
+            return wi, first - start + h.bit_length() - 1
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +470,11 @@ def _meta(m, premises: Sequence[Formula], conclusion: Formula, bits: int,
 # (existence map, predicate cells, valuation) are columns above a check's
 # instance bits, so an instance is numbered candidate << g | instance.  When
 # a check's instances leave room, a block holds several candidates, each a
-# group of 2**g bits, and per-candidate verdicts and units are popcounts over
-# the groups.  A candidate whose instances fill a block is scanned alone, by
-# the same _least and _meta scans as a single model.
+# group of 2**g bits, and per-candidate verdicts are reductions over the
+# groups.  A candidate whose instances fill a block is scanned alone, by the
+# same _least and _meta scans as a single model.  Each candidate that
+# reaches a check is charged its full size, formulas x 2**(instance bits) x
+# worlds: a popcount times a constant, whatever the block width.
 
 @lru_cache(maxsize=1024)
 def _fields(n: int, d: int, preds: tuple[tuple[str, int], ...],
@@ -583,9 +557,8 @@ class _Batch:
     for candidate c0 + i (bit 0 when the batch holds one candidate); each
     frame's slot of 2**(g + cb) bits gives the edge columns, and live drops
     from base the slots past the end of frames.  The checks give (holds,
-    units, witness): the candidates where the check holds, units(s) what
-    the single-model scan charges over the candidates in mask s, and
-    witness(c) the (world index, instance) of candidate bit c's failure."""
+    witness): the candidates where the check holds, and witness(c) the
+    (world index, instance) of candidate bit c's failure."""
 
     def __init__(self, m, cb: int, c0: int, cbb: int, g: int, cand, preds,
                  frames):
@@ -616,57 +589,46 @@ class _Batch:
         return _truth(self.m, f, {**inst(self.cols), **self.leaves},
                       self.full, self.preds)
 
-    def _own(self, ib: int) -> int:
-        """Each group's first 2**ib instances: the bits above ib are
-        padding, repeating them."""
-        return reduce(and_, (self.full ^ self.cols[b]
-                             for b in range(ib, self.g)), self.full)
-
     def _alone(self, scan, ib: int, inst):
-        best, units = scan(ib + self.cb, lambda cols: {
+        best = scan(ib + self.cb, lambda cols: {
             **inst(cols), **self.cand(cols[ib:]), **self.edges}, self.preds,
             ib, self.c0 << ib)
-        return int(best is None), lambda s: units * (s & 1), lambda c: best
+        return int(best is None), lambda c: best
 
-    def _result(self, holds: int, terms, hits):
-        """The check from its charged (units per bit, instance set) terms
-        and, per world, each failing candidate's witness instance."""
+    def _result(self, holds: int, hits):
+        """The check from, per world, each failing candidate's witness
+        instance (a group's bits above the check's own repeat them)."""
         ones = self.ones
 
         def witness(c: int) -> tuple[int, int]:
             return next((wi, (h & c * ones).bit_length() - c.bit_length())
                         for wi, h in enumerate(hits) if h & c * ones)
-        return holds, lambda s: sum(
-            k * (x & s * ones).bit_count() for k, x in terms), witness
+        return holds, witness
 
     def least(self, f: Formula, ib: int, inst):
         """World-major validity of f over 2**ib instances (leaves
-        inst(cols)), per candidate, charged as _least."""
+        inst(cols)), per candidate, with _least's witness."""
         if not self.cbb:
             return self._alone(lambda *a: _least(self.m, f, *a), ib, inst)
-        own = self._own(ib)
-        terms, hits, alive = [], [], self.base
+        hits, alive = [], self.base
         for x in self._sets(f, inst):
             miss = self.full ^ x
             t = self._any(miss) & alive     # first failing at this world
             alive &= ~t
             y = miss & t * self.ones
-            # each group up to its least failing instance, or all of it
-            terms.append((1, ((y ^ (y - t)) | alive * self.ones) & own))
             hits.append(y & ~(y - t))
-        return self._result(alive, terms, hits)
+        return self._result(alive, hits)
 
     def meta(self, premises: Sequence[Formula], conclusion: Formula,
              ib: int, inst):
-        """The meta reading over 2**ib instances, per candidate, charged
-        as _meta."""
+        """The meta reading over 2**ib instances, per candidate, with
+        _meta's witness."""
         if not self.cbb:
             return self._alone(
                 lambda *a: _meta(self.m, premises, conclusion, *a), ib, inst)
         return self._result(*_meta_groups(
             [self._sets(p, inst) for p in premises],
-            self._sets(conclusion, inst), self.full, self.base, self._any,
-            self._own(ib)))
+            self._sets(conclusion, inst), self.full, self.base, self._any))
 
 
 def _batches(m, cb: int, ibs: Sequence[int], cand, frames, preds=None):
@@ -685,8 +647,8 @@ def _batches(m, cb: int, ibs: Sequence[int], cand, frames, preds=None):
 def valid(m: PropModel | FoModel, f: Formula, budget=None) -> Verdict:
     """Truth at every world; the witness is the least failing world in
     declaration order."""
-    best, units = _least(m, f, 0, lambda cols: {})
-    _charge(_as_budget(budget), units)
+    best = _least(m, f, 0, lambda cols: {})
+    _as_budget(budget).charge(len(m.worlds))
     return Verdict(True) if best is None else Verdict(
         False, world=m.worlds[best[0]])
 
@@ -701,7 +663,7 @@ def scheme_valid(m: PropModel | FoModel, scheme: Formula,
     world-index bitmasks)."""
     if not is_propositional(scheme):
         raise NotPropositional("scheme_valid needs a propositional scheme")
-    return _scheme_check(m, scheme_vars(scheme), budget, _least, scheme)
+    return _scheme_check(m, scheme_vars(scheme), budget, 1, _least, scheme)
 
 
 def frame_valid(fr: Frame, scheme: Formula, budget=None) -> Verdict:
@@ -711,7 +673,7 @@ def frame_valid(fr: Frame, scheme: Formula, budget=None) -> Verdict:
         raise NotPropositional("frame_valid needs a propositional scheme")
     m = PropModel(fr, {})
     names = sorted(set(scheme_vars(scheme)) | set(prop_atoms(scheme)))
-    return _scheme_check(m, names, budget, _least, scheme)
+    return _scheme_check(m, names, budget, 1, _least, scheme)
 
 
 def _scheme_bits(n: int, k: int) -> int:
@@ -722,15 +684,16 @@ def _scheme_bits(n: int, k: int) -> int:
     return n * k
 
 
-def _scheme_check(m, names: Sequence[str], budget, scan, *fs) -> Verdict:
+def _scheme_check(m, names: Sequence[str], budget, k: int, scan,
+                  *fs) -> Verdict:
     """The verdict of scan(m, *fs, bits, leaves) over the instantiations of
-    the metavariables names, charged to budget."""
+    the metavariables names, charged to budget as k formulas."""
     bud = _as_budget(budget)
     worlds = m.worlds
     bits = _scheme_bits(len(worlds), len(names))
     fields = _fields(len(worlds), 0, (), tuple(names))
-    best, units = scan(m, *fs, bits, _leaves(fields, (), len(worlds)))
-    _charge(bud, units)
+    best = scan(m, *fs, bits, _leaves(fields, (), len(worlds)))
+    bud.charge(k * len(worlds) << bits)
     if best is None:
         return Verdict(True)
     return Verdict(False, world=worlds[best[0]],
@@ -750,7 +713,8 @@ def meta_implies(m: PropModel | FoModel, premises: Sequence[Formula],
     """
     names = sorted(set().union(*(scheme_vars(p) for p in premises),
                                scheme_vars(conclusion)))
-    return _scheme_check(m, names, budget, _meta, premises, conclusion)
+    return _scheme_check(m, names, budget, len(premises) + 1, _meta,
+                         premises, conclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -778,10 +742,10 @@ def fo_scheme_valid(fm: FoModel, scheme: Formula, hole: str,
         raise ValueError(f"scheme must be closed, free: {free_vars(scheme)}")
     bud = _as_budget(budget)
     worlds, domain = fm.worlds, fm.domain
-    n = len(worlds)
-    best, units = _least(fm, scheme, _fo_bits(fm), _leaves(
+    n, bits = len(worlds), _fo_bits(fm)
+    best = _least(fm, scheme, bits, _leaves(
         _fields(n, len(domain), ((hole, 1),), ()), domain, n), {hole: 1})
-    _charge(bud, units)
+    bud.charge(n << bits)
     if best is None:
         return Verdict(True)
     return Verdict(False, world=worlds[best[0]],
@@ -857,6 +821,6 @@ def bf_readings(fm: FoModel, hole: str = "P", budget=None) -> BfReadings:
             if bad:
                 best = (wi, first + (bad & -bad).bit_length() - 1)
                 break
-    _charge(bud, 2 * len(worlds) << bits, step=2)
+    bud.charge(2 * len(worlds) << bits)
     witness = best and (_pairs(domain, worlds, best[1]), worlds[best[0]])
     return BfReadings(pointwise, meta_iff, meta_imp, best is None, witness)

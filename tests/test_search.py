@@ -238,19 +238,20 @@ def test_scans_build_only_their_payload_frames(monkeypatch, call, witness):
 # One search to 4 worlds per constraint: the certificate (None when the
 # bounded space holds no countermodel), the units the scan charges up to
 # its answer, and the world count at which a budget one unit short trips.
-# These are the figures of the scan that built every frame and filtered it
-# afterwards: filtering never charged a unit.
+# Each admitted frame's candidate is charged the conclusion's full size,
+# worlds x 2**(instance bits), up to and including the hit; filtering
+# frames never charges a unit.
 CONSTRAINED_PINS = {
-    "reflexive": ("[]P => [][]P", 190, 3, {
+    "reflexive": ("[]P => [][]P", 202, 3, {
         "worlds": 3, "frame_mask": 285, "reading": "object",
         "conclusion": "[]P => [][]P", "world": "w1",
         "assignment": {"P": ["w0", "w1"]}}),
     "transitive": ("[]P => [][]P", 259828, 4, None),
-    "symmetric": ("[]P => [][]P", 23, 2, {
+    "symmetric": ("[]P => [][]P", 28, 2, {
         "worlds": 2, "frame_mask": 6, "reading": "object",
         "conclusion": "[]P => [][]P", "world": "w0",
         "assignment": {"P": ["w1"]}}),
-    "serial": ("[]P => P", 8, 2, {
+    "serial": ("[]P => P", 10, 2, {
         "worlds": 2, "frame_mask": 5, "reading": "object",
         "conclusion": "[]P => P", "world": "w1", "assignment": {"P": ["w0"]}}),
     "euclidean": ("<>P => []<>P", 20580, 4, None),
@@ -503,6 +504,23 @@ class TestFindFoCountermodel:
         with pytest.raises(ResourceLimit) as ei:
             find_fo_countermodel(spec)
         assert ei.value.frontier == {"worlds": 2, "domain": 1}
+
+    @pytest.mark.parametrize("bits, atoms, max_domain, frontier", [
+        (2, "", 1, {"worlds": 2, "domain": 1}),
+        (8, " | p | q", 2, {"worlds": 2, "domain": 2}),
+        (0, "", 2, {"worlds": 0, "domain": 0}),
+    ])
+    def test_stage_bit_refusal_at_domain_one(self, monkeypatch, bits, atoms,
+                                             max_domain, frontier):
+        # a refused (n, 1) stage names the last stage searched before it,
+        # (n - 1, max_domain), or (0, 0) when it is the first stage
+        monkeypatch.setattr(search, "FO_SEARCH_BITS", bits)
+        spec = SearchSpec(parse("(forall x. P(x)) | ~(forall x. P(x))"
+                                + atoms), max_worlds=3, max_domain=max_domain)
+        with pytest.raises(ResourceLimit, match=r"stage \d worlds x 1 "
+                           r"elements") as ei:
+            find_fo_countermodel(spec)
+        assert ei.value.frontier == frontier
 
 
 class TestBarcanDivergence:
@@ -799,18 +817,19 @@ def test_wide_scheme_stage_is_refused_at_its_first_chunk():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_gap_budget_counts_one_unit_per_evaluate_call(jobs, pool_starts):
-    # The units are the evaluate calls of the instance-by-instance scan
-    # (_oracle_gap_chunk), pinned: a scan with no gap charges every call to
-    # the parent ledger.
+def test_gap_budget_counts_each_reached_check_at_full_size(jobs, pool_starts):
+    # Each candidate up to the hit is charged one unit per world for each
+    # side, and for the implication where the rule reading holds
+    # (_oracle_gap_chunk), pinned: a scan with no gap charges every
+    # candidate to the parent ledger.
     calls = 22
     assert find_deduction_gap(max_worlds=1, jobs=jobs, budget=calls) is None
     with pytest.raises(ResourceLimit) as ei:
         find_deduction_gap(max_worlds=1, jobs=jobs, budget=calls - 1)
     assert ei.value.frontier == {"worlds": 1}
     # The default search stops at a hit in the first chunk of its second
-    # stage; the ledger charges that chunk too, the calls up to the hit.
-    total = 44
+    # stage; the ledger charges that chunk too, the candidates up to the hit.
+    total = 52
     assert find_deduction_gap(jobs=jobs, budget=total).to_dict() == \
         find_deduction_gap().to_dict()
     with pytest.raises(ResourceLimit) as ei:
@@ -974,25 +993,25 @@ def _oracle_div_chunk(stage, masks, _, bud):
 
 def _oracle_gap_chunk(stage, masks, conclusion, bud):
     """The deduction-gap scan instance by instance on the reference
-    evaluator, one budget unit per evaluate call."""
+    evaluator, each formula charged one unit per world of the model."""
     (n,) = stage
     names = scheme_vars(conclusion)
     lhs, rhs = conclusion.lhs, conclusion.rhs
 
-    def charged(m, f, w, sv):
-        bud.charge()
-        return evaluate(m, f, w, scheme_vals=sv)
+    def charged(m, f, sv):
+        bud.charge(n)
+        return [w for w in m.worlds
+                if not evaluate(m, f, w, scheme_vals=sv)]
     for fmask, fr in _oracle_frames(n, masks, frozenset()):
         m = PropModel(fr, {})
         worlds = fr.worlds
         for vmasks in product(range(1 << n), repeat=len(names)):
             sv = {nm: _bits(worlds, vm) for nm, vm in zip(names, vmasks)}
-            lhs_valid = all(charged(m, lhs, w, sv) for w in worlds)
-            rhs_valid = all(charged(m, rhs, w, sv) for w in worlds)
+            lhs_valid = not charged(m, lhs, sv)
+            rhs_valid = not charged(m, rhs, sv)
             if lhs_valid and not rhs_valid:
                 continue  # the rule reading fails here: not a gap
-            fail = next((w for w in worlds
-                         if not charged(m, conclusion, w, sv)), None)
+            fail = next(iter(charged(m, conclusion, sv)), None)
             if fail is not None:
                 return m, {
                     "worlds": n, "frame_mask": fmask,

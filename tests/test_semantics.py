@@ -9,9 +9,10 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modalkit import (ArityMismatch, BF_SCHEME, Box, Budget, CBF_SCHEME,
+from modalkit import (And, ArityMismatch, BF_SCHEME, Box, Budget, CBF_SCHEME,
                       Dia, DomainFrame, EvalError, FlexiblePred, FoModel,
-                      Frame, Imp, Not, NotPropositional, PredAtom, PropModel,
+                      Frame, Imp, Not, NotPropositional, Or, PredAtom,
+                      PropModel,
                       ResourceLimit, RigidPred, SchemeVar, StrictImp,
                       UnboundScheme, UnboundVar, UnknownSymbol, Verdict,
                       bf_readings, evaluate, fo_scheme_valid, frame_valid,
@@ -202,8 +203,8 @@ class TestCompiledAgreesWithReference:
 
 # ---------------------------------------------------------------------------
 # Differential: every check against the scan it replaced, a plain loop over
-# the reference evaluator.  One unit is one (instance, world) pair visited
-# in scan order, up to and including the witness.
+# the reference evaluator.  A check charges its full size, one unit per
+# (formula, instance, world) of the scan, however early it finds a witness.
 
 def _worlds_of(worlds, mask):
     return tuple(w for i, w in enumerate(worlds) if mask >> i & 1)
@@ -211,19 +212,15 @@ def _worlds_of(worlds, mask):
 
 def _scan(worlds, instances, holds):
     """World-major scan: ((world, instance) of the first failure or None,
-    units charged)."""
-    used = 0
-    for w in worlds:
-        for inst in instances:
-            used += 1
-            if not holds(inst, w):
-                return (w, inst), used
-    return None, used
+    units charged: every (instance, world) pair)."""
+    wit = next(((w, inst) for w in worlds for inst in instances
+                if not holds(inst, w)), None)
+    return wit, len(worlds) * len(instances)
 
 
-def _charged(call, used, limit, step=1):
-    """Run call(budget): it charges ``used`` units, and under ``limit`` it
-    trips exactly when used > limit, at the step that crosses the limit."""
+def _charged(call, used, limit):
+    """Run call(budget): it charges ``used`` units in one go, so under
+    ``limit`` it trips exactly when used > limit, having charged them all."""
     bud = Budget(10**9)
     result = call(bud)
     assert bud.used == used
@@ -231,7 +228,7 @@ def _charged(call, used, limit, step=1):
     if used > limit:
         with pytest.raises(ResourceLimit, match=rf"\({limit} calls\)"):
             call(small)
-        assert small.used == step * (limit // step + 1)
+        assert small.used == used
     else:
         assert call(small) == result
         assert small.used == used
@@ -297,7 +294,7 @@ class TestTruthSetsMatchScalarScan:
         with _block_bits(block_bits):
             v = scheme_valid(m, parse("p | P & Q"), bud)
         assert v == Verdict(False, world="b", assignment={"P": (), "Q": ()})
-        assert bud.used == 1 * 16 + 0 + 1
+        assert bud.used == 2 * 16
 
     @given(seeded_randoms)
     @_DIFF
@@ -353,24 +350,14 @@ class TestTruthSetsMatchScalarScan:
         concl = random_prop_formula(rng, rng.randint(0, 4), atoms=("p",),
                                     schemes=("P", "Q"))
         names = sorted(set().union(*map(scheme_vars, premises + [concl])))
-        ws, used, expect = m.worlds, 0, Verdict(True)
+        ws, expect = m.worlds, Verdict(True)
+        used = (n_premises + 1) * len(ws) << len(ws) * len(names)
         for masks in product(range(1 << len(ws)), repeat=len(names)):
             sv = {nm: _worlds_of(ws, k) for nm, k in zip(names, masks)}
-            ok = True
-            for p in premises:
-                for w in ws:
-                    used += 1
-                    if not evaluate(m, p, w, scheme_vals=sv):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            bad = None
-            for w in ws if ok else ():
-                used += 1
-                if not evaluate(m, concl, w, scheme_vals=sv):
-                    bad = w
-                    break
+            ok = all(evaluate(m, p, w, scheme_vals=sv)
+                     for p in premises for w in ws)
+            bad = next((w for w in ws if ok and not evaluate(
+                m, concl, w, scheme_vals=sv)), None)
             if bad is not None:
                 expect = Verdict(False, world=bad, assignment=sv)
                 break
@@ -416,7 +403,7 @@ class TestTruthSetsMatchScalarScan:
         used = 2 * len(ws) << (len(fm.domain) * len(ws))
         with _block_bits(block_bits):
             r = _charged(lambda b: bf_readings(fm, "P", b), used,
-                         rng.randint(0, used + 1), step=2)
+                         rng.randint(0, used + 1))
         assert (r.pointwise, r.meta_iff, r.meta_implies, r.object_implies) \
             == (pointwise, meta_iff, meta_imp, not bad)
         if bad:
@@ -427,6 +414,64 @@ class TestTruthSetsMatchScalarScan:
             assert r.object_witness == (interp, ws[wi])
         else:
             assert r.object_witness is None
+
+
+# A varying-domain model on which the Barcan implication fails: b exists
+# only at v, which u sees, so P false of b at v breaks []forall at u.
+_BF_FAILS = FoModel(DomainFrame(Frame(("u", "v"), (("u", "v"),)), ("a", "b"),
+                                {"u": ["a"], "v": ["a", "b"]}), "varying")
+
+
+@pytest.mark.parametrize("block_bits", [12, 2])
+class TestChecksChargeTheirFullSize:
+    """Each single-model check leaves Budget.used at formulas x worlds x
+    2**(instance bits), whether it holds or finds a witness early: the
+    tautology f | ~f holds and the contradiction f & ~f fails at once."""
+
+    @staticmethod
+    def _both(f):
+        return ((Or(f, Not(f)), True), (And(f, Not(f)), False))
+
+    @given(seeded_randoms)
+    @_DIFF
+    def test_propositional_checks(self, block_bits, rng):
+        m = random_model(rng, max_worlds=3, atoms=("p", "q"))
+        f = random_prop_formula(rng, rng.randint(0, 4), atoms=("p", "q"),
+                                schemes=("P", "Q"))
+        plain = random_prop_formula(rng, rng.randint(0, 4), atoms=("p", "q"))
+        n, top = len(m.worlds), parse("P | ~P")
+        for (g, holds), (p, _) in zip(self._both(f), self._both(plain)):
+            k = len(set(scheme_vars(g)) | set(prop_atoms(g)))
+            for check, size in (
+                    (lambda b: valid(m, p, b), n),
+                    (lambda b: scheme_valid(m, g, b),
+                     n << n * len(scheme_vars(g))),
+                    (lambda b: frame_valid(m.frame, g, b), n << n * k),
+                    (lambda b: meta_implies(m, [top], g, b),
+                     2 * n << n * len(set(scheme_vars(g)) | {"P"}))):
+                bud = Budget(10**9)
+                with _block_bits(block_bits):
+                    assert check(bud).holds == holds
+                assert bud.used == size
+
+    @given(seeded_randoms)
+    @_DIFF
+    def test_first_order_checks(self, block_bits, rng):
+        fm = _random_fo_model(rng)
+        f = random_fo_formula(rng, rng.randint(0, 4), preds=_FO_PREDS)
+        for g, holds in self._both(f):
+            bud = Budget(10**9)
+            with _block_bits(block_bits):
+                assert fo_scheme_valid(fm, g, "P", bud).holds == holds
+            assert bud.used == len(fm.worlds) << len(fm.domain) * len(
+                fm.worlds)
+        const = FoModel(DomainFrame(fm.frame, fm.domain), "constant")
+        for model, holds in ((const, True), (_BF_FAILS, False)):
+            bud = Budget(10**9)
+            with _block_bits(block_bits):
+                assert bf_readings(model, "P", bud).object_implies == holds
+            n = len(model.worlds)
+            assert bud.used == 2 * n << len(model.domain) * n
 
 
 class TestSchemeValid:
