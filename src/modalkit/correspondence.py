@@ -1,23 +1,27 @@
 """Axiom schemes, their frame properties, and consistency reports.
 
 Each classical axiom is checked two ways on a finite frame: schematically
-(valid for every valuation, via frame_valid) and relationally (the literal
+(valid for every valuation, as in frame_valid) and relationally (the literal
 property of the accessibility relation).  The two verdicts must agree — a
 ``consistent: false`` entry in a report is an implementation bug, and the
 test suite treats it as such.  The quantifier analogue pairs the Barcan
 schemes with domain monotonicity.
+
+A report labels all its schemes with one truth-set program, each shared
+subformula once, and keeps one check's witness and charge per scheme.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping
 
 from .formula import Box, Formula, SchemeVar
 from .model import (DomainFrame, FoModel, Frame, FRAME_PROPERTIES,
                     PropModel, domain_monotonicity, frame_property)
 from .parser import parse
-from .semantics import (Verdict, _as_budget, fo_scheme_valid, frame_valid,
-                        meta_implies)
+from .semantics import (Verdict, _as_budget, _decode, _fields, _fo_verdicts,
+                        _leaves, _least, _scheme_bits, _verdict, frame_valid)
 
 __all__ = [
     "AXIOM_IDS", "AXIOM_SCHEMES", "AXIOM_PROPERTY", "axiom_scheme",
@@ -51,17 +55,13 @@ AXIOM_PROPERTY: Mapping[str, str] = {
     "5": "euclidean",
 }
 
-_parsed: dict[str, Formula] = {}
-
-
+@lru_cache(maxsize=None)
 def axiom_scheme(axiom_id: str) -> Formula:
     """The parsed canonical scheme for an axiom id (not N, which is meta)."""
     text = AXIOM_SCHEMES[axiom_id]
     if text is None:
         raise ValueError(f"axiom {axiom_id!r} has no object-level scheme")
-    if axiom_id not in _parsed:
-        _parsed[axiom_id] = parse(text)
-    return _parsed[axiom_id]
+    return parse(text)
 
 
 BF_SCHEME = parse(AXIOM_SCHEMES["BF"])
@@ -69,31 +69,35 @@ CBF_SCHEME = parse(AXIOM_SCHEMES["CBF"])
 
 
 def _entry(verdict: Verdict, prop: bool) -> dict:
-    out = {
-        "holds": verdict.holds,
-        "property": prop,
-        "consistent": verdict.holds == prop,
-    }
-    if not verdict.holds:
-        out["witness"] = verdict.to_dict()["witness"]
-    return out
+    return {"holds": verdict.holds, "property": prop,     # then a witness
+            "consistent": verdict.holds == prop, **verdict.to_dict()}
+
+
+@lru_cache(maxsize=None)
+def _report_formulas() -> tuple[Formula, ...]:
+    """K, T, 4, B, D, 5, and N's premise P and conclusion □P."""
+    return (*map(axiom_scheme, "KT4BD5"), SchemeVar("P"), Box(SchemeVar("P")))
 
 
 def axiom_report(fr: Frame, budget=None) -> dict:
     """Schematic validity of K/T/4/B/D/5 plus the meta rule N on a frame,
-    against the frame's relational properties."""
+    against the frame's relational properties.  The instances are K's, P's
+    world mask above Q's, where a scheme in P alone first fails at Q = {}."""
     bud = _as_budget(budget)
     props = {p: frame_property(fr, p) for p in FRAME_PROPERTIES}
+    worlds, n = fr.worlds, len(fr.worlds)
+    bits, fields = _scheme_bits(n, 2), _fields(n, 0, (), ("P", "Q"))
     axioms: dict[str, dict] = {}
-    k = frame_valid(fr, axiom_scheme("K"), bud)
-    axioms["K"] = _entry(k, True)
-    for axiom_id, prop_name in AXIOM_PROPERTY.items():
-        v = frame_valid(fr, axiom_scheme(axiom_id), bud)
-        axioms[axiom_id] = _entry(v, props[prop_name])
-        axioms[axiom_id]["frame_property"] = prop_name
-    n = meta_implies(PropModel(fr, {}), [SchemeVar("P")],
-                     Box(SchemeVar("P")), bud)
-    axioms["N"] = _entry(n, True)
+    for aid, best in zip("KT4BD5N", _least(
+            PropModel(fr, {}), _report_formulas(),
+            [0, 1, 2, 3, 4, 5, ((6,), 7)], bits, _leaves(fields, (), n))):
+        # K spans P and Q, the rest P alone (fields[1:]), N is two formulas
+        bud.charge((1 + (aid == "N")) * n << (bits if aid == "K" else n))
+        prop = AXIOM_PROPERTY.get(aid)
+        axioms[aid] = _entry(_verdict(worlds, best, lambda i: {
+            "assignment": _decode(fields[aid != "K":], (), worlds, i)[0]}),
+            prop is None or props[prop])
+        axioms[aid].update({"frame_property": prop} if prop else {})
     return {"properties": props, "axioms": axioms}
 
 
@@ -105,23 +109,13 @@ def barcan_report(df: DomainFrame, budget=None) -> dict:
     bud = _as_budget(budget)
     fm = FoModel(df, "varying")
     mono = domain_monotonicity(df)
-    bf = fo_scheme_valid(fm, BF_SCHEME, "P", bud)
-    cbf = fo_scheme_valid(fm, CBF_SCHEME, "P", bud)
+    bf, cbf = _fo_verdicts(fm, (BF_SCHEME, CBF_SCHEME), "P", bud)
     symmetric = frame_property(df.frame, "symmetric")
-    out = {
-        "monotonicity": {
-            "constant": mono.constant,
-            "nondecreasing": mono.nondecreasing,
-            "nonincreasing": mono.nonincreasing,
-        },
-        "symmetric": symmetric,
-        "axioms": {
-            "BF": _entry(bf, mono.nonincreasing),
-            "CBF": _entry(cbf, mono.nondecreasing),
-        },
-        "bf_iff_cbf_on_symmetric": (not symmetric) or (bf.holds == cbf.holds),
-    }
-    return out
+    return {"monotonicity": mono._asdict(), "symmetric": symmetric,
+            "axioms": {"BF": _entry(bf, mono.nonincreasing),
+                       "CBF": _entry(cbf, mono.nondecreasing)},
+            "bf_iff_cbf_on_symmetric": (not symmetric)
+            or (bf.holds == cbf.holds)}
 
 
 def refute_on_frame(fr: Frame, scheme: Formula, budget=None

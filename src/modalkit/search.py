@@ -46,8 +46,8 @@ from .model import (DomainFrame, FlexiblePred, FoModel, Frame,
                     FRAME_PROPERTIES, PropModel, _ROW_TESTS, _extension,
                     _pairs, frame_property, is_total, model_to_dict)
 from .semantics import (BF_LHS, BF_RHS, Budget, ResourceLimit, _as_budget,
-                        _batches, _decode, _fields, _fo_bits, _leaves,
-                        _scheme_bits, bf_readings, evaluate)
+                        _batches, _decode, _exchange, _fields, _fo_bits,
+                        _leaves, _scheme_bits, bf_readings, evaluate)
 
 __all__ = [
     "SearchSpec", "SearchResult", "CONSTRAINT_NAMES",
@@ -366,9 +366,8 @@ def _checks(spec: SearchSpec, n: int) -> list:
     def check(names, f):
         ib = _scheme_bits(n, len(names))
         inst = _leaves(_fields(n, 0, (), tuple(names)), (), n)
-        if isinstance(f, tuple):
-            return ib, 2 * n << ib, lambda b: b.meta(f[:1], f[1], ib, inst)
-        return ib, n << ib, lambda b: b.least(f, ib, inst)
+        fs, c = (f, ((0,), 1)) if isinstance(f, tuple) else ((f,), 0)
+        return ib, len(fs) * n << ib, lambda b: b.run(fs, [c], ib, inst)[0]
 
     c = spec.conclusion
     return [*(check((), p) for p in spec.premise_formulas),
@@ -572,12 +571,12 @@ def _divergences(stage, masks, varying: bool, bud: Budget) -> Iterator:
     bits = _fo_bits(m)
     fields = _fields(n, d, (), (), varying)
     hole = _leaves(_fields(n, d, (("P", 1),), ()), m.domain, n)
-    lhs, rhs = BF_LHS("P"), BF_RHS("P")
+    fs = _exchange(BF_LHS("P"), BF_RHS("P"))[:3]
     for b in _batches(m, d * n if varying else 0, [bits],
                       _leaves(fields, m.domain, n), list(masks), {"P": 1}):
         rest = b.live
-        div = rest & (b.meta([lhs], rhs, bits, hole)[0]
-                      & ~b.least(Imp(lhs, rhs), bits, hole)[0])
+        (rule, _), (imp, _) = b.run(fs, [((0,), 1), 2], bits, hole)
+        div = rest & rule & ~imp
         while True:
             hit = div & -div
             bud.charge((2 * n << bits) * (rest & (hit - 1)).bit_count())
@@ -658,7 +657,8 @@ def _sweep_chunk(stage, masks, _, bud: Budget):
     exists = _leaves(_fields(n, d, (), (), varying=True), m.domain, n)
     violations: list[dict] = []
     for b in _batches(m, d * n, [bits], exists, list(masks), {"P": 1}):
-        bf, cbf = (b.least(f, bits, hole)[0] for f in (BF_SCHEME, CBF_SCHEME))
+        (bf, _), (cbf, _) = b.run((BF_SCHEME, CBF_SCHEME), [0, 1], bits,
+                                  hole)
         bud.charge((2 * n << bits) * b.live.bit_count())
         edges = b.edges[Box]
         inc, dec = _monotone(edges, b.leaves[Exists], b.full)
@@ -745,9 +745,9 @@ def _gap_chunk(stage, masks, conclusion: Imp, bud: Budget):
     fields = _fields(n, 0, (), tuple(scheme_vars(conclusion)))
     for b in _batches(_blank(n, None), n * len(fields), [0],
                       _leaves(fields, (), n), list(masks)):
-        (lhs, _), (rhs, _), (imp, witness) = (
-            b.least(f, 0, lambda cols: {})
-            for f in (conclusion.lhs, conclusion.rhs, conclusion))
+        (lhs, _), (rhs, _), (imp, witness) = b.run(
+            (conclusion.lhs, conclusion.rhs, conclusion), [0, 1, 2], 0,
+            lambda cols: {})
         rule = b.live & ~(lhs & ~rhs)
         gap = rule & ~imp
         hit = gap & -gap

@@ -8,21 +8,23 @@ subsets of domain x worlds — so "valid for every instance" is a literal
 finite enumeration, guarded by budgets.
 
 ``evaluate`` is the plain recursive reference implementation.  The checks
-below instead label every subformula with its truth set: per world, one int
-whose bit i says whether it holds there under instance i of the scan, so all
-instances are evaluated at once.  The two are property-tested against each
-other, and search certificates are re-checked through ``evaluate`` before
-being reported.
+instead compile their formulas once into one flat program, which labels
+each distinct subformula with its truth set: per world, one int whose bit i
+says whether it holds there under instance i of the scan.  A correspondence
+report is one such program over all its schemes.  The two evaluators are
+property-tested against each other, and search certificates are re-checked
+through ``evaluate`` before being reported.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import product
 from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
+from weakref import ref
 
 from .formula import (
     And, Box, BoundVar, Dia, Eq, Exists, Forall, Formula, Iff, Imp, Not, Or,
@@ -114,12 +116,11 @@ class Budget:
         self.limit = _env_budget() if limit is None else limit
         self.used = 0
 
-    def charge(self, n: int = 1, frontier=None) -> None:
+    def charge(self, n: int = 1) -> None:
         self.used += n
         if self.used > self.limit:
             raise ResourceLimit(
-                f"evaluator-call budget exhausted ({self.limit} calls)",
-                frontier=frontier)
+                f"evaluator-call budget exhausted ({self.limit} calls)")
 
 
 def _as_budget(budget) -> Budget:
@@ -263,6 +264,11 @@ def _ev(m, f: Formula, w: str, env: Env, sv: Mapping[str, frozenset[str]]) -> bo
 # numbered in its scan order, and a subformula's truth set at a world is one
 # int whose bit i is set iff it holds there under instance i.  Instances are
 # taken in blocks of 2**_BLOCK_BITS, so no int is wider than 4096 bits.
+#
+# The formulas a scan checks (all of a report's schemes, say) compile, by an
+# iterative post-order walk that grounds quantifiers over the elements, into
+# one program of ops over numbered slots.  Equal ops share a slot (value
+# numbering, as in hash-consing): one label per subformula and block.
 
 _BLOCK_BITS = 12
 _COLUMNS: dict[int, tuple[int, ...]] = {}
@@ -300,162 +306,217 @@ def _blocks(bits: int, span: int | None = None, start: int = 0):
             full if first >> j & 1 else 0 for j in range(width, bits))
 
 
-def _truth(m: PropModel | FoModel, f: Formula, leaves: Mapping, full: int,
-           preds: Mapping[str, int] | None = None) -> Sequence[int]:
-    """Truth sets of f over one block: entry wi has bit i set iff f holds
-    at worlds[wi] under the block's instance i.  ``leaves`` maps each
-    instantiated symbol to its per-world columns: metavariables and atoms by
-    name, the cells of each predicate in ``preds`` (name -> arity) by
-    (name, element tuple), and under ``Exists`` the per-world existence
-    columns of each element of m.domain (by default, m.domain_at's).
-    Edge columns under ``Box`` ([i][j]: where worlds[i] sees worlds[j])
-    replace m.frame's.  Structural errors raise what evaluate raises."""
+# opcodes: the leaves, then the ops (_BOX: at every successor, _DIA: at
+# some) _BUILD makes each node of, by op(code, a, b) over operands' slots
+_LEAF, _VAL, _PRED, _CONST, _EXIST = range(5)
+_NOT, _AND, _OR, _IMP, _BOX, _DIA = range(5, 11)
+_BUILD = {
+    Not: lambda op, x: op(_NOT, x),
+    Box: lambda op, x: op(_BOX, x),
+    Dia: lambda op, x: op(_DIA, x),
+    And: lambda op, x, y: op(_AND, x, y),
+    Or: lambda op, x, y: op(_OR, x, y),
+    Imp: lambda op, x, y: op(_IMP, x, y),
+    Iff: lambda op, x, y: op(_AND, op(_IMP, x, y), op(_IMP, y, x)),
+    StrictImp: lambda op, x, y: op(_BOX, op(_IMP, x, y)),
+    Forall: lambda op, *xs: reduce(partial(op, _AND), [
+        op(_OR, x, op(_NOT, op(_EXIST, k))) for k, x in enumerate(xs)]),
+    Exists: lambda op, *xs: reduce(partial(op, _OR), [
+        op(_AND, x, op(_EXIST, k)) for k, x in enumerate(xs)]),
+}
+_PROGRAMS: dict = {}    # (formula ids, shape) -> (program, formula refs)
+
+
+def _program(fs: tuple, names: frozenset, preds: tuple, sig: tuple | None):
+    """(ops, output slot of each formula) of fs, ~~x read as x.  ``names``
+    are the arity-0 leaves, ``preds`` the sliced (name, arity) predicates,
+    and ``sig`` None on a PropModel, else the model's elements, (name,
+    arity) predicates and (constant, element) pairs."""
+    slot, negated, sliced = {}, {}, dict(preds)     # negated: ~x -> x
+    if sig is not None:
+        elems, (arities, consts) = sig[0], map(dict, sig[1:])
+
+    def op(code: int, a, b=None) -> int:
+        if code == _NOT and a in negated:
+            return negated[a]
+        s = slot.setdefault((code, a, b), len(slot))
+        if code == _NOT:
+            negated[s] = a
+        return s
+
+    def resolve(t, env: dict) -> str:
+        known = env if isinstance(t, BoundVar) else consts
+        if t.name not in known:
+            raise (UnboundVar(f"unbound variable {t.name!r}") if known is env
+                   else UnknownSymbol(f"unknown constant {t.name!r}"))
+        return known[t.name]
+
+    def leaf(g, env: dict) -> int:
+        if isinstance(g, (PropAtom, SchemeVar)):
+            if g.name in names or isinstance(g, PropAtom):
+                return op(_LEAF if g.name in names else _VAL, g.name)
+            raise UnboundScheme(
+                f"scheme variable {g.name!r} has no instantiation")
+        if sig is None:
+            raise NotPropositional(f"{type(g).__name__} needs a "
+                                   "first-order model, got a PropModel")
+        if isinstance(g, Eq):
+            return op(_CONST, resolve(g.lhs, env) == resolve(g.rhs, env))
+        if not isinstance(g, PredAtom):
+            raise TypeError(f"not a Formula: {g!r}")
+        vals = tuple(resolve(a, env) for a in g.args)
+        arity = sliced.get(g.name, arities.get(g.name))
+        if arity is None:
+            raise UnknownSymbol(f"unknown predicate {g.name!r}")
+        if arity != len(vals):
+            raise ArityMismatch(
+                f"predicate {g.name!r} has arity {arity}, got {len(vals)}")
+        return (op(_LEAF, (g.name, vals)) if g.name in sliced  # cell or zeros
+                else op(_PRED, g.name, vals))
+
+    outs = []
+    for f in fs:
+        todo, done = [(f, {})], []      # done: operands not yet used
+        while todo:
+            g, env = todo.pop()
+            t = type(g)
+            if t is tuple:      # (builder, operand count)
+                done[len(done) - g[1]:] = [g[0](op, *done[len(done) - g[1]:])]
+            elif (t is Forall or t is Exists) and sig is not None:
+                todo.append(((_BUILD[t], len(elems)), env))
+                todo += [(g.body, {**env, g.var: e}) for e in reversed(elems)]
+            elif t in _BUILD and t is not Forall and t is not Exists:
+                kids = t.__match_args__     # the operands' field names
+                todo.append(((_BUILD[t], len(kids)), env))
+                todo += [(getattr(g, k), env) for k in reversed(kids)]
+            else:       # a leaf, or a quantifier on a PropModel
+                done.append(leaf(g, env))
+        outs.append(done[0])
+    return list(slot), outs
+
+
+def _compiled(m, fs: Sequence[Formula], leaves: Mapping, preds=None):
+    """The program of fs on m over blocks with the keys of ``leaves``, from
+    a cache of the 64 last used (a search or report uses a few), keyed by
+    the formulas' ids; an entry refers to its formulas weakly, so a dead
+    one's id, reused, is a miss."""
+    fs, sig = tuple(fs), None
+    if isinstance(m, FoModel):
+        sig = (m.domain or (None,), tuple((k, p.arity) for k, p in (
+            *m.rigid_preds.items(), *m.flexible_preds.items())),
+            tuple(m.rigid_consts.items()))
+    shape = (frozenset(k for k in leaves if type(k) is str),
+             tuple(sorted((preds or {}).items())), sig)
+    key = (*map(id, fs), shape)
+    entry = _PROGRAMS.pop(key, None)
+    if entry is None or any(r() is None for r in entry[1]):  # ids reused
+        entry = _program(fs, *shape), [ref(f) for f in fs]
+    _PROGRAMS[key] = entry
+    if len(_PROGRAMS) > 64:
+        del _PROGRAMS[next(iter(_PROGRAMS))]
+    return entry[0]
+
+
+def _run(prog, m: PropModel | FoModel, leaves: Mapping,
+         full: int) -> list[list[int]]:
+    """Per formula of the program, its truth sets over one block: entry wi
+    has bit i set iff it holds at worlds[wi] under the block's instance i.
+    ``leaves`` maps each instantiated symbol to its per-world columns:
+    metavariables and atoms by name, sliced predicate cells by (name,
+    element tuple), and under ``Exists`` the per-world existence columns of
+    each element (by default, m.domain_at's).  Edge columns under ``Box``
+    ([i][j]: where worlds[i] sees worlds[j]) replace m.frame's."""
+    ops, outs = prog
     worlds, succ, edges = m.worlds, m.frame.succ, leaves.get(Box)
     ones, zeros = [full] * len(worlds), [0] * len(worlds)
-    preds = preds or {}
-    fo = isinstance(m, FoModel)
-    if fo:
-        # an empty domain still visits each quantifier body once, so its
-        # structural errors are raised as for any other model
-        elems = m.domain or (None,)
-        ex = leaves.get(Exists) or [[full if e in m.domain_at(w) else 0
-                                     for w in worlds] for e in elems]
-
-    def go(g: Formula, env: Env) -> Sequence[int]:
-        if isinstance(g, (PropAtom, SchemeVar)):
-            col = leaves.get(g.name)
-            if col is not None:
-                return col
-            if isinstance(g, SchemeVar):
-                raise UnboundScheme(
-                    f"scheme variable {g.name!r} has no instantiation")
-            val = m.valuation.get(g.name, ())
-            return [full if w in val else 0 for w in worlds]
-        if isinstance(g, Not):
-            return [full ^ a for a in go(g.body, env)]
-        if isinstance(g, (And, Or, Imp, Iff, StrictImp)):
-            ls, rs = go(g.lhs, env), go(g.rhs, env)
-            if isinstance(g, And):
-                return [a & b for a, b in zip(ls, rs)]
-            if isinstance(g, Or):
-                return [a | b for a, b in zip(ls, rs)]
-            if isinstance(g, Iff):
-                return [full ^ a ^ b for a, b in zip(ls, rs)]
-            imp = [(full ^ a) | b for a, b in zip(ls, rs)]
-            return imp if isinstance(g, Imp) else _meet(imp, succ, full,
-                                                        edges)
-        if isinstance(g, Box):
-            return _meet(go(g.body, env), succ, full, edges)
-        if isinstance(g, Dia):
-            nots = [full ^ a for a in go(g.body, env)]
-            return [full ^ a for a in _meet(nots, succ, full, edges)]
-        if not fo:
-            raise NotPropositional(
-                f"{type(g).__name__} needs a first-order model, got a PropModel")
-        if isinstance(g, PredAtom):
-            vals = tuple(_resolve(m, a, env) for a in g.args)
-            sliced = g.name in preds
-            if sliced:
-                arity = preds[g.name]
-            else:
-                pred = (m.flexible_preds.get(g.name)
-                        or m.rigid_preds.get(g.name))
-                if pred is None:
-                    raise UnknownSymbol(f"unknown predicate {g.name!r}")
-                arity = pred.arity
-            if arity != len(vals):
-                raise ArityMismatch(
-                    f"predicate {g.name!r} has arity {arity}, got {len(vals)}")
-            if sliced:
-                # no cell for the empty domain's stand-in element None
-                return leaves.get((g.name, vals), zeros)
-            if g.name in m.flexible_preds:
-                return [full if vals in pred.extension[w] else 0
-                        for w in worlds]
-            return ones if vals in pred.extension else zeros
-        if isinstance(g, Eq):
-            same = _resolve(m, g.lhs, env) == _resolve(m, g.rhs, env)
-            return ones if same else zeros
-        if isinstance(g, (Forall, Exists)):
-            every = isinstance(g, Forall)
-            out = ones if every else zeros
-            for e, x in zip(elems, ex):     # x: where e exists
-                b = go(g.body, {**env, g.var: e})
-                out = ([o & (a | full ^ c) for o, a, c in zip(out, b, x)]
-                       if every else [o | a & c for o, a, c in zip(out, b, x)])
-            return out
-        raise TypeError(f"not a Formula: {g!r}")
-
-    return go(f, {})
+    vals: list[list[int]] = []
+    put = vals.append
+    for code, a, b in ops:
+        if code == _NOT:
+            put([full ^ x for x in vals[a]])
+        elif code == _OR:
+            put(list(map(or_, vals[a], vals[b])))
+        elif code == _AND:
+            put(list(map(and_, vals[a], vals[b])))
+        elif code == _IMP:
+            put([(full ^ x) | y for x, y in zip(vals[a], vals[b])])
+        elif code == _BOX or code == _DIA:      # [] as ~<>~
+            x = vals[a] if code == _DIA else [full ^ y for y in vals[a]]
+            x = ([reduce(or_, map(and_, row, x), 0) for row in edges]
+                 if edges is not None else
+                 [reduce(or_, [x[j] for j in s], 0) for s in succ])
+            put(x if code == _DIA else [full ^ y for y in x])
+        elif code == _LEAF:
+            put(leaves.get(a, zeros))
+        elif code == _VAL:
+            val = m.valuation.get(a, ())
+            put([full if w in val else 0 for w in worlds])
+        elif code == _PRED:
+            p = m.flexible_preds.get(a)
+            put([full if b in p.extension[w] else 0 for w in worlds] if p
+                else ones if b in m.rigid_preds[a].extension else zeros)
+        elif code == _CONST:
+            put(ones if a else zeros)
+        else:   # _EXIST: where the a-th element exists
+            e, ex = (m.domain or (None,))[a], leaves.get(Exists)
+            put(ex[a] if ex else
+                [full if e in m.domain_at(w) else 0 for w in worlds])
+    return [vals[s] for s in outs]
 
 
-def _meet(sets: Sequence[int], succ: Sequence[Sequence[int]], full: int,
-          edges: Sequence[Sequence[int]] | None = None) -> list[int]:
-    """Per world i, the instances where sets holds at every successor:
-    full ^ OR_j (edges[i][j] & ~sets[j]), or the AND over succ[i]."""
-    if edges is not None:
-        nots = [full ^ x for x in sets]
-        return [full ^ reduce(or_, map(and_, row, nots), 0) for row in edges]
-    out = []
-    for s in succ:
-        x = full
-        for j in s:
-            x &= sets[j]
-        out.append(x)
-    return out
-
-
-def _least(m, f: Formula, bits: int, leaves, preds=None, span=None,
-           start: int = 0) -> tuple[int, int] | None:
-    """(world index, instance) of the first failure of f in world-major
-    scan order over the 2**span instances from start (all 2**bits by
-    default; instances counted from start), or None when every instance
-    holds everywhere.  ``leaves(cols)`` builds the _truth leaves of a block
-    from its instance-bit columns."""
-    n, best = len(m.worlds), None
+def _least(m, fs: Sequence[Formula], checks: Sequence, bits: int, leaves,
+           preds=None, span=None, start: int = 0) -> list:
+    """Per check, the (world index, instance) of its least failure over the
+    2**span instances from start (all 2**bits by default; counted from
+    start), or None.  A check is the index of a formula of fs, failing
+    first in world-major order, or (premise indexes, conclusion index), the
+    meta reading: the least instance where the premises hold everywhere and
+    the conclusion does not, at its least failing world.  One program labels
+    fs per block, with leaves(cols) from the block's instance columns."""
+    best, prog, todo = [None] * len(checks), None, list(range(len(checks)))
     for first, full, cols in _blocks(bits, span, start):
-        sets = _truth(m, f, leaves(cols), full, preds)
-        for wi in range(n if best is None else best[0]):
-            miss = full ^ sets[wi]
-            if miss:
-                best = (wi, first - start + (miss & -miss).bit_length() - 1)
-                break
-        if best is not None and best[0] == 0:
+        lv = leaves(cols)
+        prog = prog or _compiled(m, fs, lv, preds)
+        sets = _run(prog, m, lv, full)
+        for ci, (holds, hits) in zip(todo, _checked(
+                sets, [checks[ci] for ci in todo], full, 1, bool)):
+            if not holds:
+                wi, h = next((wi, h) for wi, h in enumerate(hits) if h)
+                if best[ci] is None or wi < best[ci][0]:
+                    best[ci] = (wi, first - start + h.bit_length() - 1)
+        todo = [ci for ci in todo if best[ci] is None
+                or isinstance(checks[ci], int) and best[ci][0]]
+        if not todo:
             break
     return best
 
 
-def _meta_groups(psets, csets, full: int, base: int, any_):
-    """The meta reading over the groups of a block, one from each bit of
-    base: (the groups where it holds, per world each failing group's witness
-    bit).  any_(x) marks the groups where x has a bit set."""
-    reach = reduce(and_, (x for sets in psets for x in sets), full)
-    fail = reach & ~reduce(and_, csets, full)
-    t = any_(fail)
-    y = fail & t * (full // base)
-    low = y & ~(y - t)      # each failing group's least failure
-    hits, seen = [], 0
-    for x in csets:
-        hits.append(low & ~x & ~seen)
-        seen |= hits[-1]
-    return base & ~t, hits
-
-
-def _meta(m, premises: Sequence[Formula], conclusion: Formula, bits: int,
-          leaves, preds=None, span=None, start: int = 0
-          ) -> tuple[int, int] | None:
-    """(least failing world of the conclusion, instance) at the least
-    instance, over the same range as _least, where every premise holds at
-    every world and the conclusion does not, or None."""
-    for first, full, cols in _blocks(bits, span, start):
-        lv = leaves(cols)
-        holds, hits = _meta_groups(
-            [_truth(m, p, lv, full, preds) for p in premises],
-            _truth(m, conclusion, lv, full, preds), full, 1, bool)
-        if not holds:
-            wi, h = next((wi, h) for wi, h in enumerate(hits) if h)
-            return wi, first - start + h.bit_length() - 1
-    return None
+def _checked(sets, checks: Sequence, full: int, base: int, any_) -> list:
+    """Each check (as for _least) over the groups of a block, one from each
+    bit of base: (the groups where it holds, per world each failing group's
+    witness bit).  any_(x) marks the groups where x has a bit set."""
+    out, ones = [], full // base
+    for c in checks:
+        hits, alive = [], base
+        if isinstance(c, int):
+            for x in sets[c]:
+                miss = full ^ x
+                t = any_(miss) & alive      # first failing at this world
+                alive &= ~t
+                y = miss & t * ones
+                hits.append(y & ~(y - t))
+        else:
+            fail = reduce(and_, (x for p in c[0] for x in sets[p]), full)
+            fail &= ~reduce(and_, sets[c[1]], full)
+            t = any_(fail)
+            alive &= ~t
+            y = fail & t * ones
+            low, seen = y & ~(y - t), 0    # each failing group's least
+            for x in sets[c[1]]:
+                hits.append(low & ~x & ~seen)
+                seen |= hits[-1]
+        out.append((alive, hits))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +533,7 @@ def _meta(m, premises: Sequence[Formula], conclusion: Formula, bits: int,
 # a check's instances leave room, a block holds several candidates, each a
 # group of 2**g bits, and per-candidate verdicts are reductions over the
 # groups.  A candidate whose instances fill a block is scanned alone, by the
-# same _least and _meta scans as a single model.  Each candidate that
+# same _least scan as a single model.  Each candidate that
 # reaches a check is charged its full size, formulas x 2**(instance bits) x
 # worlds: a popcount times a constant, whatever the block width.
 
@@ -498,7 +559,7 @@ def _fields(n: int, d: int, preds: tuple[tuple[str, int], ...],
 
 @lru_cache(maxsize=1024)
 def _leaves(fields, domain: tuple, n: int):
-    """The _truth leaves of the fields from the columns of their bits:
+    """The _run leaves of the fields from the columns of their bits:
     arity-0 fields by name, predicate cells by (name, element tuple), and
     the existence field under Exists, one column list per element."""
     d = len(domain)
@@ -536,7 +597,7 @@ def _decode(fields, domain: tuple, worlds: tuple, i: int):
 def _edges(n: int, frames: Sequence[int], w: int) -> list[list[int]]:
     """Edge columns over slots k, bits k << w to (k + 1) << w, on n-world
     frames[k]: [i][j] covers the slots whose mask has bit i*n+j.  One frame
-    gives constants, -1 (fits any block, as _meet ANDs it inside) or 0."""
+    gives constants, -1 (fits any block, as _run ANDs it inside) or 0."""
     if len(frames) == 1:
         return [[-(frames[0] >> i * n + j & 1) for j in range(n)]
                 for i in range(n)]
@@ -585,50 +646,23 @@ class _Batch:
             x |= x >> (1 << b)
         return x & self.base
 
-    def _sets(self, f: Formula, inst) -> Sequence[int]:
-        return _truth(self.m, f, {**inst(self.cols), **self.leaves},
-                      self.full, self.preds)
-
-    def _alone(self, scan, ib: int, inst):
-        best = scan(ib + self.cb, lambda cols: {
-            **inst(cols), **self.cand(cols[ib:]), **self.edges}, self.preds,
-            ib, self.c0 << ib)
-        return int(best is None), lambda c: best
-
-    def _result(self, holds: int, hits):
-        """The check from, per world, each failing candidate's witness
-        instance (a group's bits above the check's own repeat them)."""
-        ones = self.ones
-
-        def witness(c: int) -> tuple[int, int]:
-            return next((wi, (h & c * ones).bit_length() - c.bit_length())
-                        for wi, h in enumerate(hits) if h & c * ones)
-        return holds, witness
-
-    def least(self, f: Formula, ib: int, inst):
-        """World-major validity of f over 2**ib instances (leaves
-        inst(cols)), per candidate, with _least's witness."""
+    def run(self, fs: Sequence[Formula], checks: Sequence, ib: int, inst
+            ) -> list:
+        """Each check over fs (as for _least) over 2**ib instances with
+        leaves inst(cols); witness bits above the check's own repeat them."""
         if not self.cbb:
-            return self._alone(lambda *a: _least(self.m, f, *a), ib, inst)
-        hits, alive = [], self.base
-        for x in self._sets(f, inst):
-            miss = self.full ^ x
-            t = self._any(miss) & alive     # first failing at this world
-            alive &= ~t
-            y = miss & t * self.ones
-            hits.append(y & ~(y - t))
-        return self._result(alive, hits)
-
-    def meta(self, premises: Sequence[Formula], conclusion: Formula,
-             ib: int, inst):
-        """The meta reading over 2**ib instances, per candidate, with
-        _meta's witness."""
-        if not self.cbb:
-            return self._alone(
-                lambda *a: _meta(self.m, premises, conclusion, *a), ib, inst)
-        return self._result(*_meta_groups(
-            [self._sets(p, inst) for p in premises],
-            self._sets(conclusion, inst), self.full, self.base, self._any))
+            bests = _least(self.m, fs, checks, ib + self.cb, lambda cols: {
+                **inst(cols), **self.cand(cols[ib:]), **self.edges},
+                self.preds, ib, self.c0 << ib)
+            return [(int(b is None), lambda c, b=b: b) for b in bests]
+        lv, ones = {**inst(self.cols), **self.leaves}, self.ones
+        sets = _run(_compiled(self.m, fs, lv, self.preds), self.m, lv,
+                    self.full)
+        return [(holds, lambda c, hits=hits: next(
+            (wi, (h & c * ones).bit_length() - c.bit_length())
+            for wi, h in enumerate(hits) if h & c * ones))
+            for holds, hits in _checked(sets, checks, self.full, self.base,
+                                        self._any)]
 
 
 def _batches(m, cb: int, ibs: Sequence[int], cand, frames, preds=None):
@@ -644,13 +678,19 @@ def _batches(m, cb: int, ibs: Sequence[int], cand, frames, preds=None):
 # ---------------------------------------------------------------------------
 # Validity
 
+def _verdict(worlds, best, decode=lambda i: {}) -> Verdict:
+    """The verdict of a check whose least failure _least gives as best;
+    decode(instance) gives the witness's fields beside its world."""
+    return Verdict(True) if best is None else Verdict(
+        False, world=worlds[best[0]], **decode(best[1]))
+
+
 def valid(m: PropModel | FoModel, f: Formula, budget=None) -> Verdict:
     """Truth at every world; the witness is the least failing world in
     declaration order."""
-    best = _least(m, f, 0, lambda cols: {})
+    best, = _least(m, (f,), [0], 0, lambda cols: {})
     _as_budget(budget).charge(len(m.worlds))
-    return Verdict(True) if best is None else Verdict(
-        False, world=m.worlds[best[0]])
+    return _verdict(m.worlds, best)
 
 
 def scheme_valid(m: PropModel | FoModel, scheme: Formula,
@@ -663,7 +703,7 @@ def scheme_valid(m: PropModel | FoModel, scheme: Formula,
     world-index bitmasks)."""
     if not is_propositional(scheme):
         raise NotPropositional("scheme_valid needs a propositional scheme")
-    return _scheme_check(m, scheme_vars(scheme), budget, 1, _least, scheme)
+    return _scheme_check(m, scheme_vars(scheme), budget, (scheme,), 0)
 
 
 def frame_valid(fr: Frame, scheme: Formula, budget=None) -> Verdict:
@@ -673,7 +713,7 @@ def frame_valid(fr: Frame, scheme: Formula, budget=None) -> Verdict:
         raise NotPropositional("frame_valid needs a propositional scheme")
     m = PropModel(fr, {})
     names = sorted(set(scheme_vars(scheme)) | set(prop_atoms(scheme)))
-    return _scheme_check(m, names, budget, 1, _least, scheme)
+    return _scheme_check(m, names, budget, (scheme,), 0)
 
 
 def _scheme_bits(n: int, k: int) -> int:
@@ -684,20 +724,17 @@ def _scheme_bits(n: int, k: int) -> int:
     return n * k
 
 
-def _scheme_check(m, names: Sequence[str], budget, k: int, scan,
-                  *fs) -> Verdict:
-    """The verdict of scan(m, *fs, bits, leaves) over the instantiations of
-    the metavariables names, charged to budget as k formulas."""
-    bud = _as_budget(budget)
-    worlds = m.worlds
+def _scheme_check(m, names: Sequence[str], budget, fs: tuple,
+                  check) -> Verdict:
+    """The verdict of the check over fs (as for _least) for every
+    instantiation of the metavariables names, charged as len(fs) formulas."""
+    bud, worlds = _as_budget(budget), m.worlds
     bits = _scheme_bits(len(worlds), len(names))
     fields = _fields(len(worlds), 0, (), tuple(names))
-    best = scan(m, *fs, bits, _leaves(fields, (), len(worlds)))
-    bud.charge(k * len(worlds) << bits)
-    if best is None:
-        return Verdict(True)
-    return Verdict(False, world=worlds[best[0]],
-                   assignment=_decode(fields, (), worlds, best[1])[0])
+    best, = _least(m, fs, [check], bits, _leaves(fields, (), len(worlds)))
+    bud.charge(len(fs) * len(worlds) << bits)
+    return _verdict(worlds, best, lambda i: {
+        "assignment": _decode(fields, (), worlds, i)[0]})
 
 
 def meta_implies(m: PropModel | FoModel, premises: Sequence[Formula],
@@ -713,8 +750,9 @@ def meta_implies(m: PropModel | FoModel, premises: Sequence[Formula],
     """
     names = sorted(set().union(*(scheme_vars(p) for p in premises),
                                scheme_vars(conclusion)))
-    return _scheme_check(m, names, budget, len(premises) + 1, _meta,
-                         premises, conclusion)
+    k = len(premises)
+    return _scheme_check(m, names, budget, (*premises, conclusion),
+                         (tuple(range(k)), k))
 
 
 # ---------------------------------------------------------------------------
@@ -740,25 +778,32 @@ def fo_scheme_valid(fm: FoModel, scheme: Formula, hole: str,
     element-major bitmask order."""
     if free_vars(scheme):
         raise ValueError(f"scheme must be closed, free: {free_vars(scheme)}")
-    bud = _as_budget(budget)
+    return _fo_verdicts(fm, (scheme,), hole, _as_budget(budget))[0]
+
+
+def _fo_verdicts(fm: FoModel, fs: tuple, hole: str, bud: Budget) -> list:
+    """fo_scheme_valid's verdict on each of fs, one program labelling them
+    all, each charged in turn."""
     worlds, domain = fm.worlds, fm.domain
     n, bits = len(worlds), _fo_bits(fm)
-    best = _least(fm, scheme, bits, _leaves(
+    bests = _least(fm, fs, range(len(fs)), bits, _leaves(
         _fields(n, len(domain), ((hole, 1),), ()), domain, n), {hole: 1})
-    bud.charge(n << bits)
-    if best is None:
-        return Verdict(True)
-    return Verdict(False, world=worlds[best[0]],
-                   interpretation=_pairs(domain, worlds, best[1]))
+    for _ in fs:
+        bud.charge(n << bits)
+    return [_verdict(worlds, best, lambda i: {
+        "interpretation": _pairs(domain, worlds, i)}) for best in bests]
 
 
 # ---------------------------------------------------------------------------
 # The quantifier/Box exchange and its four readings
 
+# cached, so the checks that label them reuse one compiled program
+@lru_cache(maxsize=None)
 def BF_LHS(hole: str = "P") -> Formula:
     return Forall("x", Box(PredAtom(hole, (BoundVar("x"),))))
 
 
+@lru_cache(maxsize=None)
 def BF_RHS(hole: str = "P") -> Formula:
     return Box(Forall("x", PredAtom(hole, (BoundVar("x"),))))
 
@@ -784,12 +829,8 @@ class BfReadings:
     object_witness: tuple[tuple[tuple[str, str], ...], str] | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "pointwise": self.pointwise,
-            "meta_iff": self.meta_iff,
-            "meta_implies": self.meta_implies,
-            "object_implies": self.object_implies,
-        }
+        out = {k: getattr(self, k) for k in (
+            "pointwise", "meta_iff", "meta_implies", "object_implies")}
         if self.object_witness is not None:
             interp, w = self.object_witness
             out["object_witness"] = {
@@ -797,30 +838,24 @@ class BfReadings:
         return out
 
 
+@lru_cache(maxsize=8)
+def _exchange(lhs: Formula, rhs: Formula) -> tuple[Formula, ...]:
+    """The two sides of the exchange, their implication and biconditional,
+    labelled by one program with each side once."""
+    return lhs, rhs, Imp(lhs, rhs), Iff(lhs, rhs)
+
+
 def bf_readings(fm: FoModel, hole: str = "P", budget=None) -> BfReadings:
     """Evaluate all four readings of the Barcan exchange on fm."""
     bud = _as_budget(budget)
     worlds, domain = fm.worlds, fm.domain
-    bits = _fo_bits(fm)
-    lhs, rhs = BF_LHS(hole), BF_RHS(hole)
-    leaves = _leaves(_fields(len(worlds), len(domain), ((hole, 1),), ()),
-                     domain, len(worlds))
-    preds = {hole: 1}
-    pointwise = meta_iff = meta_imp = True
-    best: tuple[int, int] | None = None
-    for first, full, cols in _blocks(bits):
-        lv = leaves(cols)
-        ls = _truth(fm, lhs, lv, full, preds)
-        rs = _truth(fm, rhs, lv, full, preds)
-        pointwise = pointwise and ls == rs
-        lvalid, rvalid = reduce(and_, ls, full), reduce(and_, rs, full)
-        meta_iff = meta_iff and lvalid == rvalid
-        meta_imp = meta_imp and not lvalid & ~rvalid
-        for wi in range(len(worlds) if best is None else best[0]):
-            bad = ls[wi] & ~rs[wi]
-            if bad:
-                best = (wi, first + (bad & -bad).bit_length() - 1)
-                break
-    bud.charge(2 * len(worlds) << bits)
-    witness = best and (_pairs(domain, worlds, best[1]), worlds[best[0]])
-    return BfReadings(pointwise, meta_iff, meta_imp, best is None, witness)
+    n, bits = len(worlds), _fo_bits(fm)
+    leaves = _leaves(_fields(n, len(domain), ((hole, 1),), ()), domain, n)
+    # the rule reading both ways, the implication and the biconditional
+    rule, back, obj, iff = _least(fm, _exchange(BF_LHS(hole), BF_RHS(hole)),
+                                  [((0,), 1), ((1,), 0), 2, 3], bits, leaves,
+                                  {hole: 1})
+    bud.charge(2 * n << bits)
+    witness = obj and (_pairs(domain, worlds, obj[1]), worlds[obj[0]])
+    return BfReadings(iff is None, rule is None and back is None,
+                      rule is None, obj is None, witness)

@@ -1,12 +1,27 @@
-"""Axiom/property correspondence reports and frame refutation."""
+"""Axiom/property correspondence reports and frame refutation.
+
+The reports run each as one truth-set program; the oracles below compose
+them from one single-model check per scheme.  Run as a script, this file
+compares the two on every 4-world frame and every barcan_sweep(3, 2) point
+(about a minute): ``PYTHONPATH=src python tests/test_correspondence.py``.
+"""
+
+import json
+import random
+import sys
+from functools import partial
 
 import pytest
 
 from modalkit import (AXIOM_IDS, AXIOM_PROPERTY, AXIOM_SCHEMES, BF_SCHEME,
-                      CBF_SCHEME, DomainFrame, Frame, PropModel, axiom_report,
-                      axiom_scheme, barcan_report, evaluate, frame_property,
-                      parse, refute_on_frame, render)
-from modalkit.search import enumerate_frames
+                      Box, Budget, CBF_SCHEME, DomainFrame, FoModel, Frame,
+                      PropModel, ResourceLimit, SchemeVar, axiom_report,
+                      axiom_scheme, barcan_report, domain_monotonicity,
+                      evaluate, fo_scheme_valid, frame_property, frame_valid,
+                      meta_implies, parse, refute_on_frame, render)
+from modalkit.model import FRAME_PROPERTIES
+from modalkit.search import enumerate_frames, frame_from_mask
+import modalkit.semantics as sem
 
 
 EQUIV = Frame(("a", "b"),
@@ -151,3 +166,146 @@ class TestRefuteOnFrame:
                 for aid, prop in AXIOM_PROPERTY.items():
                     assert (refute_on_frame(fr, axiom_scheme(aid)) is None) \
                         == frame_property(fr, prop), (fr.access, aid)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: each report as one single-model check per scheme, in entry order
+
+def _entry(verdict, prop):
+    out = {"holds": verdict.holds, "property": prop,
+           "consistent": verdict.holds == prop}
+    if not verdict.holds:
+        out["witness"] = verdict.to_dict()["witness"]
+    return out
+
+
+def oracle_axiom_report(fr, budget):
+    props = {p: frame_property(fr, p) for p in FRAME_PROPERTIES}
+    axioms = {"K": _entry(frame_valid(fr, axiom_scheme("K"), budget), True)}
+    for aid, prop in AXIOM_PROPERTY.items():
+        axioms[aid] = _entry(frame_valid(fr, axiom_scheme(aid), budget),
+                             props[prop])
+        axioms[aid]["frame_property"] = prop
+    axioms["N"] = _entry(meta_implies(PropModel(fr, {}), [SchemeVar("P")],
+                                      Box(SchemeVar("P")), budget), True)
+    return {"properties": props, "axioms": axioms}
+
+
+def oracle_barcan_report(df, budget):
+    fm = FoModel(df, "varying")
+    mono = domain_monotonicity(df)
+    bf = fo_scheme_valid(fm, BF_SCHEME, "P", budget)
+    cbf = fo_scheme_valid(fm, CBF_SCHEME, "P", budget)
+    symmetric = frame_property(df.frame, "symmetric")
+    return {"monotonicity": {"constant": mono.constant,
+                             "nondecreasing": mono.nondecreasing,
+                             "nonincreasing": mono.nonincreasing},
+            "symmetric": symmetric,
+            "axioms": {"BF": _entry(bf, mono.nonincreasing),
+                       "CBF": _entry(cbf, mono.nondecreasing)},
+            "bf_iff_cbf_on_symmetric": (not symmetric)
+            or (bf.holds == cbf.holds)}
+
+
+class _Ledger(Budget):
+    """A budget that records the running total after each charge."""
+
+    def __init__(self, limit=None):
+        super().__init__(limit)
+        self.totals = []
+
+    def charge(self, n=1):
+        self.totals.append(self.used + n)
+        super().charge(n)
+
+
+def _same_report(report, oracle, x, trips=True):
+    """report(x, budget) matches oracle(x, budget) byte for byte, with the
+    same Budget.used, and with a limit one below each running total of
+    the oracle's ledger, both trip with that total used."""
+    want, got = _Ledger(10**9), Budget(10**9)
+    text = json.dumps(oracle(x, want), sort_keys=True)
+    assert json.dumps(report(x, got), sort_keys=True) == text, x
+    assert got.used == want.used, x
+    for total in want.totals if trips else ():
+        for run in (report, oracle):
+            bud = Budget(total - 1)
+            with pytest.raises(ResourceLimit):
+                run(x, bud)
+            assert bud.used == total, (x, total)
+
+
+def _barcan_point(n, fmask, emask, d=2):
+    fr = frame_from_mask(n, fmask)
+    fields = sem._fields(n, d, (), (), True)
+    domain = tuple("ab"[:d])
+    return DomainFrame(fr, domain, sem._decode(fields, domain, fr.worlds,
+                                                emask)[2])
+
+
+def _barcan_points(max_worlds=3, d=2):
+    return [(n, fmask, emask) for n in range(1, max_worlds + 1)
+            for fmask in range(1 << n * n) for emask in range(1 << n * d)]
+
+
+class TestReportsMatchOracles:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_frame_up_to_3_worlds(self, n):
+        for mask in range(1 << n * n):
+            _same_report(axiom_report, oracle_axiom_report,
+                         frame_from_mask(n, mask))
+
+    def test_4_world_sample(self):
+        rng = random.Random(4)
+        for mask in rng.sample(range(1 << 16), 150):
+            _same_report(axiom_report, oracle_axiom_report,
+                         frame_from_mask(4, mask), trips=mask % 5 == 0)
+
+    def test_wider_frames_scan_several_blocks(self):
+        rng = random.Random(7)
+        for mask in (0, (1 << 49) - 1, rng.getrandbits(49)):
+            _same_report(axiom_report, oracle_axiom_report,
+                         frame_from_mask(7, mask))
+
+    def test_barcan_sweep_sample(self):
+        points = random.Random(32).sample(_barcan_points(), 400)
+        for point in points + [(1, 0, 0), (2, 15, 15)]:
+            _same_report(barcan_report, oracle_barcan_report,
+                         _barcan_point(*point))
+
+    def test_empty_and_one_element_domains(self):
+        for d in (0, 1):
+            for n, fmask, emask in _barcan_points(2, d):
+                _same_report(barcan_report, oracle_barcan_report,
+                             _barcan_point(n, fmask, emask, d))
+
+    def test_too_wide_is_refused_as_the_oracle_does(self):
+        for report, oracle, x in (
+                (axiom_report, oracle_axiom_report, frame_from_mask(13, 0)),
+                (barcan_report, oracle_barcan_report,
+                 DomainFrame(frame_from_mask(3, 0), tuple("abcdefg")))):
+            with pytest.raises(ResourceLimit) as want:
+                oracle(x, Budget(10**9))
+            with pytest.raises(ResourceLimit) as got:
+                report(x, Budget(10**9))
+            assert str(got.value) == str(want.value)
+
+
+def main() -> int:
+    """Compare both reports with their oracles on every 4-world frame and
+    every barcan_sweep(3, 2) point, budgets included."""
+    for name, report, oracle, xs in (
+            ("axiom_report", axiom_report, oracle_axiom_report,
+             (partial(frame_from_mask, 4, m) for m in range(1 << 16))),
+            ("barcan_report", barcan_report, oracle_barcan_report,
+             (partial(_barcan_point, *p) for p in _barcan_points()))):
+        count = 0
+        for x in xs:
+            _same_report(report, oracle, x(), trips=False)
+            count += 1
+        print(f"{name}: {count} inputs match the oracle")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1304,10 +1304,10 @@ def test_sweep_reports_violations_as_the_oracle_does(monkeypatch, block_bits):
 
 
 class TestCandidateColumnsMatchReference:
-    """Bit c of _truth over the leaves of an instance space is evaluate on
-    the model (and instantiation) that instance number c decodes to, for
-    every instance and world: candidate models, a scheme's metavariables
-    and a first-order hole."""
+    """Bit c of the truth sets over the leaves of an instance space is
+    evaluate on the model (and instantiation) that instance number c
+    decodes to, for every instance and world: candidate models, a scheme's
+    metavariables and a first-order hole."""
 
     @given(seeded_randoms, st.sampled_from([12, 3]),
            st.sampled_from(["candidate", "scheme", "hole"]))
@@ -1366,7 +1366,9 @@ class TestCandidateColumnsMatchReference:
         leaves = sem._leaves(fields, domain or (), n)
         with _block_bits(block_bits):
             for first, full, cols in sem._blocks(cb):
-                sets = sem._truth(base, f, leaves(cols), full, preds)
+                lv = leaves(cols)
+                sets = sem._run(sem._compiled(base, (f,), lv, preds), base,
+                                lv, full)[0]
                 for i in range(full.bit_length()):
                     m, sv = decoded(first + i)
                     assert [x >> i & 1 for x in sets] == \

@@ -3,6 +3,8 @@ quantifier/Box exchange, with the reference evaluator as oracle."""
 
 import pickle
 import random
+import re
+import weakref
 from contextlib import contextmanager
 from itertools import combinations, product
 
@@ -10,14 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modalkit import (And, ArityMismatch, BF_SCHEME, Box, Budget, CBF_SCHEME,
-                      Dia, DomainFrame, EvalError, FlexiblePred, FoModel,
-                      Frame, Imp, Not, NotPropositional, Or, PredAtom,
-                      PropModel,
-                      ResourceLimit, RigidPred, SchemeVar, StrictImp,
-                      UnboundScheme, UnboundVar, UnknownSymbol, Verdict,
-                      bf_readings, evaluate, fo_scheme_valid, frame_valid,
-                      meta_implies, parse, scheme_valid, valid)
+                      Dia, DomainFrame, Eq, EvalError, FlexiblePred, FoModel,
+                      Forall, Frame, Iff, Imp, Not, NotPropositional, Or,
+                      PredAtom, PropAtom, PropModel, ResourceLimit, RigidPred,
+                      SchemeVar, StrictImp, UnboundScheme, UnboundVar,
+                      UnknownSymbol, Verdict, bf_readings, evaluate,
+                      fo_scheme_valid, frame_valid, meta_implies, parse,
+                      scheme_valid, valid)
 import modalkit.semantics as sem
+from modalkit.search import frame_from_mask
 from modalkit.formula import BoundVar, bind_free, prop_atoms, scheme_vars
 from modalkit.semantics import BF_LHS, BF_RHS
 
@@ -199,6 +202,201 @@ class TestCompiledAgreesWithReference:
                     evaluate(m, Not(Box(Not(f))), w)
                 assert evaluate(m, StrictImp(f, g), w) == \
                     evaluate(m, Box(Imp(f, g)), w)
+
+    # One program over several formulas that share subformulas: each
+    # formula's truth sets are evaluate's at every (world, instance), and a
+    # malformed one raises the first structural error in the order of
+    # labelling every subformula left to right, each quantifier body once
+    # per element (once over an empty domain).
+
+    @staticmethod
+    def _sharing(rng, make):
+        a, b = make(), make()
+        pool = [a, b, Not(a), Imp(a, b), Box(Or(a, b)), And(Dia(a), b),
+                Imp(Box(a), Box(Or(a, b)))]
+        return rng.sample(pool, rng.randint(1, len(pool)))
+
+    @given(seeded_randoms, st.sampled_from([12, 2]))
+    @settings(max_examples=120, deadline=None)
+    def test_shared_program_propositional(self, rng, block_bits):
+        m = random_model(rng, max_worlds=3, atoms=("p", "q"))
+        names = sorted(rng.sample(("P", "Q"), rng.randint(0, 2)))
+        fs = self._sharing(rng, lambda: random_prop_formula(
+            rng, rng.randint(0, 3), ("p", "q"), ("P", "Q", "R")))
+        ws = m.worlds
+        fields = sem._fields(len(ws), 0, (), tuple(names))
+        err = _first_error(m, fs, names)
+        self._agree(m, fs, err, fields, (), {}, lambda i: (m, {
+            k: frozenset(v) for k, v in sem._decode(fields, (), ws, i)[0]
+            .items()}), block_bits)
+
+    @given(seeded_randoms, st.sampled_from([12, 2]))
+    @settings(max_examples=120, deadline=None)
+    def test_shared_program_first_order(self, rng, block_bits):
+        fm = _random_fo_model(rng)
+        if rng.random() < 0.25:     # an empty domain and no constants
+            fm = FoModel(DomainFrame(fm.frame, ()), "varying", fm.valuation,
+                         {"alive": FlexiblePred(1, {})},
+                         {"R": RigidPred(1, frozenset())})
+        preds = _FO_PREDS + (("ghost", 1), ("alive", 2))[
+            :rng.randint(0, 2) * (rng.random() < 0.3)]
+        fs = self._sharing(rng, lambda: random_fo_formula(
+            rng, rng.randint(0, 3), preds=preds,
+            consts=("c", "k") if rng.random() < 0.2 else ("c",)))
+        n = len(fm.worlds)
+        fields = sem._fields(n, len(fm.domain), (("P", 1),), ())
+        err = _first_error(fm, fs, (), {"P": 1})
+        self._agree(fm, fs, err, fields, fm.domain, {"P": 1},
+                    lambda i: (_with_hole(fm, i), {}), block_bits)
+
+    @given(seeded_randoms)
+    @settings(max_examples=80, deadline=None)
+    def test_first_order_on_a_propositional_model(self, rng):
+        m = random_model(rng, max_worlds=2, atoms=("p",))
+        fs = self._sharing(rng, lambda: random_fo_formula(
+            rng, rng.randint(0, 3)) if rng.random() < 0.5
+            else random_prop_formula(rng, rng.randint(0, 2), ("p",), ("P",)))
+        err = _first_error(m, fs)
+        self._agree(m, fs, err, (), (), {}, lambda i: (m, {}), 12)
+
+    @staticmethod
+    def _agree(m, fs, err, fields, domain, preds, decoded, block_bits):
+        n = len(m.worlds)
+        leaves = sem._leaves(fields, domain, n)
+        with _block_bits(block_bits):
+            blocks = list(sem._blocks(sum(w for *_, w in fields)))
+        def truths(cols, full):
+            lv = leaves(cols)
+            return sem._run(sem._compiled(m, fs, lv, preds), m, lv, full)
+        if err is not None:
+            with pytest.raises(EvalError) as got:
+                truths(blocks[0][2], blocks[0][1])
+            assert (type(got.value), str(got.value)) == (type(err), str(err))
+            if len(fs) == 1 and not fields:
+                with pytest.raises(type(err), match=re.escape(str(err))):
+                    valid(m, fs[0])
+            return
+        for first, full, cols in blocks:
+            sets = truths(cols, full)
+            for i in range(full.bit_length()):
+                model, sv = decoded(first + i)
+                for f, per_world in zip(fs, sets):
+                    assert [x >> i & 1 for x in per_world] == [
+                        evaluate(model, f, w, scheme_vals=sv)
+                        for w in model.worlds], (f, first + i)
+
+    def test_shared_subformulas_get_one_slot(self):
+        # [], <> and []<> of P are shared by B, D and 5; P by all of them
+        fs = tuple(parse(t) for t in ("P => []<>P", "[]P => <>P",
+                                      "<>P => []<>P", "[]P", "P"))
+        ops, outs = sem._program(fs, frozenset({"P"}), (), None)
+        assert len(ops) == 7    # P, []P, <>P, []<>P and the three =>
+        assert outs[3:] == [ops.index((sem._BOX, 0, None)), 0]
+        # ~~ cancels
+        ops, outs = sem._program((Not(Not(fs[4])),), frozenset({"P"}), (),
+                                 None)
+        assert ops[0] == (sem._LEAF, "P", None) and outs == [0]
+
+    def test_one_program_per_formulas_and_shape(self):
+        f = parse("[]P => P")
+        m = PropModel(Frame(("a", "b"), (("a", "b"),)), {})
+        lv = {"P": [0, 1]}
+        prog = sem._compiled(m, (f,), lv)
+        assert sem._compiled(m, [f], lv) is prog
+        assert sem._compiled(m, (f,), {"P": [0, 1], "Q": [0, 0]}) is not prog
+        fm = FoModel(DomainFrame(m.frame, ("a",)), "constant")
+        assert sem._compiled(fm, (f,), lv) is not prog
+
+    def test_program_cache_is_bounded_and_never_stale(self):
+        m = PropModel(Frame(("a",)), {})
+        kept = [parse(f"p & ~q{i}") for i in range(70)]
+        for f in kept:
+            sem._compiled(m, (f,), {})
+        assert len(sem._PROGRAMS) == 64
+        # an entry whose formula died, under an id a new formula now has
+        f, dead = parse("p | q"), parse("p & q")
+        sem._PROGRAMS[id(f), (frozenset(), (), None)] = (
+            sem._program((dead,), frozenset(), (), None), [weakref.ref(dead)])
+        del dead
+        assert sem._compiled(m, (f,), {}) == \
+            sem._program((f,), frozenset(), (), None)
+
+
+class TestDeepFormulas:
+    """The checks compile a formula by an iterative walk, so chains of
+    100000 connectives built through the API do not overflow the stack,
+    and each deep check gives its shallow equivalent's verdict."""
+
+    @pytest.mark.parametrize("wrap", [Not, Box])
+    def test_chains_of_100000(self, wrap):
+        fr = frame_from_mask(2, 5)      # both worlds see w0 alone
+        m = PropModel(fr, {"p": ["w0"]})
+        fm = FoModel(DomainFrame(fr, ("a", "b")), "constant")
+        # an even chain of ~ is its body; here a chain of [] is one []
+        short = Box if wrap is Box else (lambda g: g)
+        for check, body in (
+                (lambda g: valid(m, g), PropAtom("p")),
+                (lambda g: frame_valid(fr, g), PropAtom("p")),
+                (lambda g: scheme_valid(m, g), SchemeVar("P")),
+                (lambda g: fo_scheme_valid(fm, Forall("x", g), "P"),
+                 PredAtom("P", (BoundVar("x"),)))):
+            deep = body
+            for _ in range(100_000):
+                deep = wrap(deep)
+            assert check(deep) == check(short(body))
+
+
+def _first_error(m, fs, names=(), preds=None):
+    """The error the truth-set checks raise first on fs: every subformula
+    visited left to right, each quantifier body once per element of the
+    domain (once, unbound, over an empty one), the way the recursive
+    labelling met them; None when there is none."""
+    preds = preds or {}
+    fo = isinstance(m, FoModel)
+
+    def resolve(t, env):
+        if isinstance(t, BoundVar):
+            if t.name not in env:
+                raise UnboundVar(f"unbound variable {t.name!r}")
+            return env[t.name]
+        if t.name not in m.rigid_consts:
+            raise UnknownSymbol(f"unknown constant {t.name!r}")
+        return m.rigid_consts[t.name]
+
+    def go(g, env):
+        if isinstance(g, (PropAtom, SchemeVar)):
+            if isinstance(g, SchemeVar) and g.name not in names:
+                raise UnboundScheme(
+                    f"scheme variable {g.name!r} has no instantiation")
+        elif isinstance(g, (Not, Box, Dia)):
+            go(g.body, env)
+        elif isinstance(g, (And, Or, Imp, Iff, StrictImp)):
+            go(g.lhs, env)
+            go(g.rhs, env)
+        elif not fo:
+            raise NotPropositional(f"{type(g).__name__} needs a first-order "
+                                   "model, got a PropModel")
+        elif isinstance(g, PredAtom):
+            vals = [resolve(a, env) for a in g.args]
+            pred = m.flexible_preds.get(g.name) or m.rigid_preds.get(g.name)
+            arity = preds.get(g.name, pred and pred.arity)
+            if arity is None:
+                raise UnknownSymbol(f"unknown predicate {g.name!r}")
+            if arity != len(vals):
+                raise ArityMismatch(f"predicate {g.name!r} has arity "
+                                    f"{arity}, got {len(vals)}")
+        elif isinstance(g, Eq):
+            resolve(g.lhs, env)
+            resolve(g.rhs, env)
+        else:
+            for e in m.domain or (None,):
+                go(g.body, {**env, g.var: e})
+    try:
+        for f in fs:
+            go(f, {})
+    except EvalError as e:
+        return e
+    return None
 
 
 # ---------------------------------------------------------------------------
