@@ -9,9 +9,10 @@ lowercase identifier is a fixed propositional atom (``PropAtom``), a bare
 uppercase identifier is a schematic metavariable (``SchemeVar``) that
 enumeration ops instantiate with arbitrary sets of worlds.
 
-The six structural queries (``prop_atoms`` through ``is_propositional``) are
-filters over one iterative pre-order walk, and each keeps its answer on the
-formula it was asked about, so asking again is a lookup.
+The six structural queries (``prop_atoms`` through ``is_propositional``)
+filter one iterative pre-order walk and keep their answer on the formula
+asked about, so asking again is a lookup.  ``prop_atoms``, ``scheme_vars``
+and ``is_propositional`` share one walk.
 """
 
 from __future__ import annotations
@@ -282,15 +283,22 @@ def _memo(query):
 
 
 @_memo
+def _names(f: Formula) -> tuple[tuple[str, ...], tuple[str, ...], bool]:
+    """prop_atoms, scheme_vars and is_propositional of f, from one walk."""
+    nodes = [g for g, _ in _walk(f)]
+    return (tuple(sorted({g.name for g in nodes if isinstance(g, PropAtom)})),
+            tuple(sorted({g.name for g in nodes if isinstance(g, SchemeVar)})),
+            not any(isinstance(g, (PredAtom, Eq) + _QUANT) for g in nodes))
+
+
 def prop_atoms(f: Formula) -> list[str]:
     """Sorted names of the PropAtoms occurring in f."""
-    return sorted({g.name for g, _ in _walk(f) if isinstance(g, PropAtom)})
+    return list(_names(f)[0])
 
 
-@_memo
 def scheme_vars(f: Formula) -> list[str]:
     """Sorted names of the SchemeVars occurring in f."""
-    return sorted({g.name for g, _ in _walk(f) if isinstance(g, SchemeVar)})
+    return list(_names(f)[1])
 
 
 @_memo
@@ -323,10 +331,9 @@ def free_vars(f: Formula) -> list[str]:
                    if isinstance(t, BoundVar) and not bound[t.name]})
 
 
-@_memo
 def is_propositional(f: Formula) -> bool:
     """True when f contains no first-order construct (PredAtom/Eq/quantifier)."""
-    return not any(isinstance(g, (PredAtom, Eq) + _QUANT) for g, _ in _walk(f))
+    return _names(f)[2]
 
 
 def is_closed(f: Formula) -> bool:

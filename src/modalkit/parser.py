@@ -15,8 +15,9 @@ identifier is a PropAtom, a bare uppercase identifier is a SchemeVar, and
 identifier in term position is a BoundVar when an enclosing quantifier binds
 that name and a RigidConst otherwise.
 
-Errors are reported as ParseError carrying a SourceSpan whose start/end are
-UTF-8 byte offsets into the input.
+The tokenizer makes no object per token: one ``findall`` gives the words,
+and their kinds go in a parallel list.  A ParseError carries a SourceSpan of
+UTF-8 byte offsets into the input, computed only when the error is raised.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
+from string import ascii_letters
 
 from .formula import (
     _LEVELS, _QUANT, _SPELLINGS, _UNARY, BoundVar, Eq, Formula, PredAtom,
@@ -57,63 +60,55 @@ _KINDS = {s: c for c, (ascii_, uni, _, *aliases) in _SPELLINGS.items()
           for s in (ascii_, uni, *aliases)}
 _KINDS.update((p, p) for p in "().,=")
 
-# Whitespace, an identifier (a keyword spelling is one too), the longest
-# symbol, or any other character, which is an error.
-_TOKEN_RE = re.compile(r"\s+|([A-Za-z][A-Za-z0-9_]*)|({})|(.)".format(
+# An identifier (a keyword spelling is one too), the longest symbol, or any
+# other character but whitespace, which is an unknown token.  Whitespace
+# matches no alternative, so findall skips it.
+_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|{}|\S".format(
     "|".join(map(re.escape, sorted((s for s in _KINDS if not s.isalpha()),
-                                   key=len, reverse=True)))), re.DOTALL)
+                                   key=len, reverse=True)))))
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: object
-    text: str
-    span: SourceSpan
+def _tokenize(text: str) -> tuple[list, list[str]]:
+    """The kinds and the words of text's tokens, ending with "EOF" and ""."""
+    words = _WORD_RE.findall(text)
+    kinds = [_KINDS.get(w) or ("IDENT" if w[0] in ascii_letters else None)
+             for w in words]
+    if None in kinds:
+        i = kinds.index(None)
+        raise ParseError(f"unknown token {words[i]!r}", _span(text, i))
+    kinds.append("EOF")
+    words.append("")
+    return kinds, words
 
 
-def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    i = b = 0      # a character index and its byte offset
-    for m in _TOKEN_RE.finditer(text):
-        group = m.lastindex
-        if group is None:
-            continue
-        s, word = m.start(), m.group()
-        b += len(text[i:s].encode("utf-8"))
-        end = b + len(word.encode("utf-8"))
-        if group == 3:
-            raise ParseError(f"unknown token {word!r}", SourceSpan(b, end))
-        toks.append(_Token(_KINDS.get(word, "IDENT"), word, SourceSpan(b, end)))
-        i = s
-    b += len(text[i:].encode("utf-8"))
-    toks.append(_Token("EOF", "", SourceSpan(b, b)))
-    return toks
+def _span(text: str, i: int) -> SourceSpan:
+    """The byte span of token i (or of the end of input) in text.  A lone
+    surrogate counts as one byte, the byte of argv it was decoded from."""
+    m = next(islice(_WORD_RE.finditer(text), i, None), None)
+    s, e = m.span() if m else (len(text), len(text))
+    start = len(text[:s].encode("utf-8", "replace"))
+    return SourceSpan(start, start + len(text[s:e].encode("utf-8", "replace")))
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
 class _Parser:
-    def __init__(self, toks: list[_Token]):
-        self.toks = toks
+    def __init__(self, text: str):
+        self.text = text
+        self.kinds, self.words = _tokenize(text)
         self.pos = 0
         self.bound: list[str] = []
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
-
-    def next(self) -> _Token:
-        t = self.toks[self.pos]
-        if t.kind != "EOF":
-            self.pos += 1
-        return t
-
-    def expect(self, kind: str, what: str) -> _Token:
-        t = self.peek()
-        if t.kind != kind:
-            found = "end of input" if t.kind == "EOF" else repr(t.text)
-            raise ParseError(f"expected {what}, found {found}", t.span)
-        return self.next()
+    def expect(self, kind: str, what: str) -> str:
+        """The word of the next token, which must be of kind."""
+        word = self.words[self.pos]     # "" at the end of input
+        if self.kinds[self.pos] != kind:
+            found = repr(word) if word else "end of input"
+            raise ParseError(f"expected {what}, found {found}",
+                             _span(self.text, self.pos))
+        self.pos += 1
+        return word
 
     def formula(self, level: int = 0) -> Formula:
         """A formula whose binary connectives bind at `level` or tighter."""
@@ -121,70 +116,69 @@ class _Parser:
             return self.unary()
         ops, right = _LEVELS[level]
         operands = [self.formula(level + 1)]
-        if self.peek().kind not in ops:
+        if self.kinds[self.pos] not in ops:
             return operands[0]
-        toks: list[_Token] = []
-        while self.peek().kind in ops:
-            toks.append(self.next())
+        at: list[int] = []
+        while self.kinds[self.pos] in ops:
+            at.append(self.pos)
+            self.pos += 1
             operands.append(self.formula(level + 1))
-        node = toks[0].kind
-        for t in toks[1:]:
-            if t.kind is not node:
+        node = self.kinds[at[0]]
+        for i in at[1:]:
+            if self.kinds[i] is not node:
                 mixed = " and ".join(repr(_SPELLINGS[c][0]) for c in ops)
-                raise ParseError(f"mixed {mixed} need parentheses", t.span)
+                raise ParseError(f"mixed {mixed} need parentheses",
+                                 _span(self.text, i))
         if right:
             return reduce(lambda rhs, lhs: node(lhs, rhs), reversed(operands))
         return reduce(node, operands)
 
     def unary(self) -> Formula:
-        k = self.peek().kind
+        k = self.kinds[self.pos]
         if k in _UNARY:
-            self.next()
+            self.pos += 1
             return k(self.unary())
         if k in _QUANT:
             return self.quantifier()
         return self.atom()
 
     def quantifier(self) -> Formula:
-        kw = self.next()
-        var = self.expect("IDENT", "a variable name").text
+        kind = self.kinds[self.pos]
+        self.pos += 1
+        var = self.expect("IDENT", "a variable name")
         self.expect(".", "'.' after the bound variable")
         self.bound.append(var)
         try:
             body = self.formula()
         finally:
             self.bound.pop()
-        return kw.kind(var, body)
+        return kind(var, body)
 
     def atom(self) -> Formula:
-        t = self.peek()
-        if t.kind == "(":
-            self.next()
+        k = self.kinds[self.pos]
+        if k == "(":
+            self.pos += 1
             inner = self.formula()
             self.expect(")", "')'")
             return inner
-        if t.kind != "IDENT":
-            found = "end of input" if t.kind == "EOF" else repr(t.text)
-            raise ParseError(f"expected a formula, found {found}", t.span)
-        self.next()
-        if self.peek().kind == "(":
-            self.next()
+        name = self.expect("IDENT", "a formula")
+        if self.kinds[self.pos] == "(":
+            self.pos += 1
             args = [self.term()]
-            while self.peek().kind == ",":
-                self.next()
+            while self.kinds[self.pos] == ",":
+                self.pos += 1
                 args.append(self.term())
             self.expect(")", "')' closing the argument list")
-            return PredAtom(t.text, tuple(args))
-        if self.peek().kind == "=":
-            self.next()
-            return Eq(self.make_term(t.text), self.term())
-        if t.text[0].isupper():
-            return SchemeVar(t.text)
-        return PropAtom(t.text)
+            return PredAtom(name, tuple(args))
+        if self.kinds[self.pos] == "=":
+            self.pos += 1
+            return Eq(self.make_term(name), self.term())
+        if name[0].isupper():
+            return SchemeVar(name)
+        return PropAtom(name)
 
     def term(self) -> Term:
-        t = self.expect("IDENT", "a term")
-        return self.make_term(t.text)
+        return self.make_term(self.expect("IDENT", "a term"))
 
     def make_term(self, name: str) -> Term:
         if name in self.bound:
@@ -194,10 +188,9 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a Formula; raises ParseError on bad input."""
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     f = p.formula()
-    t = p.peek()
-    if t.kind != "EOF":
-        raise ParseError(f"unexpected {t.text!r} after a complete formula",
-                         t.span)
+    if p.kinds[p.pos] != "EOF":
+        raise ParseError(f"unexpected {p.words[p.pos]!r} after a complete "
+                         "formula", _span(text, p.pos))
     return f

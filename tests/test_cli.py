@@ -163,6 +163,30 @@ class TestCheck:
         assert doc["error"]["span"] == {"start": 3, "end": 3}
         assert err != ""
 
+    def test_parse_error_on_unicode_json_bytes(self, capsys, write_json):
+        """The span counts UTF-8 bytes: the ◇, ∧ and → before the stray ⊃
+        are three bytes each."""
+        path = write_json("m.json", PROP_MODEL)
+        code, out, _ = run(capsys, "check", "--model", path,
+                           "--formula", "◇(p ∧ q) → ⊃", "--json")
+        assert code == EXIT_USAGE
+        assert out == json.dumps({"error": {
+            "kind": "parse",
+            "message": "at 17..20: expected a formula, found '⊃'",
+            "span": {"start": 17, "end": 20}}}, indent=2) + "\n"
+
+    def test_undecodable_argv_byte_is_a_parse_error(self):
+        """Python decodes the byte 0xff of argv to a lone surrogate, which
+        is an unknown token of one byte at the byte's own offset."""
+        out = subprocess.run(
+            [sys.executable, "-c", ENTRY_WRAPPER, "countermodel",
+             "--conclusion", b"p & \xff", "--json"],
+            capture_output=True, env=child_env(), timeout=60)
+        assert out.returncode == EXIT_USAGE
+        assert json.loads(out.stdout) == {"error": {
+            "kind": "parse", "message": "at 4..5: unknown token '\\udcff'",
+            "span": {"start": 4, "end": 5}}}
+
     def test_model_error_reports_path(self, capsys, write_json):
         bad = dict(PROP_MODEL, access=[["w0", "nope"]])
         path = write_json("bad.json", bad)
@@ -513,6 +537,17 @@ class TestUsage:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (EXIT_USAGE, "")
             assert "nested too deeply" in err
+
+    @pytest.mark.parametrize("text", ["~" * 3000 + "p",
+                                      "(" * 3000 + "p" + ")" * 3000],
+                             ids=["negations", "parentheses"])
+    def test_deeply_nested_formula_json_bytes(self, capsys, write_json, text):
+        path = write_json("m.json", PROP_MODEL)
+        code, out, _ = run(capsys, "check", "--model", path,
+                           "--formula", text, "--json")
+        assert (code, out) == (EXIT_USAGE, json.dumps({"error": {
+            "kind": "usage", "message": "formula nested too deeply"}},
+            indent=2) + "\n")
 
     def test_closed_stdout_exits_usage(self):
         read_end, write_end = os.pipe()

@@ -205,16 +205,21 @@ class TestQueryMemo:
                                                           (BoundVar("y"),))))))
 
     def test_each_query_walks_a_formula_once(self, monkeypatch):
+        """prop_atoms, scheme_vars and is_propositional share one walk, so
+        the six queries walk a fresh formula four times."""
         walks = []
         real = formula_mod._walk
         monkeypatch.setattr(formula_mod, "_walk",
                             lambda f: walks.append(f) or real(f))
         f = self.fresh()
+        assert is_propositional(f) is False
+        assert (scheme_vars(f), prop_atoms(f)) == (["P"], ["p"])
+        assert len(walks) == 1
         first = [q(f) for q in QUERIES]
-        assert len(walks) == len(QUERIES)
+        assert len(walks) == 4
         assert [q(f) for q in QUERIES] == first
         assert is_closed(f) is False
-        assert len(walks) == len(QUERIES)
+        assert len(walks) == 4
 
     def test_mutating_an_answer_does_not_reach_the_memo(self):
         f = self.fresh()
