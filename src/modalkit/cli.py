@@ -5,13 +5,14 @@ Exit status contract, shared by every subcommand:
   1  a countermodel or refutation was found
   2  usage, parse, or model-validation error; also a formula nested too
      deeply for the recursive parser and evaluator, a MODALKIT_BUDGET that
-     is not a positive integer, --jobs below 1, and a closed stdout
+     is not a positive integer, --jobs below 1, and a stdout that is closed
+     or cannot be written
   3  a resource limit was reached (see MODALKIT_BUDGET)
 
 With ``--json``, stdout carries exactly one JSON document and nothing else;
-human-readable diagnostics go to stderr.  ``--jobs N`` parallelizes search
-partitioning without changing any output; search stages of at most 2 worlds
-run in this process whatever ``--jobs`` says.
+human-readable diagnostics go to stderr.  ``--jobs N`` is validated (N at
+least 1) and no longer changes how a search runs: every stage is scanned in
+this process.
 """
 
 from __future__ import annotations
@@ -260,7 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reading", choices=("object", "meta"),
                     default="object", help="how to read the conclusion")
     sp.add_argument("--jobs", type=int, default=1,
-                    help="worker processes (never changes the output)")
+                    help="at least 1; kept for compatibility, every "
+                         "search runs in this process")
     add_json(sp)
     sp.set_defaults(fn=_cmd_countermodel)
 
@@ -297,12 +299,18 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_entry() -> None:
+    if sys.stdout is None:      # started with file descriptor 1 closed
+        print("error: stdout is closed", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     try:
         code = main(sys.argv[1:])
         sys.stdout.flush()
-    except BrokenPipeError:
-        # Nobody reads stdout any more; send what is left to devnull so the
-        # interpreter's final flush does not fail a second time.
+    except OSError as e:
+        # A closed pipe, a full disk: stdout takes no more.  Send what is
+        # left to devnull so the interpreter's final flush does not fail a
+        # second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {e.strerror or e}",
+              file=sys.stderr)
         code = EXIT_USAGE
     raise SystemExit(code)

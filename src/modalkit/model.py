@@ -573,8 +573,10 @@ def _load(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ModelError("$", f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelError("$", f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ModelError("$", "invalid JSON: nested too deeply") from exc
 
 
 def load_model(path: str) -> PropModel | FoModel:

@@ -3,10 +3,11 @@
 Everything here scans a fixed, documented order — world count ascending,
 then frame bitmask, then (for quantified models) domain size, existence
 mask, predicate-interpretation masks, and valuation masks — and returns the
-first hit, so results are reproducible run to run.  ``jobs > 1`` fans the
-scan of each stage of 3 or more worlds out over worker processes in fixed
-chunks and keeps the same answer: chunks are consumed in order and the first
-in-order hit wins.  Stages of 1 or 2 worlds always run in this process.
+first hit, so results are reproducible run to run.  Each stage is scanned
+in this process in fixed chunks, in order, against the caller's one budget:
+a Budget passed to a search or sweep ends with ``used`` raised by the units
+the scan charged, and one already partly spent trips that much sooner.
+``jobs`` is validated (at least 1) and no longer changes how a scan runs.
 
 Candidate models are not built one at a time: their existence, predicate
 and valuation bits are instance columns above each check's own instance
@@ -30,13 +31,11 @@ their first candidate is scanned, so no check raises inside a batch.
 from __future__ import annotations
 
 import string
-from collections import deque
-from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import islice, permutations, product
+from itertools import permutations, product
 from operator import and_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .formula import (And, Box, Exists, Formula, Imp, SchemeVar, const_names,
                       free_vars, is_propositional, pred_symbols, prop_atoms,
@@ -64,11 +63,6 @@ FO_WORLD_CEILING = 3
 # Refuse a first-order stage whose per-frame enumeration needs more bits
 # (existence map + predicate interpretations + valuations) than this.
 FO_SEARCH_BITS = 22
-# A stage with at most this many frame masks (1 or 2 worlds) runs its chunks
-# in this process whatever ``jobs`` says: forking a pool costs more than the
-# whole stage.  The choice reads only the stage, so it cannot move an
-# output byte or a trip point.
-_IN_PROCESS_MASKS = 16
 
 CONSTRAINT_NAMES = FRAME_PROPERTIES + ("total", "none")
 
@@ -216,51 +210,9 @@ class SearchResult:
 # Deterministic chunked scanning
 
 def _chunk_ranges(total: int) -> list[tuple[int, int]]:
-    """Split range(total) into fixed chunks (at most 128, independent of the
-    worker count, so results and budget accounting do not depend on jobs)."""
+    """Split range(total) into at most 128 fixed chunks."""
     size = max(1, total >> 7)
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
-
-
-def _consume(worker, tasks: Sequence, jobs: int) -> Iterator:
-    """Yield worker(task) in task order.  With jobs > 1 the tasks run on a
-    fork-based process pool, at most 2*jobs ahead of the consumer; _scan
-    passes jobs=1 for a stage of at most 2 worlds (_IN_PROCESS_MASKS), so
-    such a stage runs in this process whatever ``jobs`` says.  However
-    the consumer stops (a hit, a budget trip, a worker's exception), the
-    chunks in flight are waited for and the pool is closed and joined, never
-    terminated: terminating a worker can kill it while it holds the result
-    queue's lock, and the pool then hangs."""
-    if jobs == 1 or len(tasks) <= 1:
-        yield from map(worker, tasks)
-        return
-    # imported only for a pool: it adds about a tenth to the package's
-    # import time, which every command pays and serial scans never need
-    import multiprocessing
-    ctx = multiprocessing.get_context("fork")
-    pool = ctx.Pool(processes=min(jobs, len(tasks)))
-    todo = iter(tasks)
-    pending: deque = deque()
-    try:
-        for t in islice(todo, 2 * jobs):
-            pending.append(pool.apply_async(worker, (t,)))
-        while pending:
-            result = pending.popleft().get()
-            for t in islice(todo, 1):
-                pending.append(pool.apply_async(worker, (t,)))
-            yield result
-    finally:
-        for r in pending:
-            r.wait()
-        pool.close()
-        pool.join()
-
-
-def _run_chunk(task):
-    worker, stage, lo, hi, arg, limit = task
-    bud = Budget(limit)
-    payload = worker(stage, range(lo, hi), arg, bud)
-    return bud.used, payload
 
 
 def _stage_frontier(stage: tuple[int, ...]) -> dict:
@@ -268,36 +220,25 @@ def _stage_frontier(stage: tuple[int, ...]) -> dict:
 
 
 def _scan(stages: Iterable[tuple[int, ...]], worker, arg, jobs: int, budget,
-          frontier=_stage_frontier) -> Iterator[tuple[tuple[int, ...], object]]:
-    """Yield (stage, payload) for every chunk of every stage, in scan order.
+          frontier=_stage_frontier) -> Iterator:
+    """Yield the payload of every chunk of every stage, in scan order.
 
     A stage is a tuple whose first entry is the world count; its frame masks
     are split by _chunk_ranges, and ``worker(stage, masks, arg, budget)``
-    returns the payload of one chunk.  Each chunk runs under its own budget
-    of the full limit.  The parent ledger adds a chunk's usage before the
-    caller sees its payload, the chunk that holds a hit included, and raises
-    ResourceLimit when the sum crosses the limit.  Chunk boundaries are
-    fixed, so the trip point does not depend on jobs.  Trips, the ledger's
-    and those raised inside a chunk, carry ``frontier(stage)``, called at
-    the trip, so it sees what the caller has summed of the chunks before."""
+    returns the payload of one chunk.  Every chunk runs in this process and
+    charges the caller's one budget, so a passed Budget's ``used`` rises by
+    all the scan charged, and a trip falls at the same candidate whatever
+    ``jobs`` says.  A trip without a frontier (a budget's, or a check too
+    wide to enumerate) is re-raised with ``frontier(stage)``, called at the
+    trip, so it sees what the caller has summed of the chunks before.
+    ``jobs`` must be at least 1 and changes nothing else."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    limit = _as_budget(budget).limit
-    used = 0
+    bud = _as_budget(budget)
     for stage in stages:
-        masks = 1 << (stage[0] ** 2)
-        tasks = [(worker, stage, lo, hi, arg, limit)
-                 for lo, hi in _chunk_ranges(masks)]
-        stage_jobs = 1 if masks <= _IN_PROCESS_MASKS else jobs
         try:
-            with closing(_consume(_run_chunk, tasks, stage_jobs)) as results:
-                for chunk_used, payload in results:
-                    used += chunk_used
-                    if used > limit:
-                        raise ResourceLimit(
-                            f"evaluator-call budget exhausted ({limit} calls)",
-                            frontier(stage))
-                    yield stage, payload
+            for lo, hi in _chunk_ranges(1 << stage[0] ** 2):
+                yield worker(stage, range(lo, hi), arg, bud)
         except ResourceLimit as e:
             if e.frontier is not None:
                 raise
@@ -306,10 +247,11 @@ def _scan(stages: Iterable[tuple[int, ...]], worker, arg, jobs: int, budget,
 
 def _first(stages, worker, arg, jobs: int, budget, recheck
            ) -> SearchResult | None:
-    """The first hit of _scan as a SearchResult, or None.  A hit is the
+    """The first hit of _scan as a SearchResult, or None; the budget is
+    charged as _scan charges it, up to and including the hit.  A hit is the
     worker's (model, certificate); recheck(model, certificate, arg) raises
     RuntimeError unless the reference evaluator confirms it."""
-    for _, hit in _scan(stages, worker, arg, jobs, budget):
+    for hit in _scan(stages, worker, arg, jobs, budget):
         if hit is not None:
             recheck(*hit, arg)
             return SearchResult(*hit)
@@ -450,10 +392,18 @@ def _revalidate(m, cert: dict, spec: SearchSpec) -> None:
 
 
 def _signature(spec: SearchSpec) -> tuple[dict[str, int], list[str]]:
-    """Predicate arities and sorted propositional atoms over spec; a
-    predicate used at two arities raises ValueError."""
-    whole = reduce(And, spec.formulas())
-    return pred_symbols(whole), prop_atoms(whole)
+    """Predicate arities and sorted propositional atoms over spec, from each
+    formula's memoised answers; a predicate used at two arities raises
+    ValueError, naming the first conflict in spec order."""
+    fs = spec.formulas()
+    try:
+        pairs = {p for f in fs for p in pred_symbols(f).items()}
+        conflict = len(dict(pairs)) < len(pairs)
+    except ValueError:
+        conflict = True
+    if conflict:    # one walk over the whole spec names its first conflict
+        pred_symbols(reduce(And, fs))
+    return dict(sorted(pairs)), sorted({a for f in fs for a in prop_atoms(f)})
 
 
 @lru_cache(maxsize=None)
@@ -698,7 +648,7 @@ def barcan_sweep(max_worlds: int = 3, domain_size: int = 2, jobs: int = 1,
     checked = 0
     violations: list[dict] = []
     stages = ((n, domain_size) for n in range(1, max_worlds + 1))
-    for _, (cnt, viol) in _scan(
+    for cnt, viol in _scan(
             stages, _sweep_chunk, None, jobs, budget,
             frontier=lambda st: {"worlds": st[0], "checked": checked}):
         checked += cnt
@@ -726,7 +676,7 @@ def bf_agreement_sweep(max_worlds: int = 3, max_domain: int = 2,
     checked = 0
     disagreements: list[dict] = []
     stages = product(range(1, max_worlds + 1), range(1, max_domain + 1))
-    for _, (cnt, dis) in _scan(stages, _agree_chunk, None, jobs, budget):
+    for cnt, dis in _scan(stages, _agree_chunk, None, jobs, budget):
         checked += cnt
         disagreements.extend(dis)
     return {"max_worlds": max_worlds, "max_domain": max_domain,

@@ -120,7 +120,7 @@ class Budget:
         self.used += n
         if self.used > self.limit:
             raise ResourceLimit(
-                f"evaluator-call budget exhausted ({self.limit} calls)")
+                f"evaluator budget exhausted ({self.limit} units)")
 
 
 def _as_budget(budget) -> Budget:

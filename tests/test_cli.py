@@ -2,7 +2,6 @@
 and the budget environment variable."""
 
 import json
-import multiprocessing.pool
 import os
 import shutil
 import subprocess
@@ -278,6 +277,21 @@ class TestBarcan:
         assert doc["axioms"]["CBF"]["consistent"]
         assert doc["bf_iff_cbf_on_symmetric"] is True
 
+    @pytest.mark.parametrize("flag", ["--model", "--frame", "--dframe"])
+    @pytest.mark.parametrize("content", [b"\xff{}", b"[" * 100000],
+                             ids=["not_utf8", "nested"])
+    def test_unreadable_file_is_a_model_error(self, capsys, tmp_path, flag,
+                                              content):
+        path = tmp_path / "m.json"
+        path.write_bytes(content)
+        argv = {"--model": ("check", "--formula", "p"),
+                "--frame": ("correspond",), "--dframe": ("barcan",)}[flag]
+        code, out, _ = run(capsys, argv[0], flag, str(path), *argv[1:],
+                           "--json")
+        assert code == EXIT_USAGE
+        err = json.loads(out)["error"]
+        assert (err["kind"], err["path"]) == ("model", "$")
+
     def test_missing_domain_is_a_model_error(self, capsys, write_json):
         path = write_json("df.json", TOTAL_FRAME)
         code, out, _ = run(capsys, "barcan", "--dframe", path, "--json")
@@ -392,7 +406,7 @@ class TestCountermodel:
         assert code == EXIT_USAGE
         assert "jobs must be at least 1" in err
 
-    def test_jobs_do_not_change_output(self, capsys, pool_starts):
+    def test_jobs_do_not_change_output(self, capsys):
         outputs = []
         for jobs in ("1", "2"):
             code, out, _ = run(capsys, "countermodel",
@@ -400,20 +414,6 @@ class TestCountermodel:
                                "--jobs", jobs, "--json")
             assert code == EXIT_FOUND
             outputs.append(out)
-        assert outputs[0] == outputs[1]
-        assert pool_starts
-
-    def test_small_stages_start_no_pool(self, capsys, monkeypatch):
-        # stages of 1 and 2 worlds run in this process whatever --jobs says
-        def refused(self, *args, **kwargs):
-            raise AssertionError("a process pool was started")
-        monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", refused)
-        outputs = [run(capsys, "countermodel",
-                       "--conclusion", "(P => Q) => ([]~Q => []~P)",
-                       "--max-worlds", "2", "--jobs", jobs, "--json")
-                   for jobs in ("1", "2")]
-        assert outputs[0][0] == EXIT_FOUND
-        assert json.loads(outputs[0][1])["certificate"]["worlds"] == 2
         assert outputs[0] == outputs[1]
 
 
@@ -562,6 +562,19 @@ class TestUsage:
             os.close(write_end)
         assert out.returncode == EXIT_USAGE
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("redirect", [">/dev/full", ">&-"],
+                             ids=["full", "closed"])
+    def test_unwritable_stdout_exits_usage(self, redirect):
+        if redirect == ">/dev/full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        out = subprocess.run(
+            ["sh", "-c", f'exec "$0" "$@" {redirect}', sys.executable, "-c",
+             ENTRY_WRAPPER, "render", "--formula", "p"],
+            stderr=subprocess.PIPE, text=True, env=child_env(), timeout=60)
+        assert out.returncode == EXIT_USAGE
+        assert out.stderr.count("\n") == 1
+        assert out.stderr.startswith("error: ")
 
     def test_console_script_declared(self):
         tomllib = pytest.importorskip("tomllib")

@@ -1,7 +1,6 @@
 """Bounded countermodel search: enumeration order, pinned least witnesses,
 exhaustive sweeps, and independence of the answer from the jobs count."""
 
-import multiprocessing
 import multiprocessing.pool
 import random
 from itertools import combinations, permutations, product
@@ -9,6 +8,7 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import modalkit.formula as formula
 import modalkit.search as search
 import modalkit.semantics as sem
 from conftest import random_prop_formula, seeded_randoms
@@ -262,7 +262,7 @@ CONSTRAINED_PINS = {
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("constraint", sorted(CONSTRAINED_PINS))
-def test_constrained_search_is_pinned(constraint, jobs, pool_starts):
+def test_constrained_search_is_pinned(constraint, jobs):
     text, used, trip_worlds, cert = CONSTRAINED_PINS[constraint]
     spec = SearchSpec(parse(text), frame_constraints={constraint},
                       max_worlds=4)
@@ -271,9 +271,8 @@ def test_constrained_search_is_pinned(constraint, jobs, pool_starts):
     with pytest.raises(ResourceLimit) as ei:
         find_countermodel(spec, jobs=jobs, budget=used - 1)
     assert ei.value.args[0] == \
-        f"evaluator-call budget exhausted ({used - 1} calls)"
+        f"evaluator budget exhausted ({used - 1} units)"
     assert ei.value.frontier == {"worlds": trip_worlds}
-    assert bool(pool_starts) == (jobs > 1)
 
 
 def test_k_to_four_worlds_is_pinned():
@@ -367,9 +366,11 @@ def test_bad_bound_is_a_value_error(case):
 
 
 def test_domain_ceiling_is_refused_before_the_scan(monkeypatch):
-    def scanned(task):
+    def scanned(*args):
         raise AssertionError("a chunk was scanned")
-    monkeypatch.setattr(search, "_run_chunk", scanned)
+    for worker in ("_spec_chunk", "_div_chunk", "_sweep_chunk",
+                   "_agree_chunk", "_gap_chunk"):
+        monkeypatch.setattr(search, worker, scanned)
     for case in BAD_BOUNDS:
         if case.endswith("domain 27"):
             with pytest.raises(ValueError, match="domain ceiling"):
@@ -674,41 +675,35 @@ class TestSweeps:
 
 
 class TestJobsInvariance:
-    """The parallel scan must return byte-identical results and hit budget
-    limits at the same point regardless of the jobs count.  Every case runs
-    its jobs=2 scan on a real pool (the pool_starts fixture)."""
+    """A scan must return byte-identical results and hit budget limits at
+    the same point regardless of the jobs count."""
 
-    def test_countermodel_results_identical(self, pool_starts):
+    def test_countermodel_results_identical(self):
         spec = SearchSpec(TOLLENS)
         a = find_countermodel(spec, jobs=1).to_dict()
         b = find_countermodel(spec, jobs=2).to_dict()
         assert a == b
-        assert pool_starts
 
-    def test_fo_results_identical(self, pool_starts):
+    def test_fo_results_identical(self):
         spec = SearchSpec(CBF_SCHEME, max_worlds=2, max_domain=1,
                           mode="varying")
         a = find_fo_countermodel(spec, jobs=1).to_dict()
         b = find_fo_countermodel(spec, jobs=2).to_dict()
         assert a == b
-        assert pool_starts
 
-    def test_divergence_identical(self, pool_starts):
+    def test_divergence_identical(self):
         a = find_barcan_divergence(2, 1, jobs=1).to_dict()
         b = find_barcan_divergence(2, 1, jobs=2).to_dict()
         assert a == b
-        assert pool_starts
 
-    def test_gap_identical(self, pool_starts):
+    def test_gap_identical(self):
         assert find_deduction_gap(jobs=1).to_dict() == \
             find_deduction_gap(jobs=2).to_dict()
-        assert pool_starts
 
-    def test_sweep_identical(self, pool_starts):
+    def test_sweep_identical(self):
         assert barcan_sweep(2, 1, jobs=1) == barcan_sweep(2, 1, jobs=2)
-        assert pool_starts
 
-    def test_budget_trips_at_same_point(self, pool_starts):
+    def test_budget_trips_at_same_point(self):
         spec = SearchSpec(TOLLENS)
         trips = []
         for jobs in (1, 2):
@@ -717,7 +712,6 @@ class TestJobsInvariance:
             trips.append((ei.value.args[0], ei.value.frontier))
         assert trips[0] == trips[1]
         assert trips[0][1] == {"worlds": 2}
-        assert pool_starts
 
 
 # One entry per search driver: a call that scans more than one stage, and a
@@ -752,14 +746,54 @@ TRIPS = {
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("driver", sorted(TRIPS))
-def test_budget_trip_point_is_pinned(driver, jobs, pool_starts):
+def test_budget_trip_point_is_pinned(driver, jobs):
     call, budget, frontier = TRIPS[driver]
     with pytest.raises(ResourceLimit) as ei:
         call(jobs, budget)
     assert ei.value.args[0] == \
-        f"evaluator-call budget exhausted ({budget} calls)"
+        f"evaluator budget exhausted ({budget} units)"
     assert ei.value.frontier == frontier
-    assert bool(pool_starts) == (jobs > 1)
+
+
+@pytest.mark.parametrize("driver", sorted(TRIPS))
+def test_passed_budget_is_charged(driver):
+    """A Budget passed to a search or sweep ends with ``used`` raised by the
+    units the scan charged, the least limit it finishes under; one already
+    partly spent trips where a fresh one with what is left would."""
+    call, budget, frontier = TRIPS[driver]
+    bud = Budget(10**9)
+    answer = _outcome(lambda b: call(1, b), bud)
+    units = bud.used
+    assert budget < units <= bud.limit
+    assert _outcome(lambda b: call(1, b), units) == answer
+    with pytest.raises(ResourceLimit):
+        call(1, units - 1)
+    spent = Budget(units + 5)
+    spent.used = 5
+    assert _outcome(lambda b: call(1, b), spent) == answer
+    assert spent.used == units + 5
+    nearly = Budget(budget + 5)
+    nearly.used = 5
+    with pytest.raises(ResourceLimit) as ei:
+        call(1, nearly)
+    assert ei.value.frontier == frontier
+    assert nearly.used > nearly.limit
+
+
+def test_no_driver_starts_a_pool(monkeypatch):
+    """Every stage, one of 3 worlds included, is scanned in this process
+    whatever ``jobs`` says."""
+    def refused(self, *args, **kwargs):
+        raise AssertionError("a process pool was started")
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", refused)
+    reflexive = SearchSpec(parse("[]P => [][]P"),
+                           frame_constraints={"reflexive"})
+    cert = find_countermodel(reflexive, jobs=2).certificate
+    assert (cert["worlds"], cert["frame_mask"]) == (3, 285)
+    sweep = barcan_sweep(3, 1, jobs=2)
+    assert (sweep["checked"], sweep["all_consistent"]) == (4 + 64 + 4096, True)
+    for call, _, _ in TRIPS.values():
+        call(2, None)
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -777,24 +811,6 @@ def test_bad_budget_env_var_is_a_usage_error(monkeypatch, raw):
         find_countermodel(SearchSpec(parse("[]P => P"), max_worlds=1))
 
 
-def test_pooled_search_stops_without_terminating_its_pool(monkeypatch,
-                                                         pool_starts):
-    """Pool.terminate can kill a worker while it holds the result queue's
-    lock, which hangs the pool; an early stop must close and join."""
-    terminated = []
-    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate",
-                        lambda self: terminated.append(self))
-    # the least countermodel sits on the empty one-world frame, the first
-    # of the stage's two chunks
-    r = find_countermodel(SearchSpec(parse("[]P => P"), max_worlds=1),
-                          jobs=2)
-    assert (r.certificate["worlds"], r.certificate["frame_mask"]) == (1, 0)
-    with pytest.raises(ResourceLimit):
-        find_countermodel(SearchSpec(TOLLENS), jobs=2, budget=60)
-    assert pool_starts and terminated == []
-    assert multiprocessing.active_children() == []
-
-
 def test_predicate_at_two_arities_is_refused_before_the_scan():
     # the second premise is never reached, but the signature is refused
     spec = SearchSpec(parse("exists x. exists y. r(x, y)"),
@@ -802,6 +818,26 @@ def test_predicate_at_two_arities_is_refused_before_the_scan():
                       max_worlds=2, max_domain=1)
     with pytest.raises(ValueError, match="used at arities 1 and 2"):
         find_fo_countermodel(spec)
+    # a premise fixes r's arity before the conclusion's own s conflict
+    spec = SearchSpec(parse("exists x. s(x) & r(x) & s(x, x)"),
+                      (parse("exists x. r(x, x)"),), max_worlds=1,
+                      max_domain=1)
+    with pytest.raises(ValueError) as ei:
+        find_fo_countermodel(spec)
+    assert str(ei.value) == "predicate 'r' used at arities 2 and 1"
+
+
+def test_signature_reuses_each_formulas_memo(monkeypatch):
+    spec = SearchSpec(parse("exists x. r(x) & p"),
+                      (parse("forall x. s(x, x) | q"),), max_worlds=1,
+                      max_domain=1)
+    first = search._signature(spec)
+    walks = []
+    walk = formula._walk
+    monkeypatch.setattr(formula, "_walk",
+                        lambda f: walks.append(f) or walk(f))
+    assert search._signature(spec) == first == ({"r": 1, "s": 2}, ["p", "q"])
+    assert walks == []
 
 
 def test_wide_scheme_stage_is_refused_at_its_first_chunk():
@@ -817,18 +853,18 @@ def test_wide_scheme_stage_is_refused_at_its_first_chunk():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_gap_budget_counts_each_reached_check_at_full_size(jobs, pool_starts):
+def test_gap_budget_counts_each_reached_check_at_full_size(jobs):
     # Each candidate up to the hit is charged one unit per world for each
     # side, and for the implication where the rule reading holds
     # (_oracle_gap_chunk), pinned: a scan with no gap charges every
-    # candidate to the parent ledger.
+    # candidate.
     calls = 22
     assert find_deduction_gap(max_worlds=1, jobs=jobs, budget=calls) is None
     with pytest.raises(ResourceLimit) as ei:
         find_deduction_gap(max_worlds=1, jobs=jobs, budget=calls - 1)
     assert ei.value.frontier == {"worlds": 1}
     # The default search stops at a hit in the first chunk of its second
-    # stage; the ledger charges that chunk too, the candidates up to the hit.
+    # stage; that chunk is charged too, the candidates up to the hit.
     total = 52
     assert find_deduction_gap(jobs=jobs, budget=total).to_dict() == \
         find_deduction_gap().to_dict()
@@ -838,7 +874,6 @@ def test_gap_budget_counts_each_reached_check_at_full_size(jobs, pool_starts):
     with pytest.raises(ResourceLimit) as ei:
         find_deduction_gap(jobs=jobs, budget=calls - 1)
     assert ei.value.frontier == {"worlds": 1}
-    assert bool(pool_starts) == (jobs > 1)
 
 
 # ---------------------------------------------------------------------------

@@ -424,7 +424,7 @@ def _charged(call, used, limit):
     assert bud.used == used
     small = Budget(limit)
     if used > limit:
-        with pytest.raises(ResourceLimit, match=rf"\({limit} calls\)"):
+        with pytest.raises(ResourceLimit, match=rf"\({limit} units\)"):
             call(small)
         assert small.used == used
     else:
