@@ -159,10 +159,8 @@ class Frame:
     @cached_property
     def successor_map(self) -> dict[str, tuple[str, ...]]:
         """world -> its successors in declaration order (cached)."""
-        return {
-            w: tuple(v for v in self.worlds if (w, v) in self.access)
-            for w in self.worlds
-        }
+        ws = self.worlds
+        return {w: tuple(ws[j] for j in s) for w, s in zip(ws, self.succ)}
 
     @cached_property
     def rows(self) -> tuple[int, ...]:
@@ -177,8 +175,10 @@ class Frame:
     @cached_property
     def succ(self) -> tuple[tuple[int, ...], ...]:
         """Per world, the indices of its successors, ascending (cached)."""
-        return tuple(tuple(j for j in range(len(self.worlds)) if r >> j & 1)
-                     for r in self.rows)
+        idx, out = self.index, [[] for _ in self.worlds]
+        for a, b in self.access:
+            out[idx[a]].append(idx[b])
+        return tuple(tuple(sorted(s)) for s in out)
 
 
 FRAME_PROPERTIES = ("reflexive", "transitive", "symmetric", "serial",

@@ -4,7 +4,7 @@ Everything here scans a fixed, documented order — world count ascending,
 then frame bitmask, then (for quantified models) domain size, existence
 mask, predicate-interpretation masks, and valuation masks — and returns the
 first hit, so results are reproducible run to run.  Each stage is scanned
-in this process in fixed chunks, in order, against the caller's one budget:
+in this process as one range, in order, against the caller's one budget:
 a Budget passed to a search or sweep ends with ``used`` raised by the units
 the scan charged, and one already partly spent trips that much sooner.
 ``jobs`` is validated (at least 1) and no longer changes how a scan runs.
@@ -16,7 +16,7 @@ a reduction over its group of bits.  Each check a candidate reaches, up to
 and including the hit candidate, charges the budget the check's full size,
 formulas x 2**(instance bits) x worlds.  Every scan, the sweeps and the
 deduction-gap search (whose candidates are its metavariables'
-instantiations) included, shares these batches: a chunk's frames sit above
+instantiations) included, shares these batches: a stage's frames sit above
 their candidates, with the edges as columns, and a frame and a model are
 built only for a witness or a reported disagreement.
 Every search returns through ``_first``, which re-checks what the
@@ -207,13 +207,7 @@ class SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic chunked scanning
-
-def _chunk_ranges(total: int) -> list[tuple[int, int]]:
-    """Split range(total) into at most 128 fixed chunks."""
-    size = max(1, total >> 7)
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
-
+# Deterministic stage scanning
 
 def _stage_frontier(stage: tuple[int, ...]) -> dict:
     return dict(zip(("worlds", "domain"), stage))
@@ -221,24 +215,23 @@ def _stage_frontier(stage: tuple[int, ...]) -> dict:
 
 def _scan(stages: Iterable[tuple[int, ...]], worker, arg, jobs: int, budget,
           frontier=_stage_frontier) -> Iterator:
-    """Yield the payload of every chunk of every stage, in scan order.
+    """Yield the payload of every stage, in scan order.
 
-    A stage is a tuple whose first entry is the world count; its frame masks
-    are split by _chunk_ranges, and ``worker(stage, masks, arg, budget)``
-    returns the payload of one chunk.  Every chunk runs in this process and
-    charges the caller's one budget, so a passed Budget's ``used`` rises by
-    all the scan charged, and a trip falls at the same candidate whatever
-    ``jobs`` says.  A trip without a frontier (a budget's, or a check too
-    wide to enumerate) is re-raised with ``frontier(stage)``, called at the
-    trip, so it sees what the caller has summed of the chunks before.
-    ``jobs`` must be at least 1 and changes nothing else."""
+    A stage is a tuple whose first entry is the world count, and
+    ``worker(stage, masks, arg, budget)`` returns the payload of the frames
+    in range ``masks``, here all the stage's.  Every stage runs in this
+    process and charges the caller's one budget, so a passed Budget's
+    ``used`` rises by all the scan charged, and a trip falls at the same
+    candidate whatever ``jobs`` says.  A trip without a frontier (a
+    budget's, or a check too wide to enumerate) is re-raised with
+    ``frontier(stage)``, called at the trip, so it sees what the caller has
+    summed of the stages before.  ``jobs`` must be at least 1."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     bud = _as_budget(budget)
     for stage in stages:
         try:
-            for lo, hi in _chunk_ranges(1 << stage[0] ** 2):
-                yield worker(stage, range(lo, hi), arg, bud)
+            yield worker(stage, range(1 << stage[0] ** 2), arg, bud)
         except ResourceLimit as e:
             if e.frontier is not None:
                 raise
@@ -415,8 +408,8 @@ def _blank(n: int, domain: tuple[str, ...] | None):
 
 
 def _spec_chunk(stage, masks, spec: SearchSpec, bud: Budget):
-    """The chunk's least countermodel as (model, certificate), or None.
-    Its admitted frames and their candidates are columns over _blank."""
+    """The least countermodel over masks as (model, certificate), or None.
+    The admitted frames and their candidates are columns over _blank."""
     n, d = stage if len(stage) > 1 else (stage[0], 0)
     domain = _domain_names(d) if len(stage) > 1 else None
     preds, atoms = _signature(spec)
@@ -424,7 +417,7 @@ def _spec_chunk(stage, masks, spec: SearchSpec, bud: Budget):
     fields = _fields(n, d, tuple(preds.items()), tuple(atoms), varying)
     cb = sum(f[3] for f in fields)
     checks = _checks(spec, n)
-    frames = list(_masks(n, masks, spec.frame_constraints))
+    frames = _masks(n, masks, spec.frame_constraints)
     for batch in _batches(_blank(n, domain), cb, [c[0] for c in checks],
                           _leaves(fields, domain or (), n), frames, preds):
         hit, witness = _hit(batch, checks, bud)
@@ -523,7 +516,7 @@ def _divergences(stage, masks, varying: bool, bud: Budget) -> Iterator:
     hole = _leaves(_fields(n, d, (("P", 1),), ()), m.domain, n)
     fs = _exchange(BF_LHS("P"), BF_RHS("P"))[:3]
     for b in _batches(m, d * n if varying else 0, [bits],
-                      _leaves(fields, m.domain, n), list(masks), {"P": 1}):
+                      _leaves(fields, m.domain, n), masks, {"P": 1}):
         rest = b.live
         (rule, _), (imp, _) = b.run(fs, [((0,), 1), 2], bits, hole)
         div = rest & rule & ~imp
@@ -541,7 +534,7 @@ def _divergences(stage, masks, varying: bool, bud: Budget) -> Iterator:
 
 
 def _div_chunk(stage, masks, _, bud: Budget):
-    """The chunk's least divergence as (model, certificate), or None."""
+    """The least divergence over masks as (model, certificate), or None."""
     for fmask, emask, fm, r in _divergences(stage, masks, True, bud):
         return fm, {"kind": "barcan_divergence", "worlds": stage[0],
                     "domain": stage[1], "frame_mask": fmask,
@@ -606,7 +599,7 @@ def _sweep_chunk(stage, masks, _, bud: Budget):
     hole = _leaves(_fields(n, d, (("P", 1),), ()), m.domain, n)
     exists = _leaves(_fields(n, d, (), (), varying=True), m.domain, n)
     violations: list[dict] = []
-    for b in _batches(m, d * n, [bits], exists, list(masks), {"P": 1}):
+    for b in _batches(m, d * n, [bits], exists, masks, {"P": 1}):
         (bf, _), (cbf, _) = b.run((BF_SCHEME, CBF_SCHEME), [0, 1], bits,
                                   hole)
         bud.charge((2 * n << bits) * b.live.bit_count())
@@ -642,7 +635,8 @@ def barcan_sweep(max_worlds: int = 3, domain_size: int = 2, jobs: int = 1,
     """Exhaustively pair both exchange schemes with domain monotonicity over
     every frame of up to max_worlds worlds and every existence map for a
     fixed domain size.  Returns a summary dict whose ``violations`` list is
-    expected to stay empty; ``jobs`` never changes the summary."""
+    expected to stay empty; ``jobs`` never changes the summary.  A budget
+    trip's frontier counts the pairs ``checked`` in the stages before."""
     _check_ceiling(max_worlds, FO_WORLD_CEILING, "quantified")
     _check_domain("domain_size", domain_size, 0)
     checked = 0
@@ -688,13 +682,13 @@ def bf_agreement_sweep(max_worlds: int = 3, max_domain: int = 2,
 # Deduction-theorem gap
 
 def _gap_chunk(stage, masks, conclusion: Imp, bud: Budget):
-    """The chunk's least gap as (model, certificate), or None.
+    """The least gap over masks as (model, certificate), or None.
     The metavariables' world masks are the candidate fields, one instance
     per candidate."""
     (n,) = stage
     fields = _fields(n, 0, (), tuple(scheme_vars(conclusion)))
     for b in _batches(_blank(n, None), n * len(fields), [0],
-                      _leaves(fields, (), n), list(masks)):
+                      _leaves(fields, (), n), masks):
         (lhs, _), (rhs, _), (imp, witness) = b.run(
             (conclusion.lhs, conclusion.rhs, conclusion), [0, 1, 2], 0,
             lambda cols: {})

@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import product
+from itertools import islice, product
 from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
 from weakref import ref
@@ -666,13 +666,16 @@ class _Batch:
 
 
 def _batches(m, cb: int, ibs: Sequence[int], cand, frames, preds=None):
-    """The batches of 2**cb candidates on each of ``frames`` in turn (see
-    _Batch), as many to a block as the widest of checks with ``ibs``
-    instance bits leaves room for."""
-    top = max(ibs, default=0)
-    cbb = max(0, min(cb + (len(frames) - 1).bit_length(), _BLOCK_BITS - top))
-    for c0 in range(0, len(frames) << cb, 1 << cbb):
-        yield _Batch(m, cb, c0, cbb, top if cbb else 0, cand, preds, frames)
+    """The batches of 2**cb candidates on each of the masks ``frames``
+    gives, in turn (see _Batch), as many to a block as the widest of checks
+    with ``ibs`` instance bits leaves room for; the masks are drawn lazily,
+    as many as fill a block at a time."""
+    top, frames = max(ibs, default=0), iter(frames)
+    room = max(0, _BLOCK_BITS - top)    # the candidate bits of a block
+    while piece := list(islice(frames, 1 << max(0, room - cb))):
+        cbb = min(cb + (len(piece) - 1).bit_length(), room)
+        for c0 in range(0, len(piece) << cb, 1 << cbb):
+            yield _Batch(m, cb, c0, cbb, top if cbb else 0, cand, preds, piece)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,24 @@ class TestFrame:
         fr = Frame(("c", "a", "b"), (("c", "b"), ("c", "a")))
         assert fr.successors("c") == ("a", "b")
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_successors_match_their_pairwise_definitions(self, seed):
+        """succ and successor_map, built in one pass over access, are the
+        all-pairs tests they replaced, in declaration order, on worlds
+        declared out of name order."""
+        rng = random.Random(seed)
+        worlds = [f"w{i}" for i in range(rng.randint(1, 9))]
+        rng.shuffle(worlds)
+        density = rng.random()
+        fr = Frame(worlds, [(a, b) for a in worlds for b in worlds
+                            if rng.random() < density])
+        n = len(worlds)
+        assert fr.succ == tuple(tuple(j for j in range(n) if r >> j & 1)
+                                for r in fr.rows)
+        assert list(fr.successor_map.items()) == [
+            (w, tuple(v for v in fr.worlds if (w, v) in fr.access))
+            for w in fr.worlds]
+
     def test_rows_bitmask_layout(self):
         fr = Frame(("x", "y"), (("x", "y"), ("y", "y")))
         assert fr.rows == (0b10, 0b10)

@@ -145,6 +145,13 @@ _CONSTRAINT_SETS = [frozenset(cs) for k in (1, 2)
                     for cs in combinations(CONSTRAINT_NAMES[:-1], k)]
 
 
+def _ranges(total):
+    """range(total) split into at most 128 fixed sub-ranges, on which a
+    worker must give what an oracle gives, as it does on the whole."""
+    size = max(1, total >> 7)
+    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_generated_masks_match_the_relational_reference(n):
     whole = range(1 << (n * n))
@@ -152,7 +159,7 @@ def test_generated_masks_match_the_relational_reference(n):
     for cs in _CONSTRAINT_SETS:
         want = [m for m in whole if cs <= table[m]]
         assert list(search._masks(n, whole, cs)) == want, sorted(cs)
-        chunks = [m for lo, hi in search._chunk_ranges(len(whole))
+        chunks = [m for lo, hi in _ranges(len(whole))
                   for m in search._masks(n, range(lo, hi), cs)]
         assert chunks == want, sorted(cs)
 
@@ -730,9 +737,11 @@ TRIPS = {
         lambda jobs, budget: find_barcan_divergence(
             2, 1, jobs=jobs, budget=budget),
         100, {"worlds": 2, "domain": 1}),
+    # the frontier's pairs are those of the stages finished before the
+    # trip: the 1-world stage's 2 frames x 2 existence maps
     "barcan_sweep": (
         lambda jobs, budget: barcan_sweep(2, 1, jobs=jobs, budget=budget),
-        100, {"worlds": 2, "checked": 8}),
+        100, {"worlds": 2, "checked": 4}),
     "bf_agreement_sweep": (
         lambda jobs, budget: bf_agreement_sweep(2, 1, jobs=jobs,
                                                 budget=budget),
@@ -840,6 +849,27 @@ def test_signature_reuses_each_formulas_memo(monkeypatch):
     assert walks == []
 
 
+def test_each_stage_is_one_worker_call(monkeypatch):
+    """A scan hands its worker each stage's whole range of frame masks in
+    one call, which reads the spec's signature once."""
+    calls = []
+
+    def logged(name):
+        real = getattr(search, name)
+        monkeypatch.setattr(search, name, lambda *a: calls.append(
+            (name, *a[:2])) or real(*a))
+    for name in ("_spec_chunk", "_sweep_chunk", "_signature"):
+        logged(name)
+    k = SearchSpec(parse("[](P => Q) => ([]P => []Q)"), max_worlds=3)
+    assert find_countermodel(k) is None
+    assert calls == [(name, *args) for n in (1, 2, 3) for name, *args in (
+        ("_spec_chunk", (n,), range(1 << n * n)), ("_signature", k))]
+    calls.clear()
+    assert barcan_sweep(3, 2)["all_consistent"]
+    assert calls == [("_sweep_chunk", (n, 2), range(1 << n * n))
+                     for n in (1, 2, 3)]
+
+
 def test_wide_scheme_stage_is_refused_at_its_first_chunk():
     # no candidate reaches the conclusion, whose instances at 4 worlds need
     # 28 bits: the stage is refused before it is scanned, not passed over
@@ -863,8 +893,8 @@ def test_gap_budget_counts_each_reached_check_at_full_size(jobs):
     with pytest.raises(ResourceLimit) as ei:
         find_deduction_gap(max_worlds=1, jobs=jobs, budget=calls - 1)
     assert ei.value.frontier == {"worlds": 1}
-    # The default search stops at a hit in the first chunk of its second
-    # stage; that chunk is charged too, the candidates up to the hit.
+    # The default search stops at a hit in its second stage; that stage is
+    # charged too, the candidates up to the hit.
     total = 52
     assert find_deduction_gap(jobs=jobs, budget=total).to_dict() == \
         find_deduction_gap().to_dict()
@@ -1070,12 +1100,12 @@ def _plain(payload):
 
 
 def _chunk_ledger(worker, oracle, stages, arg):
-    """Per chunk, in scan order up to the first hit: the payload and
-    Budget.used (or what was raised) of worker and oracle, which must agree;
-    returns the oracle's chunk usages."""
+    """Per chunk of _ranges, in scan order up to the first hit: the payload
+    and Budget.used (or what was raised) of worker and oracle, which must
+    agree; returns the oracle's chunk usages."""
     used = []
     for stage in stages:
-        for lo, hi in search._chunk_ranges(1 << stage[0] ** 2):
+        for lo, hi in _ranges(1 << stage[0] ** 2):
             outs = []
             for run in (worker, oracle):
                 bud = Budget(10**9)
@@ -1264,7 +1294,7 @@ class TestSlicedScanMatchesPerCandidateScan:
             _same_trips(monkeypatch, "_spec_chunk", _oracle_spec_chunk,
                         lambda b: find_countermodel(spec, budget=b), used,
                         rng)
-            for lo, hi in rng.sample(search._chunk_ranges(1 << 16), 2):
+            for lo, hi in rng.sample(_ranges(1 << 16), 2):
                 outs = []
                 for run in (search._spec_chunk, _oracle_spec_chunk):
                     bud = Budget(10**9)
