@@ -21,7 +21,7 @@ from .model import (DomainFrame, FoModel, Frame, FRAME_PROPERTIES,
                     PropModel, domain_monotonicity, frame_property)
 from .parser import parse
 from .semantics import (Verdict, _as_budget, _decode, _fields, _fo_verdicts,
-                        _leaves, _least, _scheme_bits, _verdict, frame_valid)
+                        _leaves, _least, _scheme_bits, frame_valid)
 
 __all__ = [
     "AXIOM_IDS", "AXIOM_SCHEMES", "AXIOM_PROPERTY", "axiom_scheme",
@@ -94,10 +94,15 @@ def axiom_report(fr: Frame, budget=None) -> dict:
         # K spans P and Q, the rest P alone (fields[1:]), N is two formulas
         bud.charge((1 + (aid == "N")) * n << (bits if aid == "K" else n))
         prop = AXIOM_PROPERTY.get(aid)
-        axioms[aid] = _entry(_verdict(worlds, best, lambda i: {
-            "assignment": _decode(fields[aid != "K":], (), worlds, i)[0]}),
-            prop is None or props[prop])
-        axioms[aid].update({"frame_property": prop} if prop else {})
+        has = prop is None or props[prop]
+        e = axioms[aid] = {"holds": best is None, "property": has,
+                           "consistent": (best is None) == has}
+        if best:
+            val = _decode(fields[aid != "K":], (), worlds, best[1])[0]
+            e["witness"] = {"world": worlds[best[0]], "assignment": {
+                k: list(v) for k, v in sorted(val.items())}}
+        if prop:
+            e["frame_property"] = prop
     return {"properties": props, "axioms": axioms}
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
@@ -48,6 +48,7 @@ class ModelError(ValueError):
 # elements, cells and edges.  Search certificates carry these masks, so the
 # bit layouts are part of the output format.
 
+@lru_cache(maxsize=4096)
 def _bits(items: Sequence, mask: int) -> tuple:
     """The items whose bit is set in mask: bit i stands for items[i]."""
     return tuple(x for i, x in enumerate(items) if mask >> i & 1)
@@ -185,47 +186,40 @@ FRAME_PROPERTIES = ("reflexive", "transitive", "symmetric", "serial",
                     "euclidean", "equivalence")
 
 
-# Row tests: each decides row i of Frame.rows against the rows after it.  A
-# frame has a property iff every row passes its tests, so a generator that
-# fixes rows from the last down can drop a prefix at its first failing row.
+# A property is one-row tests t(r, i, n), on row r of world i of n, and pair
+# tests t(r, s, i, j), on rows r and s of worlds i < j (of Frame.rows): a
+# frame has it iff every row and pair passes.  search._masks tabulates the
+# same tests to find the rows a world may take beside the rows after it.
 
-def _symmetric(rows: Sequence[int], i: int) -> bool:
-    for j in range(i + 1, len(rows)):
-        if (rows[i] >> j ^ rows[j] >> i) & 1:
-            return False
-    return True
-
-
-def _transitive(rows: Sequence[int], i: int) -> bool:
+_TESTS = {  # property -> (one-row tests, pair tests)
+    "reflexive": ((lambda r, i, n: r >> i & 1,), ()),
+    "serial": ((lambda r, i, n: r != 0,), ()),
+    "total": ((lambda r, i, n: r == (1 << n) - 1,), ()),
+    "symmetric": ((), (lambda r, s, i, j: not (r >> j ^ s >> i) & 1,)),
     # a world sees everything that the worlds it sees see
-    r = rows[i]
-    for j, s in enumerate(rows[i + 1:], i + 1):
-        if r >> j & 1 and s | r != r or s >> i & 1 and s | r != s:
-            return False
-    return True
-
-
-def _euclidean(rows: Sequence[int], i: int) -> bool:
+    "transitive": ((), (lambda r, s, i, j: not (
+        r >> j & 1 and s | r != r or s >> i & 1 and s | r != s),)),
     # the worlds a world sees see everything it sees
-    r = rows[i]
-    for j, s in enumerate(rows[i + 1:], i + 1):
-        if r >> j & 1 and s | r != s or s >> i & 1 and s | r != r:
-            return False
-    return True
+    "euclidean": ((), (lambda r, s, i, j: not (
+        r >> j & 1 and s | r != s or s >> i & 1 and s | r != r),))}
+_TESTS["equivalence"] = (_TESTS["reflexive"][0],
+                         _TESTS["symmetric"][1] + _TESTS["transitive"][1])
 
 
-_ROW_TESTS = {"reflexive": (lambda rows, i: rows[i] >> i & 1,),
-              "transitive": (_transitive,), "symmetric": (_symmetric,),
-              "serial": (lambda rows, i: rows[i] != 0,), "euclidean": (_euclidean,),
-              "total": (lambda rows, i: rows[i] == (1 << len(rows)) - 1,)}
-_ROW_TESTS["equivalence"] = (*_ROW_TESTS["reflexive"], _symmetric, _transitive)
-
-
-def _rows_pass(rows: Sequence[int], tests) -> bool:
-    for t in tests:
-        for i in range(len(rows)):
-            if not t(rows, i):
+def _rows_pass(rows: Sequence[int], prop: str) -> bool:
+    ones, pairs = _TESTS[prop]
+    n = len(rows)
+    for t in ones:
+        for i, r in enumerate(rows):
+            if not t(r, i, n):
                 return False
+    for t in pairs:
+        i = 0       # a counter, not enumerate: the reports call this a lot
+        for r in rows:
+            for j in range(i + 1, n):
+                if not t(r, rows[j], i, j):
+                    return False
+            i += 1
     return True
 
 
@@ -234,12 +228,12 @@ def frame_property(fr: Frame, prop: str) -> bool:
     if prop not in FRAME_PROPERTIES:
         raise ValueError(f"unknown frame property {prop!r}; "
                          f"expected one of {FRAME_PROPERTIES}")
-    return _rows_pass(fr.rows, _ROW_TESTS[prop])
+    return _rows_pass(fr.rows, prop)
 
 
 def is_total(fr: Frame) -> bool:
     """Every world sees every world (the no-relation reading of necessity)."""
-    return _rows_pass(fr.rows, _ROW_TESTS["total"])
+    return _rows_pass(fr.rows, "total")
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,10 @@ their candidates, with the edges as columns, and a frame and a model are
 built only for a witness or a reported disagreement.
 Every search returns through ``_first``, which re-checks what the
 witness's certificate reports with the plain reference evaluator, and the
-spec's frame constraints with the relational frame tests; a failure there
-raises RuntimeError and would mean a bug in the truth-set evaluator or
-the frame generator, not in the caller's input.
+spec's frame constraints by their definitions on the access pairs, apart
+from the generator's tests; a failure there raises RuntimeError and would
+mean a bug in the truth-set evaluator or the frame generator, not in the
+caller's input.
 Malformed specs, and stages too wide to enumerate, are refused before
 their first candidate is scanned, so no check raises inside a batch.
 """
@@ -42,8 +43,8 @@ from .formula import (And, Box, Exists, Formula, Imp, SchemeVar, const_names,
                       render, scheme_vars)
 from .correspondence import BF_SCHEME, CBF_SCHEME
 from .model import (DomainFrame, FlexiblePred, FoModel, Frame,
-                    FRAME_PROPERTIES, PropModel, _ROW_TESTS, _extension,
-                    _pairs, frame_property, is_total, model_to_dict)
+                    FRAME_PROPERTIES, PropModel, _TESTS, _extension,
+                    _pairs, model_to_dict)
 from .semantics import (BF_LHS, BF_RHS, Budget, ResourceLimit, _as_budget,
                         _batches, _decode, _exchange, _fields, _fo_bits,
                         _leaves, _scheme_bits, bf_readings, evaluate)
@@ -100,19 +101,29 @@ def _check_constraints(constraints: Iterable[str]) -> frozenset[str]:
 def _masks(n: int, masks: range, constraints: frozenset[str] = frozenset()
            ) -> Iterable[int]:
     """The masks of ``masks`` whose n-world frames meet constraints, in
-    ascending order: rows are fixed from the last (most significant) down,
-    and a prefix is dropped once a row fails or its masks leave ``masks``."""
-    tests = {t: None for c in sorted(constraints) for t in _ROW_TESTS[c]}
-    if not tests:
+    ascending order, drawn lazily.  Rows are fixed from the last down, and
+    row i takes, within ``masks``' bounds, the values set in an AND of
+    bitsets tabulated from model's tests on first use: those row i's one-row
+    tests admit and, per row j > i, those the pair tests admit beside it."""
+    if not constraints:
         return masks
-    rows = [0] * n
+    ones = {t for c in constraints for t in _TESTS[c][0]}
+    pairs = {t for c in constraints for t in _TESTS[c][1]}
+    rows, memo = [0] * n, {}
 
     def fix(i: int, prefix: int) -> Iterator[int]:
-        s = i * n
+        s, ok = i * n, -1
+        for j in range(i, n if pairs else i + 1):
+            key = i, j, rows[j] if j > i else 0     # j == i: one-row tests
+            if key not in memo:
+                memo[key] = sum(1 << r for r in range(1 << n) if (
+                    all(t(r, key[2], i, j) for t in pairs) if j > i
+                    else all(t(r, i, n) for t in ones)))
+            ok &= memo[key]
         for r in range(max(0, (masks.start - prefix) >> s),
                        min(1 << n, ((masks.stop - 1 - prefix) >> s) + 1)):
-            rows[i] = r
-            if all(t(rows, i) for t in tests):
+            if ok >> r & 1:
+                rows[i] = r
                 yield from fix(i - 1, prefix | r << s) if i else (prefix | r,)
     return fix(n - 1, 0)
 
@@ -364,12 +375,20 @@ def _recheck_failed(kind: str) -> RuntimeError:
 
 def _revalidate(m, cert: dict, spec: SearchSpec) -> None:
     """Independent re-check of a countermodel: the spec's frame constraints
-    by the relational frame tests, every instance of each premise (a
-    premise formula is a scheme with no metavariables) and the conclusion
-    at the reported world and assignment by the reference evaluator."""
-    worlds = m.worlds
-    ok = all(is_total(m.frame) if p == "total" else frame_property(m.frame, p)
-             for p in spec.frame_constraints)
+    by their relational definitions over the access pairs, which share
+    nothing with the tests _masks tabulates, every instance of each premise
+    (a premise formula is a scheme with no metavariables) and the
+    conclusion at the reported world and assignment by the reference
+    evaluator."""
+    worlds, acc, succ = m.worlds, m.frame.access, m.frame.successor_map
+    p = {"reflexive": all((w, w) in acc for w in worlds),
+         "serial": all(succ[w] for w in worlds),
+         "symmetric": all((b, a) in acc for a, b in acc),
+         "transitive": all((a, c) in acc for a, b in acc for c in succ[b]),
+         "euclidean": all((b, c) in acc for a, b in acc for c in succ[a]),
+         "total": len(acc) == len(worlds) ** 2}
+    p["equivalence"] = p["reflexive"] and p["symmetric"] and p["transitive"]
+    ok = all(p[c] for c in spec.frame_constraints)
     for s in (*spec.premise_formulas, *spec.premise_schemes):
         names = scheme_vars(s)
         fields = _fields(len(worlds), 0, (), tuple(names))

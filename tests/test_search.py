@@ -1,14 +1,22 @@
 """Bounded countermodel search: enumeration order, pinned least witnesses,
-exhaustive sweeps, and independence of the answer from the jobs count."""
+exhaustive sweeps, and independence of the answer from the jobs count.
+
+Run as a script, this file checks the constrained frame generator against
+the relational reference on all 127 constraint sets at 4 worlds (a few
+seconds): ``PYTHONPATH=src python tests/test_search.py``.
+"""
 
 import multiprocessing.pool
 import random
+import sys
+from collections import Counter
 from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import modalkit.formula as formula
+import modalkit.model as model
 import modalkit.search as search
 import modalkit.semantics as sem
 from conftest import random_prop_formula, seeded_randoms
@@ -141,8 +149,10 @@ def relational_props(fr: Frame) -> frozenset[str]:
     return frozenset(p for p, holds in props.items() if holds)
 
 
-_CONSTRAINT_SETS = [frozenset(cs) for k in (1, 2)
-                    for cs in combinations(CONSTRAINT_NAMES[:-1], k)]
+# Every non-empty set of the seven constraints: 127 sets.
+_ALL_CONSTRAINT_SETS = [frozenset(cs) for k in range(1, 8)
+                        for cs in combinations(CONSTRAINT_NAMES[:-1], k)]
+_CONSTRAINT_SETS = [cs for cs in _ALL_CONSTRAINT_SETS if len(cs) <= 2]
 
 
 def _ranges(total):
@@ -152,16 +162,67 @@ def _ranges(total):
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_generated_masks_match_the_relational_reference(n):
+def _check_generated_masks(n, sets):
+    """_masks gives, for each constraint set, the masks whose frames meet
+    it by the relational reference, over the whole stage and over each of
+    its _ranges sub-ranges."""
     whole = range(1 << (n * n))
     table = [relational_props(frame_from_mask(n, m)) for m in whole]
-    for cs in _CONSTRAINT_SETS:
+    for cs in sets:
         want = [m for m in whole if cs <= table[m]]
         assert list(search._masks(n, whole, cs)) == want, sorted(cs)
         chunks = [m for lo, hi in _ranges(len(whole))
                   for m in search._masks(n, range(lo, hi), cs)]
         assert chunks == want, sorted(cs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generated_masks_match_the_relational_reference(n):
+    """All 127 constraint sets to 3 worlds, the sets of one or two at 4
+    (``python tests/test_search.py`` runs all 127 at 4 worlds)."""
+    _check_generated_masks(n, _CONSTRAINT_SETS if n == 4
+                           else _ALL_CONSTRAINT_SETS)
+
+
+@pytest.mark.parametrize("constraint", CONSTRAINT_NAMES[:-1])
+def test_first_wide_frame_tabulates_few_rows(monkeypatch, constraint):
+    """The generator builds its tables from model's tests lazily: the first
+    8-world frame under one constraint costs each test at most one table
+    row of 2**8 calls per world and per world pair, 36 rows, where tables
+    built whole up front would hold 2**8 rows per world pair."""
+    calls = Counter()
+
+    def counted(t):
+        def test(*args):
+            calls[t] += 1
+            return t(*args)
+        return test
+    for prop, (ones, pairs) in list(model._TESTS.items()):
+        monkeypatch.setitem(model._TESTS, prop, (
+            tuple(map(counted, ones)), tuple(map(counted, pairs))))
+    fr = next(enumerate_frames(8, [constraint]))
+    assert constraint in relational_props(fr)
+    assert calls and max(calls.values()) <= (8 + 8 * 7 // 2) << 8
+
+
+def test_constrained_search_draws_masks_up_to_its_hit(monkeypatch):
+    """A constrained search draws the generator's masks lazily: its stages
+    before the hit draw all their transitive frames (2, 13 and 171), and
+    the 4-world stage, whose hit is frame_mask 14, one block's piece of 16
+    of its 3994."""
+    real, drawn = search._masks, Counter()
+
+    def counting(n, masks, constraints=frozenset()):
+        for m in real(n, masks, constraints):
+            drawn[n] += 1
+            yield m
+    monkeypatch.setattr(search, "_masks", counting)
+    spec = SearchSpec(parse("~((p & q) & <>(p & ~q) & <>(~p & q) "
+                            "& <>(~p & ~q))"),
+                      frame_constraints={"transitive"}, max_worlds=4)
+    r = find_countermodel(spec)
+    assert (r.certificate["worlds"], r.certificate["frame_mask"]) == (4, 14)
+    assert drawn == {1: 2, 2: 13, 3: 171, 4: 16}
 
 
 @given(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=5,
@@ -615,6 +676,34 @@ def test_witness_is_rechecked(monkeypatch, chunk, call, tamper, kind):
     with pytest.raises(RuntimeError, match=f"{kind} witness failed the "
                        "independent re-check"):
         call()
+
+
+def test_recheck_refuses_a_frame_the_generator_wrongly_admits(monkeypatch):
+    """A generator that admits the non-transitive 2-world frame 6 (w0 and
+    w1 see each other only), which hosts a countermodel of []P => [][]P:
+    the re-check tests transitivity on the access pairs, not by the
+    generator's tables, and refuses the witness."""
+    spec = SearchSpec(parse("[]P => [][]P"),
+                      frame_constraints={"transitive"}, max_worlds=2)
+    assert find_countermodel(spec) is None
+    monkeypatch.setattr(search, "_masks",
+                        lambda n, masks, constraints=frozenset():
+                        [6] if n == 2 else [])
+    with pytest.raises(RuntimeError, match="search witness failed the "
+                       "independent re-check"):
+        find_countermodel(spec)
+
+
+def test_recheck_does_not_share_the_generators_tests(monkeypatch):
+    """A wrong transitivity test in model makes the generator and
+    frame_property admit every frame; the re-check still refuses."""
+    monkeypatch.setitem(model._TESTS, "transitive",
+                        ((), (lambda r, s, i, j: True,)))
+    spec = SearchSpec(parse("[]P => [][]P"),
+                      frame_constraints={"transitive"}, max_worlds=2)
+    with pytest.raises(RuntimeError, match="search witness failed the "
+                       "independent re-check"):
+        find_countermodel(spec)
 
 
 def test_recheck_covers_frame_constraints(monkeypatch):
@@ -1439,3 +1528,16 @@ class TestCandidateColumnsMatchReference:
                     assert [x >> i & 1 for x in sets] == \
                         [evaluate(m, f, w, scheme_vals=sv) for w in worlds], \
                         first + i
+
+
+def main() -> int:
+    """The generator against the relational reference on all 127
+    constraint sets at 4 worlds, whole and in sub-ranges."""
+    _check_generated_masks(4, _ALL_CONSTRAINT_SETS)
+    print(f"_masks: {len(_ALL_CONSTRAINT_SETS)} constraint sets match the "
+          "relational reference on all 65536 4-world frames")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
