@@ -35,7 +35,6 @@ import string
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import permutations, product
-from operator import and_
 from typing import Iterable, Iterator
 
 from .formula import (And, Box, Exists, Formula, Imp, SchemeVar, const_names,
@@ -47,7 +46,7 @@ from .model import (DomainFrame, FlexiblePred, FoModel, Frame,
                     _pairs, model_to_dict)
 from .semantics import (BF_LHS, BF_RHS, Budget, ResourceLimit, _as_budget,
                         _batches, _decode, _exchange, _fields, _fo_bits,
-                        _leaves, _scheme_bits, bf_readings, evaluate)
+                        _fold, _leaves, _scheme_bits, bf_readings, evaluate)
 
 __all__ = [
     "SearchSpec", "SearchResult", "CONSTRAINT_NAMES",
@@ -597,20 +596,6 @@ def _revalidate_divergence(fm: FoModel, cert: dict, _) -> None:
         raise _recheck_failed("divergence")
 
 
-def _monotone(edges, exists, full: int) -> tuple[int, int]:
-    """Truth sets of domain monotonicity over edge columns edges[a][b] and
-    existence columns exists[e][w]: (nondecreasing, nonincreasing) along
-    every edge."""
-    inc = dec = full
-    for a, row in enumerate(edges):
-        for b, r in enumerate(row):
-            if r:   # absent edges constrain nothing
-                for col in exists:
-                    inc &= ~(r & col[a] & ~col[b])
-                    dec &= ~(r & col[b] & ~col[a])
-    return inc, dec
-
-
 def _sweep_chunk(stage, masks, _, bud: Budget):
     n, d = stage
     m = _blank(n, _domain_names(d))
@@ -622,10 +607,19 @@ def _sweep_chunk(stage, masks, _, bud: Budget):
         (bf, _), (cbf, _) = b.run((BF_SCHEME, CBF_SCHEME), [0, 1], bits,
                                   hole)
         bud.charge((2 * n << bits) * b.live.bit_count())
-        edges = b.edges[Box]
-        inc, dec = _monotone(edges, b.leaves[Exists], b.full)
-        symmetric = reduce(and_, (~(edges[i][j] ^ edges[j][i])
-                                  for i in range(n) for j in range(i)), b.full)
+        box, inc, dec, asym = b.edges[Box], 0, 0, 0
+        for s in {abs(s) for s in box}:     # where a converse edge is missing
+            asym |= box.get(s, 0) ^ box.get(-s, 0) >> s
+        for e in b.leaves[Exists]:  # where e leaves or arrives along an edge
+            gone = there = 0
+            for s, mask in box.items():     # e at the worlds s from each one
+                at = (e >> s if s >= 0 else e << -s) & mask
+                gone |= mask ^ at
+                there |= at
+            inc |= e & gone
+            dec |= there & (b.every ^ e)
+        inc, dec, symmetric = (b.full ^ _fold(x, n, b.w)
+                               for x in (inc, dec, asym))
         # (check, where it applies, (key, verdicts), (key, verdicts)): the
         # two verdict masks must agree on every candidate where it applies
         table = [("bf_vs_nonincreasing", b.full, ("bf", bf),
@@ -710,7 +704,7 @@ def _gap_chunk(stage, masks, conclusion: Imp, bud: Budget):
                       _leaves(fields, (), n), masks):
         (lhs, _), (rhs, _), (imp, witness) = b.run(
             (conclusion.lhs, conclusion.rhs, conclusion), [0, 1, 2], 0,
-            lambda cols: {})
+            lambda cols, w: {})
         rule = b.live & ~(lhs & ~rhs)
         gap = rule & ~imp
         hit = gap & -gap

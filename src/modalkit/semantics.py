@@ -8,12 +8,12 @@ subsets of domain x worlds — so "valid for every instance" is a literal
 finite enumeration, guarded by budgets.
 
 ``evaluate`` is the plain recursive reference implementation.  The checks
-instead compile their formulas once into one flat program, which labels
-each distinct subformula with its truth set: per world, one int whose bit i
-says whether it holds there under instance i of the scan.  A correspondence
-report is one such program over all its schemes.  The two evaluators are
-property-tested against each other, and search certificates are re-checked
-through ``evaluate`` before being reported.
+compile their formulas into one flat program, which labels each distinct
+subformula with its truth set: one int whose bit (wi << w) + i says whether
+it holds at world wi under instance i of a block of 2**w, so a connective is
+one int op, and Box one shift and mask per world offset.  A report is one
+program over its schemes.  The evaluators are property-tested against each
+other, and search certificates are re-checked through ``evaluate``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import islice, product
-from operator import and_, or_
+from operator import and_
 from typing import Iterable, Mapping, Sequence
 from weakref import ref
 
@@ -261,9 +261,10 @@ def _ev(m, f: Formula, w: str, env: Env, sv: Mapping[str, frozenset[str]]) -> bo
 # Truth sets (internal fast path)
 #
 # A check's instances (scheme instantiations, hole interpretations) are
-# numbered in its scan order, and a subformula's truth set at a world is one
-# int whose bit i is set iff it holds there under instance i.  Instances are
-# taken in blocks of 2**_BLOCK_BITS, so no int is wider than 4096 bits.
+# numbered in its scan order and taken in blocks of 2**w <= 2**_BLOCK_BITS.
+# A subformula's truth set over a block is one int, each world's 2**w bits
+# packed in turn: bit (wi << w) + i is set iff it holds at world wi under
+# the block's instance i.
 #
 # The formulas a scan checks (all of a report's schemes, say) compile, by an
 # iterative post-order walk that grounds quantifiers over the elements, into
@@ -293,7 +294,7 @@ def _columns(width: int) -> tuple[int, ...]:
 
 
 def _blocks(bits: int, span: int | None = None, start: int = 0):
-    """Yield (first instance, all-ones int, cols) for each block of the
+    """Yield (first instance, w, cols) for each block of 2**w of the
     2**span instances from start (all 2**bits by default), ascending;
     cols[b] is instance bit b over the block, a cached column for the low
     bits and constant for the block's own."""
@@ -302,7 +303,7 @@ def _blocks(bits: int, span: int | None = None, start: int = 0):
     full = (1 << (1 << width)) - 1
     low = _columns(width) if width else ()
     for first in range(start, start + (1 << span), 1 << width):
-        yield first, full, low + tuple(
+        yield first, width, low + tuple(
             full if first >> j & 1 else 0 for j in range(width, bits))
 
 
@@ -417,51 +418,72 @@ def _compiled(m, fs: Sequence[Formula], leaves: Mapping, preds=None):
     return entry[0]
 
 
-def _run(prog, m: PropModel | FoModel, leaves: Mapping,
-         full: int) -> list[list[int]]:
-    """Per formula of the program, its truth sets over one block: entry wi
-    has bit i set iff it holds at worlds[wi] under the block's instance i.
-    ``leaves`` maps each instantiated symbol to its per-world columns:
-    metavariables and atoms by name, sliced predicate cells by (name,
-    element tuple), and under ``Exists`` the per-world existence columns of
-    each element (by default, m.domain_at's).  Edge columns under ``Box``
-    ([i][j]: where worlds[i] sees worlds[j]) replace m.frame's."""
+def _run(prog, m: PropModel | FoModel, leaves: Mapping, w: int) -> list[int]:
+    """Each formula's truth set over a block of 2**w, from ``leaves``:
+    metavariables' and atoms' by name, sliced predicate cells' by (name,
+    element tuple), each element's existence set under ``Exists`` (by
+    default, m.domain_at's) and the offset masks under ``Box``."""
     ops, outs = prog
-    worlds, succ, edges = m.worlds, m.frame.succ, leaves.get(Box)
-    ones, zeros = [full] * len(worlds), [0] * len(worlds)
-    vals: list[list[int]] = []
+    worlds, box, full = m.worlds, leaves[Box], (1 << (1 << w)) - 1
+    every, vals = (1 << (len(worlds) << w)) - 1, []
     put = vals.append
     for code, a, b in ops:
         if code == _NOT:
-            put([full ^ x for x in vals[a]])
+            put(every ^ vals[a])
         elif code == _OR:
-            put(list(map(or_, vals[a], vals[b])))
+            put(vals[a] | vals[b])
         elif code == _AND:
-            put(list(map(and_, vals[a], vals[b])))
+            put(vals[a] & vals[b])
         elif code == _IMP:
-            put([(full ^ x) | y for x, y in zip(vals[a], vals[b])])
+            put(every ^ vals[a] | vals[b])
         elif code == _BOX or code == _DIA:      # [] as ~<>~
-            x = vals[a] if code == _DIA else [full ^ y for y in vals[a]]
-            x = ([reduce(or_, map(and_, row, x), 0) for row in edges]
-                 if edges is not None else
-                 [reduce(or_, [x[j] for j in s], 0) for s in succ])
-            put(x if code == _DIA else [full ^ y for y in x])
+            x, y = vals[a] if code == _DIA else every ^ vals[a], 0
+            for s, mask in box.items():     # x's worlds at each offset
+                y |= (x >> s if s >= 0 else x << -s) & mask
+            put(y if code == _DIA else every ^ y)
         elif code == _LEAF:
-            put(leaves.get(a, zeros))
+            put(leaves.get(a, 0))
         elif code == _VAL:
             val = m.valuation.get(a, ())
-            put([full if w in val else 0 for w in worlds])
+            put(_pack([full if v in val else 0 for v in worlds], w))
         elif code == _PRED:
             p = m.flexible_preds.get(a)
-            put([full if b in p.extension[w] else 0 for w in worlds] if p
-                else ones if b in m.rigid_preds[a].extension else zeros)
+            put(_pack([full if b in p.extension[v] else 0 for v in worlds], w)
+                if p else every if b in m.rigid_preds[a].extension else 0)
         elif code == _CONST:
-            put(ones if a else zeros)
+            put(every if a else 0)
         else:   # _EXIST: where the a-th element exists
             e, ex = (m.domain or (None,))[a], leaves.get(Exists)
-            put(ex[a] if ex else
-                [full if e in m.domain_at(w) else 0 for w in worlds])
+            put(ex[a] if ex else _pack([full if e in m.domain_at(v) else 0
+                                        for v in worlds], w))
     return [vals[s] for s in outs]
+
+
+def _pack(xs: Sequence[int], w: int) -> int:
+    """The truth set whose block of 2**w bits at world wi is xs[wi]."""
+    v = 0
+    for x in reversed(xs):
+        v = v << (1 << w) | x
+    return v
+
+
+def _offsets(cells, w: int) -> dict[int, int]:
+    """The offset masks over blocks of 2**w of a relation's cells (i, j,
+    column): under d << w, world i's block holds cell (i, i + d)'s."""
+    out: dict[int, int] = {}
+    for i, j, col in cells:
+        if col:
+            out[j - i << w] = out.get(j - i << w, 0) | col << (i << w)
+    return out
+
+
+def _fold(x: int, n: int, w: int) -> int:
+    """The OR of packed x's n world blocks of 2**w bits."""
+    s = 1 << w
+    while s < n << w:
+        x |= x >> s
+        s <<= 1
+    return x & (1 << (1 << w)) - 1
 
 
 def _least(m, fs: Sequence[Formula], checks: Sequence, bits: int, leaves,
@@ -472,18 +494,22 @@ def _least(m, fs: Sequence[Formula], checks: Sequence, bits: int, leaves,
     first in world-major order, or (premise indexes, conclusion index), the
     meta reading: the least instance where the premises hold everywhere and
     the conclusion does not, at its least failing world.  One program labels
-    fs per block, with leaves(cols) from the block's instance columns."""
+    fs per block, with m's offset masks, built once, and leaves(cols, w)
+    from the block's instance columns."""
     best, prog, todo = [None] * len(checks), None, list(range(len(checks)))
-    for first, full, cols in _blocks(bits, span, start):
-        lv = leaves(cols)
+    for first, w, cols in _blocks(bits, span, start):
+        if prog is None:
+            box = _offsets([(i, j, (1 << (1 << w)) - 1) for i, s in enumerate(
+                m.frame.succ) for j in s], w)
+        lv = {Box: box, **leaves(cols, w)}
         prog = prog or _compiled(m, fs, lv, preds)
-        sets = _run(prog, m, lv, full)
-        for ci, (holds, hits) in zip(todo, _checked(
-                sets, [checks[ci] for ci in todo], full, 1, bool)):
+        sets = _run(prog, m, lv, w)
+        for ci, (holds, least) in zip(todo, _checked(
+                sets, [checks[ci] for ci in todo], len(m.worlds), w, 1, bool)):
             if not holds:
-                wi, h = next((wi, h) for wi, h in enumerate(hits) if h)
+                wi, i = least(1)
                 if best[ci] is None or wi < best[ci][0]:
-                    best[ci] = (wi, first - start + h.bit_length() - 1)
+                    best[ci] = (wi, first - start + i)
         todo = [ci for ci in todo if best[ci] is None
                 or isinstance(checks[ci], int) and best[ci][0]]
         if not todo:
@@ -491,32 +517,35 @@ def _least(m, fs: Sequence[Formula], checks: Sequence, bits: int, leaves,
     return best
 
 
-def _checked(sets, checks: Sequence, full: int, base: int, any_) -> list:
-    """Each check (as for _least) over the groups of a block, one from each
-    bit of base: (the groups where it holds, per world each failing group's
-    witness bit).  any_(x) marks the groups where x has a bit set."""
-    out, ones = [], full // base
+def _checked(sets, checks: Sequence, n: int, w: int, base: int, any_
+             ) -> list:
+    """Each check (as for _least) over the groups of a block of 2**w on n
+    worlds, one from each bit of base: (the groups where it holds, least),
+    least(c) the (world index, instance in the group) of the least failure
+    of group bit c.  any_(x) marks the groups with a bit set in x."""
+    every, out = (1 << (n << w)) - 1, []
     for c in checks:
-        hits, alive = [], base
         if isinstance(c, int):
-            for x in sets[c]:
-                miss = full ^ x
-                t = any_(miss) & alive      # first failing at this world
-                alive &= ~t
-                y = miss & t * ones
-                hits.append(y & ~(y - t))
+            miss, fail = every ^ sets[c], None
+            bad = miss if base == 1 else _fold(miss, n, w)
         else:
-            fail = reduce(and_, (x for p in c[0] for x in sets[p]), full)
-            fail &= ~reduce(and_, sets[c[1]], full)
-            t = any_(fail)
-            alive &= ~t
-            y = fail & t * ones
-            low, seen = y & ~(y - t), 0    # each failing group's least
-            for x in sets[c[1]]:
-                hits.append(low & ~x & ~seen)
-                seen |= hits[-1]
-        out.append((alive, hits))
+            ok = reduce(and_, (sets[p] for p in c[0]), every)
+            miss = every ^ sets[c[1]]
+            bad = fail = _fold(miss, n, w) & ~_fold(every ^ ok, n, w)
+        out.append((base ^ any_(bad), partial(_failure, miss, fail, n, w,
+                                              base)))
     return out
+
+
+def _failure(miss: int, fail, n: int, w: int, base: int, c: int):
+    """_checked's least failure of group bit c: the lowest bit of miss in
+    the group, or at the least of the meta reading's failing instances."""
+    mask = c * (((1 << (1 << w)) - 1) // base)     # the group
+    if fail is not None:    # its least failing instance
+        mask = fail & mask & -(fail & mask)
+    miss &= _pack([mask] * n, w)
+    wi, i = divmod((miss & -miss).bit_length() - 1, 1 << w)
+    return wi, i - c.bit_length() + 1
 
 
 # ---------------------------------------------------------------------------
@@ -559,19 +588,21 @@ def _fields(n: int, d: int, preds: tuple[tuple[str, int], ...],
 
 @lru_cache(maxsize=1024)
 def _leaves(fields, domain: tuple, n: int):
-    """The _run leaves of the fields from the columns of their bits:
-    arity-0 fields by name, predicate cells by (name, element tuple), and
-    the existence field under Exists, one column list per element."""
+    """The _run leaves of the fields from the columns of their bits over
+    blocks of 2**w, each packed once: arity-0 fields by name, predicate
+    cells by (name, element tuple), and the existence field under Exists,
+    one packed set per element."""
     d = len(domain)
     cells = [((name, cell) if arity else name, off + ci * n)
              for name, arity, off, _ in fields if name is not None
              for ci, cell in enumerate(product(domain, repeat=arity))]
     ex = [off for name, _, off, _ in fields if name is None]
 
-    def leaves(cols):
-        out = {key: cols[lo:lo + n] for key, lo in cells}
+    def leaves(cols, w: int):
+        out = {key: _pack(cols[lo:lo + n], w) for key, lo in cells}
         for off in ex:
-            out[Exists] = [cols[off + ei:off + d * n:d] for ei in range(d)]
+            out[Exists] = [_pack(cols[off + ei:off + d * n:d], w)
+                           for ei in range(d)]
         return out
     return leaves
 
@@ -594,45 +625,45 @@ def _decode(fields, domain: tuple, worlds: tuple, i: int):
     return val, flex, exists
 
 
-def _edges(n: int, frames: Sequence[int], w: int) -> list[list[int]]:
-    """Edge columns over slots k, bits k << w to (k + 1) << w, on n-world
-    frames[k]: [i][j] covers the slots whose mask has bit i*n+j.  One frame
-    gives constants, -1 (fits any block, as _run ANDs it inside) or 0."""
-    if len(frames) == 1:
-        return [[-(frames[0] >> i * n + j & 1) for j in range(n)]
-                for i in range(n)]
-    ones = (1 << (1 << w)) - 1
-    base = ((1 << (len(frames) << w)) - 1) // ones   # each slot's bit 0
-    c = min(n * n, 1 << w)     # the mask bits one pass places in a slot
-    ys = [sum((m >> e0 & (1 << c) - 1) << (k << w)
+def _edges(n: int, frames: Sequence[int], slot: int, w: int) -> dict:
+    """The offset masks over blocks of 2**w of n-world frames[k], each in
+    slot k, bits k << slot to (k + 1) << slot (or all) of each world's block:
+    cell (i, j) covers bit i*n+j's slots."""
+    slot = min(slot, w)
+    ones = (1 << (1 << slot)) - 1
+    base = ((1 << (len(frames) << slot)) - 1) // ones   # each slot's bit 0
+    c = min(n * n, 1 << slot)   # the mask bits one pass places in a slot
+    ys = [sum((m >> e0 & (1 << c) - 1) << (k << slot)
               for k, m in enumerate(frames)) for e0 in range(0, n * n, c)]
-    cols = [(ys[e // c] >> e % c & base) * ones for e in range(n * n)]
-    return [cols[i * n:i * n + n] for i in range(n)]
+    return _offsets([(e // n, e % n, (ys[e // c] >> e % c & base) * ones)
+                     for e in range(n * n)], w)
 
 
 class _Batch:
     """Candidates c0 .. c0 + 2**cbb - 1 of a space of 2**cb candidates on
     each of ``frames`` (masks) over the base model m: candidate k << cb | c
-    is candidate c on frames[k], and ``cand(cols)`` gives its leaves from
-    the columns of the candidate bits.  A candidate mask has bit i << g set
-    for candidate c0 + i (bit 0 when the batch holds one candidate); each
-    frame's slot of 2**(g + cb) bits gives the edge columns, and live drops
-    from base the slots past the end of frames.  The checks give (holds,
-    witness): the candidates where the check holds, and witness(c) the
-    (world index, instance) of candidate bit c's failure."""
+    is candidate c on frames[k], and ``cand(cols, w)`` gives its leaves
+    from the columns of the candidate bits.  Candidate c0 + i is group i,
+    2**g bits, of each world's block, its mask the group's bit 0 (bit 0 for
+    a batch of one); frames' slots of 2**(g + cb) bits give the offset masks,
+    and live drops from base the slots past the end of frames.  The checks
+    give (holds, witness): the candidates where the check holds, and
+    witness(c) the (world index, instance) of candidate bit c's failure."""
 
     def __init__(self, m, cb: int, c0: int, cbb: int, g: int, cand, preds,
                  frames):
         self.m, self.cb, self.c0, self.cbb, self.g = m, cb, c0, cbb, g
         self.cand, self.preds, self.frames = cand, preds, frames
-        _, self.full, self.cols = next(_blocks(g + cb, g + cbb, c0 << g))
-        self.ones = (1 << (1 << g)) - 1
-        self.base = self.live = self.full // self.ones
-        slots = frames[c0 >> cb:(c0 >> cb) + (1 << max(0, cbb - cb))]
-        self.edges = {Box: _edges(len(m.worlds), slots, g + cb)}
+        _, self.w, self.cols = next(_blocks(g + cb, g + cbb, c0 << g))
+        self.n, self.full = len(m.worlds), (1 << (1 << self.w)) - 1
+        self.every = (1 << (self.n << self.w)) - 1
+        self.base = self.live = self.full // ((1 << (1 << g)) - 1)
+        self.top = self.base << (1 << g) - 1    # each group's last bit
+        self.slots = frames[c0 >> cb:(c0 >> cb) + (1 << max(0, cbb - cb))]
+        self.edges = {Box: _edges(self.n, self.slots, g + cb, self.w)}
         if cbb > cb:
-            self.live &= (1 << (len(slots) << g + cb)) - 1
-        self.leaves = {**cand(self.cols[g:]), **self.edges}
+            self.live &= (1 << (len(self.slots) << g + cb)) - 1
+        self.leaves = {**cand(self.cols[g:], self.w), **self.edges}
 
     def number(self, c: int) -> tuple[int, int]:
         """The frame mask and the candidate whose bit is c."""
@@ -642,27 +673,22 @@ class _Batch:
 
     def _any(self, x: int) -> int:
         """The candidates whose group has a bit set in x."""
-        for b in range(self.g):
-            x |= x >> (1 << b)
-        return x & self.base
+        low = self.top - self.base  # x's low bits + these carry into top
+        return (((x & low) + low | x) & self.top) >> (1 << self.g) - 1
 
     def run(self, fs: Sequence[Formula], checks: Sequence, ib: int, inst
             ) -> list:
         """Each check over fs (as for _least) over 2**ib instances with
-        leaves inst(cols); witness bits above the check's own repeat them."""
-        if not self.cbb:
-            bests = _least(self.m, fs, checks, ib + self.cb, lambda cols: {
-                **inst(cols), **self.cand(cols[ib:]), **self.edges},
+        leaves inst(cols, w); witness bits above the check's repeat them."""
+        if not self.cbb:    # one candidate, over _least's blocks
+            box = _edges(self.n, self.slots, ib, min(ib, _BLOCK_BITS))
+            bests = _least(self.m, fs, checks, ib + self.cb, lambda cols, w: {
+                **inst(cols, w), **self.cand(cols[ib:], w), Box: box},
                 self.preds, ib, self.c0 << ib)
             return [(int(b is None), lambda c, b=b: b) for b in bests]
-        lv, ones = {**inst(self.cols), **self.leaves}, self.ones
-        sets = _run(_compiled(self.m, fs, lv, self.preds), self.m, lv,
-                    self.full)
-        return [(holds, lambda c, hits=hits: next(
-            (wi, (h & c * ones).bit_length() - c.bit_length())
-            for wi, h in enumerate(hits) if h & c * ones))
-            for holds, hits in _checked(sets, checks, self.full, self.base,
-                                        self._any)]
+        lv = {**inst(self.cols, self.w), **self.leaves}
+        sets = _run(_compiled(self.m, fs, lv, self.preds), self.m, lv, self.w)
+        return _checked(sets, checks, self.n, self.w, self.base, self._any)
 
 
 def _batches(m, cb: int, ibs: Sequence[int], cand, frames, preds=None):
@@ -691,7 +717,7 @@ def _verdict(worlds, best, decode=lambda i: {}) -> Verdict:
 def valid(m: PropModel | FoModel, f: Formula, budget=None) -> Verdict:
     """Truth at every world; the witness is the least failing world in
     declaration order."""
-    best, = _least(m, (f,), [0], 0, lambda cols: {})
+    best, = _least(m, (f,), [0], 0, lambda cols, w: {})
     _as_budget(budget).charge(len(m.worlds))
     return _verdict(m.worlds, best)
 

@@ -1,9 +1,11 @@
 """Axiom/property correspondence reports and frame refutation.
 
 The reports run each as one truth-set program; the oracles below compose
-them from one single-model check per scheme.  Run as a script, this file
-compares the two on every 4-world frame and every barcan_sweep(3, 2) point
-(about a minute): ``PYTHONPATH=src python tests/test_correspondence.py``.
+them from one single-model check per scheme, and every witness a report
+gives is replayed through the reference evaluate, which shares no code with
+either.  Run as a script, this file does both on every 4-world frame and
+every barcan_sweep(3, 2) point (about a minute):
+``PYTHONPATH=src python tests/test_correspondence.py``.
 """
 
 import json
@@ -14,11 +16,12 @@ from functools import partial
 import pytest
 
 from modalkit import (AXIOM_IDS, AXIOM_PROPERTY, AXIOM_SCHEMES, BF_SCHEME,
-                      Box, Budget, CBF_SCHEME, DomainFrame, FoModel, Frame,
-                      PropModel, ResourceLimit, SchemeVar, axiom_report,
-                      axiom_scheme, barcan_report, domain_monotonicity,
-                      evaluate, fo_scheme_valid, frame_property, frame_valid,
-                      meta_implies, parse, refute_on_frame, render)
+                      Box, Budget, CBF_SCHEME, DomainFrame, FlexiblePred,
+                      FoModel, Frame, PropModel, ResourceLimit, SchemeVar,
+                      axiom_report, axiom_scheme, barcan_report,
+                      domain_monotonicity, evaluate, fo_scheme_valid,
+                      frame_property, frame_valid, meta_implies, parse,
+                      refute_on_frame, render)
 from modalkit.model import FRAME_PROPERTIES
 from modalkit.search import enumerate_frames, frame_from_mask
 import modalkit.semantics as sem
@@ -207,6 +210,38 @@ def oracle_barcan_report(df, budget):
             or (bf.holds == cbf.holds)}
 
 
+def replay_axiom_report(fr, report):
+    """Each witness of an axiom report fails under evaluate: the scheme at
+    its world and assignment, and for N, P valid on fr and []P false."""
+    m, P = PropModel(fr, {}), SchemeVar("P")
+    for aid, entry in report["axioms"].items():
+        if "witness" in entry:
+            w, sv = entry["witness"]["world"], entry["witness"]["assignment"]
+            refuted = (all(evaluate(m, P, v, scheme_vals=sv)
+                           for v in fr.worlds)
+                       and not evaluate(m, Box(P), w, scheme_vals=sv)
+                       if aid == "N" else
+                       not evaluate(m, axiom_scheme(aid), w, scheme_vals=sv))
+            assert refuted, (fr.access, aid, entry["witness"])
+
+
+def replay_barcan_report(df, report):
+    """Each witness of a Barcan report fails under evaluate: the scheme at
+    its world, with P interpreted by its (element, world) pairs."""
+    for aid, scheme in (("BF", BF_SCHEME), ("CBF", CBF_SCHEME)):
+        wit = report["axioms"][aid].get("witness")
+        if wit is not None:
+            ext = {w: {(e,) for e, v in wit["interpretation"] if v == w}
+                   for w in df.frame.worlds}
+            fm = FoModel(df, "varying",
+                         flexible_preds={"P": FlexiblePred(1, ext)})
+            assert not evaluate(fm, scheme, wit["world"]), (aid, wit)
+
+
+_REPLAY = {axiom_report: replay_axiom_report,
+           barcan_report: replay_barcan_report}
+
+
 class _Ledger(Budget):
     """A budget that records the running total after each charge."""
 
@@ -221,12 +256,14 @@ class _Ledger(Budget):
 
 def _same_report(report, oracle, x, trips=True):
     """report(x, budget) matches oracle(x, budget) byte for byte, with the
-    same Budget.used, and with a limit one below each running total of
-    the oracle's ledger, both trip with that total used."""
+    same Budget.used, its witnesses replay through evaluate, and with a
+    limit one below each running total of the oracle's ledger, both trip
+    with that total used."""
     want, got = _Ledger(10**9), Budget(10**9)
-    text = json.dumps(oracle(x, want), sort_keys=True)
-    assert json.dumps(report(x, got), sort_keys=True) == text, x
+    text, rep = json.dumps(oracle(x, want), sort_keys=True), report(x, got)
+    assert json.dumps(rep, sort_keys=True) == text, x
     assert got.used == want.used, x
+    _REPLAY[report](x, rep)
     for total in want.totals if trips else ():
         for run in (report, oracle):
             bud = Budget(total - 1)
@@ -279,6 +316,20 @@ class TestReportsMatchOracles:
                 _same_report(barcan_report, oracle_barcan_report,
                              _barcan_point(n, fmask, emask, d))
 
+    def test_replay_refutes_a_moved_witness(self):
+        rep = axiom_report(NONREFL)
+        replay_axiom_report(NONREFL, rep)
+        rep["axioms"]["T"]["witness"]["world"] = "b"    # T holds at b
+        with pytest.raises(AssertionError):
+            replay_axiom_report(NONREFL, rep)
+        fr = Frame(("w0", "w1"), (("w0", "w1"),))
+        df = _df(fr, ("a",), {"w0": ["a"], "w1": []})
+        rep = barcan_report(df)
+        replay_barcan_report(df, rep)
+        rep["axioms"]["CBF"]["witness"]["world"] = "w1"   # no successor
+        with pytest.raises(AssertionError):
+            replay_barcan_report(df, rep)
+
     def test_too_wide_is_refused_as_the_oracle_does(self):
         for report, oracle, x in (
                 (axiom_report, oracle_axiom_report, frame_from_mask(13, 0)),
@@ -293,7 +344,8 @@ class TestReportsMatchOracles:
 
 def main() -> int:
     """Compare both reports with their oracles on every 4-world frame and
-    every barcan_sweep(3, 2) point, budgets included."""
+    every barcan_sweep(3, 2) point, budgets included, and replay every
+    witness they give through evaluate."""
     for name, report, oracle, xs in (
             ("axiom_report", axiom_report, oracle_axiom_report,
              (partial(frame_from_mask, 4, m) for m in range(1 << 16))),
@@ -303,7 +355,8 @@ def main() -> int:
         for x in xs:
             _same_report(report, oracle, x(), trips=False)
             count += 1
-        print(f"{name}: {count} inputs match the oracle")
+        print(f"{name}: {count} inputs match the oracle, witnesses "
+              "replayed through evaluate")
     return 0
 
 

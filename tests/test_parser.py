@@ -209,13 +209,14 @@ def _oracle_tokenize(text: str) -> list[_Token]:
         if group is None:
             continue
         s, word = m.start(), m.group()
-        b += len(text[i:s].encode("utf-8"))
-        end = b + len(word.encode("utf-8"))
+        # a lone surrogate counts as one byte, as the front end counts it
+        b += len(text[i:s].encode("utf-8", "replace"))
+        end = b + len(word.encode("utf-8", "replace"))
         if group == 3:
             raise ParseError(f"unknown token {word!r}", SourceSpan(b, end))
         toks.append(_Token(_KINDS.get(word, "IDENT"), word, SourceSpan(b, end)))
         i = s
-    b += len(text[i:].encode("utf-8"))
+    b += len(text[i:].encode("utf-8", "replace"))
     toks.append(_Token("EOF", "", SourceSpan(b, b)))
     return toks
 

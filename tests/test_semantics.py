@@ -264,10 +264,10 @@ class TestCompiledAgreesWithReference:
         n = len(m.worlds)
         leaves = sem._leaves(fields, domain, n)
         with _block_bits(block_bits):
-            blocks = list(sem._blocks(sum(w for *_, w in fields)))
-        def truths(cols, full):
-            lv = leaves(cols)
-            return sem._run(sem._compiled(m, fs, lv, preds), m, lv, full)
+            blocks = list(sem._blocks(sum(width for *_, width in fields)))
+        def truths(cols, w):
+            lv = {Box: _box(m.frame, w), **leaves(cols, w)}
+            return sem._run(sem._compiled(m, fs, lv, preds), m, lv, w)
         if err is not None:
             with pytest.raises(EvalError) as got:
                 truths(blocks[0][2], blocks[0][1])
@@ -276,14 +276,14 @@ class TestCompiledAgreesWithReference:
                 with pytest.raises(type(err), match=re.escape(str(err))):
                     valid(m, fs[0])
             return
-        for first, full, cols in blocks:
-            sets = truths(cols, full)
-            for i in range(full.bit_length()):
+        for first, w, cols in blocks:
+            sets = truths(cols, w)
+            for i in range(1 << w):
                 model, sv = decoded(first + i)
-                for f, per_world in zip(fs, sets):
-                    assert [x >> i & 1 for x in per_world] == [
-                        evaluate(model, f, w, scheme_vals=sv)
-                        for w in model.worlds], (f, first + i)
+                for f, packed in zip(fs, sets):
+                    assert _unpacked(packed, n, w, i) == [
+                        evaluate(model, f, v, scheme_vals=sv)
+                        for v in model.worlds], (f, first + i)
 
     def test_shared_subformulas_get_one_slot(self):
         # [], <> and []<> of P are shared by B, D and 5; P by all of them
@@ -433,6 +433,18 @@ def _charged(call, used, limit):
     return result
 
 
+def _box(fr, w):
+    """The offset masks of fr's accessibility over blocks of 2**w."""
+    return sem._offsets([(i, j, (1 << (1 << w)) - 1)
+                         for i, s in enumerate(fr.succ) for j in s], w)
+
+
+def _unpacked(packed, n, w, i):
+    """Instance i's bit at each of n worlds of a packed truth set: world
+    wi's block of 2**w bits starts at bit wi << w."""
+    return [packed >> (wi << w) + i & 1 for wi in range(n)]
+
+
 @contextmanager
 def _block_bits(bits):
     """Shrink instance blocks so that small checks span several blocks."""
@@ -493,6 +505,15 @@ class TestTruthSetsMatchScalarScan:
             v = scheme_valid(m, parse("p | P & Q"), bud)
         assert v == Verdict(False, world="b", assignment={"P": (), "Q": ()})
         assert bud.used == 2 * 16
+
+    def test_meta_witness_fails_only_at_the_last_world(self, block_bits):
+        # The premise holds everywhere first at P = {c}, the fifth
+        # instance (in the second block of four), and the conclusion fails
+        # there at c alone, the last world.
+        m = PropModel(Frame(("a", "b", "c")), {"p": ["a", "b"]})
+        with _block_bits(block_bits):
+            v = meta_implies(m, [parse("p | P")], parse("p | ~P"))
+        assert v == Verdict(False, world="c", assignment={"P": ("c",)})
 
     @given(seeded_randoms)
     @_DIFF
