@@ -182,7 +182,8 @@ def _cmd_countermodel(args) -> int:
         return EXIT_HOLDS
     payload = result.to_dict()
     doc = {"command": "countermodel", "found": True, **payload}
-    _emit(args, doc,
+    # the human text is encoded only when it is printed, not under --json
+    _emit(args, doc, "" if args.json else
           "countermodel found:\n" + json.dumps(payload, indent=2))
     return EXIT_FOUND
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import islice, product
 from operator import and_
+from struct import pack
 from typing import Iterable, Mapping, Sequence
 from weakref import ref
 
@@ -92,7 +93,13 @@ FO_PAIRS_LIMIT = 20      # refuse interpretation enumeration beyond 2**20
 
 
 def _env_budget() -> int:
-    raw = os.environ.get("MODALKIT_BUDGET")
+    return _parse_budget(os.environ.get("MODALKIT_BUDGET"))
+
+
+@lru_cache(maxsize=16)
+def _parse_budget(raw: str | None) -> int:
+    """MODALKIT_BUDGET's limit, parsed once per distinct value; a bad value
+    raises ValueError, which is not cached, on every call."""
     if raw is None:
         return DEFAULT_EVAL_BUDGET
     try:
@@ -625,18 +632,51 @@ def _decode(fields, domain: tuple, worlds: tuple, i: int):
     return val, flex, exists
 
 
+@lru_cache(maxsize=256)
+def _lanes(n: int, s: int, v: int, size: int) -> tuple[int, int]:
+    """Over size bits of wide slots of 2**s: each slot's low n bits, and
+    each slot's bit 0 in every one of n blocks of 2**v."""
+    base = ((1 << size) - 1) // ((1 << (1 << s)) - 1)
+    return base * ((1 << n) - 1), sum(base << (i << v) for i in range(n))
+
+
 def _edges(n: int, frames: Sequence[int], slot: int, w: int) -> dict:
     """The offset masks over blocks of 2**w of n-world frames[k], each in
     slot k, bits k << slot to (k + 1) << slot (or all) of each world's block:
-    cell (i, j) covers bit i*n+j's slots."""
+    cell (i, j) covers bit i*n+j's slots.
+
+    Built diagonally: the frames are packed one to a wide slot of 2**s
+    bits, whole bytes that hold a frame, and world i's block takes each
+    frame's row i shifted down by i, so cell (i, i + d) sits at bit d of its
+    slot in every block, and one shift by d and a mask give offset d's
+    mask.  When slots are narrower than that, frames r, r + per, ... are
+    packed and placed in turn, one group per offset r in a wide slot, and
+    blocks narrower than a wide slot are built at its width.  A frame has
+    at most 8 worlds, 64 bits."""
     slot = min(slot, w)
-    ones = (1 << (1 << slot)) - 1
-    base = ((1 << (len(frames) << slot)) - 1) // ones   # each slot's bit 0
-    c = min(n * n, 1 << slot)   # the mask bits one pass places in a slot
-    ys = [sum((m >> e0 & (1 << c) - 1) << (k << slot)
-              for k, m in enumerate(frames)) for e0 in range(0, n * n, c)]
-    return _offsets([(e // n, e % n, (ys[e // c] >> e % c & base) * ones)
-                     for e in range(n * n)], w)
+    s = max(slot, 3, (n * n - 1).bit_length())
+    v = max(w, s)                       # a block holds a wide slot
+    per = 1 << s - slot                 # frames to a wide slot
+    nb = 1 << s - 3                     # a wide slot's bytes
+    unit = {1: "B", 2: "H", 4: "I"}.get(nb, f"Q{nb - 8}x")
+    rows, every = _lanes(n, s, v, -(-len(frames) // per) << s)
+    block = (1 << (1 << w)) - 1
+    out: dict[int, int] = {}
+    for r in range(min(per, len(frames))):
+        group = frames[r::per]
+        y = int.from_bytes(pack(f"<{unit * len(group)}", *group), "little")
+        x = 0
+        for i in range(n):
+            x |= (y >> i * n & rows) << (i << v) >> i
+        for d in range(1 - n, n):
+            col = (x >> d if d >= 0 else x << -d) & every
+            if v > w:   # back to blocks of 2**w
+                col = sum((col >> (i << v) & block) << (i << w)
+                          for i in range(n))
+            if col:
+                out[d << w] = out.get(d << w, 0) | col << (r << slot)
+    # fill each slot from its bit 0
+    return {k: (col << (1 << slot)) - col for k, col in out.items()}
 
 
 class _Batch:

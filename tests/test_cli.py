@@ -311,6 +311,24 @@ class TestCountermodel:
         payload = json.loads(out.split("\n", 1)[1])
         assert payload["certificate"]["worlds"] == 1
 
+    def test_found_json_is_encoded_once(self, capsys, monkeypatch):
+        """--json prints the document alone, and the certificate goes
+        through the encoder once, not again for the unprinted human text."""
+        import modalkit.cli as cli
+        calls, real = [], json.dumps
+
+        def dumps(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli.json, "dumps", dumps)
+        code, out, _ = run(capsys, "countermodel",
+                           "--conclusion", "[]P => P", "--json")
+        monkeypatch.undo()
+        doc = json.loads(out)
+        assert (code, len(calls)) == (EXIT_FOUND, 1)
+        assert out == json.dumps(doc, indent=2) + "\n"
+        assert doc["command"] == "countermodel" and doc["found"] is True
+
     def test_none_under_constraint(self, capsys):
         code, out, _ = run(capsys, "countermodel",
                            "--conclusion", "[]P => P",

@@ -2,14 +2,19 @@
 exhaustive sweeps, and independence of the answer from the jobs count.
 
 Run as a script, this file checks the constrained frame generator against
-the relational reference on all 127 constraint sets at 4 worlds (a few
-seconds): ``PYTHONPATH=src python tests/test_search.py``.
+the relational reference on all 127 constraint sets at 4 worlds, and the
+Barcan sweep, which scans one frame per relabelling class, against the
+labelled oracle at 3 worlds (under a minute):
+``PYTHONPATH=src python tests/test_search.py``.
 """
 
 import multiprocessing.pool
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from itertools import combinations, permutations, product
 
 import pytest
@@ -1433,18 +1438,28 @@ class TestSlicedScanMatchesPerCandidateScan:
                         used, rng)
 
 
+@contextmanager
+def _perturbed_exchange():
+    """Exchange schemes that fail on some frames of every kind, for the
+    sweep and its oracle: forall x P(x) against its boxed form."""
+    bf = parse("(forall x. P(x)) => []forall x. P(x)")
+    cbf = parse("[](forall x. P(x)) => forall x. P(x)")
+    old = search.BF_SCHEME, search.CBF_SCHEME
+    search.BF_SCHEME, search.CBF_SCHEME = bf, cbf
+    globals().update(BF_SCHEME=bf, CBF_SCHEME=cbf)  # the oracle's schemes
+    try:
+        yield
+    finally:
+        search.BF_SCHEME, search.CBF_SCHEME = old
+        globals().update(BF_SCHEME=old[0], CBF_SCHEME=old[1])
+
+
 @pytest.mark.parametrize("block_bits", [12, 3])
-def test_sweep_reports_violations_as_the_oracle_does(monkeypatch, block_bits):
+def test_sweep_reports_violations_as_the_oracle_does(block_bits):
     """With perturbed exchange schemes every check of the sweep reports
     violations, the symmetric-frame check included, and each chunk's report
     and Budget.used match the per-model oracle's."""
-    bf = parse("(forall x. P(x)) => []forall x. P(x)")
-    cbf = parse("[](forall x. P(x)) => forall x. P(x)")
-    monkeypatch.setattr(search, "BF_SCHEME", bf)
-    monkeypatch.setattr(search, "CBF_SCHEME", cbf)
-    monkeypatch.setitem(globals(), "BF_SCHEME", bf)   # the oracle's schemes
-    monkeypatch.setitem(globals(), "CBF_SCHEME", cbf)
-    with _block_bits(block_bits):
+    with _perturbed_exchange(), _block_bits(block_bits):
         _chunk_ledger(search._sweep_chunk, _oracle_sweep_chunk,
                       [(1, 2), (2, 2)], None)
         violations = barcan_sweep(2, 2)["violations"]
@@ -1455,6 +1470,63 @@ def test_sweep_reports_violations_as_the_oracle_does(monkeypatch, block_bits):
                                          "cbf_vs_nondecreasing")
                       for sym in (False, True)} | \
         {("bf_iff_cbf_on_symmetric", True)}
+
+
+def _sweep_against_oracle(stage, ranges):
+    """_sweep_chunk, which scans one frame per relabelling class, against
+    the labelled oracle on each range of the stage's frames at block widths
+    12 and 3: the same violations in the same order, and Budget.used.
+    Returns the number of violations on each range."""
+    counts = []
+    for masks in ranges:
+        bud = Budget(10**12)
+        want = _oracle_sweep_chunk(stage, masks, None, bud), bud.used
+        for bits in (12, 3):
+            with _block_bits(bits):
+                bud = Budget(10**12)
+                got = search._sweep_chunk(stage, masks, None, bud), bud.used
+            assert got == want, (stage, masks, bits)
+        counts.append(len(want[0][1]))
+    return counts
+
+
+@pytest.mark.parametrize("stage", [(3, 1), (3, 2)])
+def test_orbit_sweep_matches_the_labelled_oracle(stage):
+    """With perturbed exchange schemes, which fail on some frames of every
+    kind, on the whole 3-world stage and on two seeded sub-ranges, whose
+    frames' representatives may lie outside them."""
+    rng = random.Random(stage[1])
+    ranges = [range(*sorted(rng.sample(range(513), 2))) for _ in range(2)]
+    with _perturbed_exchange():
+        counts = _sweep_against_oracle(stage, [range(512), *ranges])
+    assert counts[0] == {(3, 1): 2754, (3, 2): 16830}[stage]
+    assert all(counts[1:])
+
+
+@pytest.mark.parametrize("n, classes", [(1, 2), (2, 10), (3, 104)])
+def test_orbit_table_matches_relabelling_by_brute_force(n, classes):
+    """Each mask's representative is the least of its brute-force orbit,
+    its stored permutation takes the representative to it, and the orbit
+    sizes sum to every labelled frame."""
+    table = search._orbits(n)
+    sizes = Counter(rep for rep, _ in table)
+    assert (len(table), len(sizes)) == (1 << n * n, classes)
+    assert sum(sizes.values()) == 1 << n * n
+    for m, (rep, perm) in enumerate(table):
+        orbit = relabel_orbit(n, m)
+        assert (rep, sizes[rep]) == (min(orbit), len(orbit)), m
+        assert search._relabel(perm, rep, n, perm) == m
+
+
+def test_orbit_table_is_built_on_first_use_up_to_the_ceiling():
+    out = subprocess.run(
+        [sys.executable, "-c", "import modalkit.search as s; "
+         "print(s._orbits.cache_info().currsize)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout == "0\n"
+    with pytest.raises(ValueError, match="no orbit table above 3 worlds"):
+        search._orbits(search.FO_WORLD_CEILING + 1)
 
 
 class TestCandidateColumnsMatchReference:
@@ -1581,10 +1653,30 @@ class TestCandidateColumnsMatchReference:
 
 def main() -> int:
     """The generator against the relational reference on all 127
-    constraint sets at 4 worlds, whole and in sub-ranges."""
+    constraint sets at 4 worlds, whole and in sub-ranges; the orbit sweep
+    against the labelled oracle at 3 worlds, with perturbed schemes on
+    every sub-range and as barcan_sweep(3, 2)."""
     _check_generated_masks(4, _ALL_CONSTRAINT_SETS)
     print(f"_masks: {len(_ALL_CONSTRAINT_SETS)} constraint sets match the "
           "relational reference on all 65536 4-world frames")
+    with _perturbed_exchange():
+        for stage in ((3, 1), (3, 2)):
+            counts = _sweep_against_oracle(
+                stage, [range(512), *(range(*r) for r in _ranges(512))])
+            print(f"_sweep_chunk{stage}: {counts[0]} violations under "
+                  "perturbed schemes, as the labelled oracle gives them, "
+                  f"whole and on {len(counts) - 1} sub-ranges")
+    runs = []
+    for chunk in (search._sweep_chunk, _oracle_sweep_chunk):
+        search._sweep_chunk, real = chunk, search._sweep_chunk
+        try:
+            bud = Budget(10**12)
+            runs.append((barcan_sweep(3, 2, budget=bud), bud.used))
+        finally:
+            search._sweep_chunk = real
+    assert runs[0] == runs[1], runs
+    print(f"barcan_sweep(3, 2): {runs[0][0]['checked']} pairs and "
+          f"{runs[0][1]} budget units, as the labelled oracle gives them")
     return 0
 
 

@@ -439,6 +439,34 @@ def _box(fr, w):
                          for i, s in enumerate(fr.succ) for j in s], w)
 
 
+def _edges_by_cell(n, frames, slot, w):
+    """_edges built cell by cell: cell (i, j) of frames[k] fills slot k of
+    world i's block in offset j - i's mask."""
+    slot = min(slot, w)
+    ones = (1 << (1 << slot)) - 1
+    return sem._offsets([(i, j, sum(ones << (k << slot)
+                                    for k, m in enumerate(frames)
+                                    if m >> i * n + j & 1))
+                         for i in range(n) for j in range(n)], w)
+
+
+@pytest.mark.parametrize("block_bits", [12, 3])
+def test_diagonal_edges_match_the_per_cell_construction(block_bits):
+    """Seeded frame lists at every world count a scan reaches, on blocks of
+    up to 2**block_bits bits, with slots from one bit to a whole block
+    (narrower than a frame, and blocks narrower than a row's diagonals,
+    included), some frames empty or total."""
+    rng = random.Random(block_bits)
+    for _ in range(300):
+        n, w = rng.randint(1, 4), rng.randint(0, block_bits)
+        slot = rng.randint(0, w + 1)
+        k = rng.randint(1, min(1 << w - min(slot, w), 200))
+        frames = [rng.choice((0, (1 << n * n) - 1, rng.randrange(1 << n * n)))
+                  for _ in range(k)]
+        assert sem._edges(n, frames, slot, w) == \
+            _edges_by_cell(n, frames, slot, w), (n, frames, slot, w)
+
+
 def _unpacked(packed, n, w, i):
     """Instance i's bit at each of n worlds of a packed truth set: world
     wi's block of 2**w bits starts at bit wi << w."""
@@ -879,6 +907,22 @@ class TestBudgets:
     def test_zero_limit_budget(self, chain_model):
         with pytest.raises(ResourceLimit):
             valid(chain_model, parse("g"), budget=Budget(0))
+
+    def test_env_limit_is_parsed_once_per_value(self, monkeypatch):
+        """Budget() reads MODALKIT_BUDGET on every call but parses each
+        distinct value once; a bad value raises on every call."""
+        monkeypatch.setenv("MODALKIT_BUDGET", "12345")
+        sem._parse_budget.cache_clear()
+        assert [Budget().limit for _ in range(3)] == [12345] * 3
+        assert sem._parse_budget.cache_info().misses == 1
+        monkeypatch.setenv("MODALKIT_BUDGET", "777")
+        assert Budget().limit == 777
+        monkeypatch.setenv("MODALKIT_BUDGET", "12x")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="MODALKIT_BUDGET"):
+                Budget()
+        monkeypatch.delenv("MODALKIT_BUDGET")
+        assert Budget().limit == sem.DEFAULT_EVAL_BUDGET
 
     def test_bit_ceiling(self):
         m = PropModel(Frame(tuple(f"w{i}" for i in range(7))), {})
