@@ -36,7 +36,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from typing import Iterable, Iterator
 
 from .formula import (And, Box, Exists, Formula, Imp, SchemeVar, const_names,
@@ -84,25 +84,41 @@ def frame_mask(fr: Frame) -> int:
     return sum(r << (i * len(fr.rows)) for i, r in enumerate(fr.rows))
 
 
+@lru_cache(maxsize=1024)
+def _row_tables(perm: tuple[int, ...], width: int, cols: tuple[int, ...]):
+    """_relabel's lookups, built on first use: per chunk of 4 columns of
+    each row i, (its offset in the mask, its value mask, table, perm[i] *
+    width), where table[v] is the chunk's value v with column j moved to
+    cols[j]; a table has at most 16 entries, shared by every row, so each
+    permutation's tables are cheap to build."""
+    chunks = []
+    for k in range(0, width, 4):
+        table = [0]
+        for j in cols[k:k + 4]:
+            table += [t | 1 << j for t in table]
+        chunks.append((k, len(table) - 1, tuple(table)))
+    return tuple((i * width + k, v, table, p * width)
+                 for i, p in enumerate(perm) for k, v, table in chunks)
+
+
 def _relabel(perm: tuple[int, ...], mask: int, width: int,
              cols: tuple[int, ...] | None = None) -> int:
     """mask with world i renamed perm[i]: bit i*width+j moves to
-    perm[i]*width + cols[j], or + j without cols.  A frame mask is renamed
-    with cols=perm, an existence mask (width the domain size) without."""
-    return sum(1 << (perm[i] * width + (cols[j] if cols else j))
-               for i, j in _pairs(range(len(perm)), range(width), mask))
-
-
-def _canonical_mask(n: int, mask: int) -> int:
-    return min(_relabel(perm, mask, n, perm)
-               for perm in permutations(range(n)))
+    perm[i]*width + cols[j], or + j without cols, by lookups in
+    _row_tables.  A frame mask is renamed with cols=perm, an existence
+    mask (width the domain size) without."""
+    out = 0
+    for a, v, table, b in _row_tables(perm, width,
+                                      cols or tuple(range(width))):
+        out |= table[mask >> a & v] << b
+    return out
 
 
 @lru_cache(maxsize=None)
 def _orbits(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Per n-world frame mask, the least mask of its relabelling class (its
     orbit representative) and a world permutation that takes that
-    representative to it; built on first use, for n up to
+    representative to it, by _relabel; built on first use, for n up to
     FO_WORLD_CEILING.  Masks are visited in ascending order, so the first
     one not yet placed is the least of its orbit."""
     if n > FO_WORLD_CEILING:
@@ -160,13 +176,16 @@ def enumerate_frames(n: int, constraints: Iterable[str] = (),
                      dedup: bool = False) -> Iterator[Frame]:
     """All labelled frames on n worlds in ascending bitmask order, filtered
     by the named constraints.  With ``dedup`` only the least representative
-    of each relabelling (isomorphism) class is yielded.  Bad arguments are
-    rejected immediately; the frames themselves come lazily."""
+    of each relabelling (isomorphism) class is yielded: a mask is kept when
+    no world permutation gives a smaller one, and dropped at the first that
+    does.  Bad arguments are rejected immediately; the frames themselves
+    come lazily."""
     if n < 1:
         raise ValueError("need at least one world")
     masks = _masks(n, range(1 << (n * n)), _check_constraints(constraints))
-    return (frame_from_mask(n, m) for m in masks
-            if not dedup or _canonical_mask(n, m) == m)
+    return (frame_from_mask(n, m) for m in masks if not dedup or all(
+        _relabel(p, m, n, p) >= m
+        for p in islice(permutations(range(n)), 1, None)))    # no identity
 
 
 def _domain_names(d: int) -> tuple[str, ...]:

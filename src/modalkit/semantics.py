@@ -268,8 +268,10 @@ def _ev(m, f: Formula, w: str, env: Env, sv: Mapping[str, frozenset[str]]) -> bo
 # Truth sets (internal fast path)
 #
 # A check's instances (scheme instantiations, hole interpretations) are
-# numbered in its scan order and taken in blocks of 2**w <= 2**_BLOCK_BITS.
-# A subformula's truth set over a block is one int, each world's 2**w bits
+# numbered in its scan order and taken in blocks of 2**w: a single model's
+# scan in blocks of at most 2**_BLOCK_BITS, a search's batches in blocks
+# that grow to 2**(_BLOCK_BITS + _WIDE_BITS) (see _batches).  A
+# subformula's truth set over a block is one int, each world's 2**w bits
 # packed in turn: bit (wi << w) + i is set iff it holds at world wi under
 # the block's instance i.
 #
@@ -279,6 +281,7 @@ def _ev(m, f: Formula, w: str, env: Env, sv: Mapping[str, frozenset[str]]) -> bo
 # numbering, as in hash-consing): one label per subformula and block.
 
 _BLOCK_BITS = 12
+_WIDE_BITS = 4      # how far a search's later batches grow past one block
 _COLUMNS: dict[int, tuple[int, ...]] = {}
 
 
@@ -300,13 +303,15 @@ def _columns(width: int) -> tuple[int, ...]:
     return cols
 
 
-def _blocks(bits: int, span: int | None = None, start: int = 0):
-    """Yield (first instance, w, cols) for each block of 2**w of the
-    2**span instances from start (all 2**bits by default), ascending;
-    cols[b] is instance bit b over the block, a cached column for the low
-    bits and constant for the block's own."""
+def _blocks(bits: int, span: int | None = None, start: int = 0,
+            cap: int | None = None):
+    """Yield (first instance, w, cols) for each block of 2**w, w at most
+    cap (by default _BLOCK_BITS), of the 2**span instances from start (all
+    2**bits by default), ascending; cols[b] is instance bit b over the
+    block, a cached column for the low bits and constant for the block's
+    own."""
     span = bits if span is None else span
-    width = min(span, _BLOCK_BITS)
+    width = min(span, _BLOCK_BITS if cap is None else cap)
     full = (1 << (1 << width)) - 1
     low = _columns(width) if width else ()
     for first in range(start, start + (1 << span), 1 << width):
@@ -636,7 +641,11 @@ def _decode(fields, domain: tuple, worlds: tuple, i: int):
 def _lanes(n: int, s: int, v: int, size: int) -> tuple[int, int]:
     """Over size bits of wide slots of 2**s: each slot's low n bits, and
     each slot's bit 0 in every one of n blocks of 2**v."""
-    base = ((1 << size) - 1) // ((1 << (1 << s)) - 1)
+    base, span = 1, 1 << s
+    while span < size:      # each slot's bit 0, by doubling
+        base |= base << span
+        span <<= 1
+    base &= (1 << size) - 1
     return base * ((1 << n) - 1), sum(base << (i << v) for i in range(n))
 
 
@@ -683,18 +692,21 @@ class _Batch:
     """Candidates c0 .. c0 + 2**cbb - 1 of a space of 2**cb candidates on
     each of ``frames`` (masks) over the base model m: candidate k << cb | c
     is candidate c on frames[k], and ``cand(cols, w)`` gives its leaves
-    from the columns of the candidate bits.  Candidate c0 + i is group i,
-    2**g bits, of each world's block, its mask the group's bit 0 (bit 0 for
-    a batch of one); frames' slots of 2**(g + cb) bits give the offset masks,
-    and live drops from base the slots past the end of frames.  The checks
-    give (holds, witness): the candidates where the check holds, and
-    witness(c) the (world index, instance) of candidate bit c's failure."""
+    from the columns of the candidate bits.  A batch is one block of 2**w,
+    w = g + cbb, which _batches keeps to at most _BLOCK_BITS + _WIDE_BITS.
+    Candidate c0 + i is group i, 2**g bits, of each world's block, its mask
+    the group's bit 0 (bit 0 for a batch of one); frames' slots of
+    2**(g + cb) bits give the offset masks, and live drops from base the
+    slots past the end of frames.  The checks give (holds, witness): the
+    candidates where the check holds, and witness(c) the (world index,
+    instance) of candidate bit c's failure."""
 
     def __init__(self, m, cb: int, c0: int, cbb: int, g: int, cand, preds,
                  frames):
         self.m, self.cb, self.c0, self.cbb, self.g = m, cb, c0, cbb, g
         self.cand, self.preds, self.frames = cand, preds, frames
-        _, self.w, self.cols = next(_blocks(g + cb, g + cbb, c0 << g))
+        _, self.w, self.cols = next(_blocks(g + cb, g + cbb, c0 << g,
+                                            g + cbb))
         self.n, self.full = len(m.worlds), (1 << (1 << self.w)) - 1
         self.every = (1 << (self.n << self.w)) - 1
         self.base = self.live = self.full // ((1 << (1 << g)) - 1)
@@ -735,13 +747,19 @@ def _batches(m, cb: int, ibs: Sequence[int], cand, frames, preds=None):
     """The batches of 2**cb candidates on each of the masks ``frames``
     gives, in turn (see _Batch), as many to a block as the widest of checks
     with ``ibs`` instance bits leaves room for; the masks are drawn lazily,
-    as many as fill a block at a time."""
+    a piece at a time.  The first piece fills one block of 2**_BLOCK_BITS,
+    so an early hit costs no more than that, and each later piece doubles
+    the candidates, up to blocks of 2**(_BLOCK_BITS + _WIDE_BITS), so a
+    long scan builds and runs few batches.  A check whose instances fill a
+    block alone leaves no room, and its candidates go one at a time."""
     top, frames = max(ibs, default=0), iter(frames)
     room = max(0, _BLOCK_BITS - top)    # the candidate bits of a block
+    wide = room and _BLOCK_BITS + _WIDE_BITS - top
     while piece := list(islice(frames, 1 << max(0, room - cb))):
         cbb = min(cb + (len(piece) - 1).bit_length(), room)
         for c0 in range(0, len(piece) << cb, 1 << cbb):
             yield _Batch(m, cb, c0, cbb, top if cbb else 0, cand, preds, piece)
+        room = min(room + 1, wide)
 
 
 # ---------------------------------------------------------------------------

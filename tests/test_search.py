@@ -2,8 +2,9 @@
 exhaustive sweeps, and independence of the answer from the jobs count.
 
 Run as a script, this file checks the constrained frame generator against
-the relational reference on all 127 constraint sets at 4 worlds, and the
-Barcan sweep, which scans one frame per relabelling class, against the
+the relational reference on all 127 constraint sets at 4 worlds, the 3044
+frames ``enumerate_frames(4, dedup=True)`` gives against brute force, and
+the Barcan sweep, which scans one frame per relabelling class, against the
 labelled oracle at 3 worlds (under a minute):
 ``PYTHONPATH=src python tests/test_search.py``.
 """
@@ -14,7 +15,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import combinations, permutations, product
 
 import pytest
@@ -104,6 +105,15 @@ class TestFrameEnumeration:
             got = [frame_mask(f) for f in enumerate_frames(n, dedup=True)]
             assert got == sorted(classes)
             assert len(got) == expect
+
+    def test_dedup_counts_are_the_unlabelled_digraphs(self):
+        """1, 2, 10, 104 and 3044 classes (OEIS A000595); to 3 worlds the
+        orbit table's representatives, the least of each class."""
+        for n, expect in ((1, 2), (2, 10), (3, 104), (4, 3044)):
+            got = [frame_mask(f) for f in enumerate_frames(n, dedup=True)]
+            assert len(got) == expect
+            if n <= 3:
+                assert got == sorted({rep for rep, _ in search._orbits(n)})
 
     def test_dedup_n2_representatives(self):
         got = [frame_mask(f) for f in enumerate_frames(2, dedup=True)]
@@ -1529,6 +1539,150 @@ def test_orbit_table_is_built_on_first_use_up_to_the_ceiling():
         search._orbits(search.FO_WORLD_CEILING + 1)
 
 
+def _pairwise_relabel(perm, mask, width, cols=None):
+    """The per-bit definition that _relabel's row tables replaced, kept as
+    its oracle: bit i*width+j moves to perm[i]*width + cols[j], or + j."""
+    return sum(1 << (perm[i] * width + (cols[j] if cols else j))
+               for i, j in _pairs(range(len(perm)), range(width), mask))
+
+
+def test_row_table_relabel_matches_the_pairwise_definition():
+    """Every world permutation to 4 worlds on seeded frame masks (with
+    cols=perm) and existence masks to domain 3 (without), and seeded
+    permutations of 5, 9 and 12 worlds, whose rows span two or three
+    4-column chunks."""
+    rng = random.Random(0)
+    for n in range(1, 5):
+        for perm in permutations(range(n)):
+            frames = [0, (1 << n * n) - 1,
+                      *(rng.getrandbits(n * n) for _ in range(24))]
+            for mask in frames:
+                assert search._relabel(perm, mask, n, perm) == \
+                    _pairwise_relabel(perm, mask, n, perm), (perm, mask)
+            for d in range(4):
+                for mask in {0, (1 << d * n) - 1, rng.getrandbits(d * n)}:
+                    assert search._relabel(perm, mask, d) == \
+                        _pairwise_relabel(perm, mask, d), (perm, d, mask)
+    for n in (5, 9, 12):
+        for _ in range(8):
+            perm = tuple(rng.sample(range(n), n))
+            mask = rng.getrandbits(n * n)
+            assert search._relabel(perm, mask, n, perm) == \
+                _pairwise_relabel(perm, mask, n, perm), (perm, mask)
+
+
+def _in_blocks_of_8(call, *args):
+    with _block_bits(3):
+        return call(*args)
+
+
+def _recorded_batches(monkeypatch, call):
+    """(slot count, block width w) of each _Batch of the last stage that
+    call scans."""
+    stages, real = [], search._batches
+
+    def recording(*args, **kwargs):
+        stages.append([])
+        for b in real(*args, **kwargs):
+            stages[-1].append((len(b.slots), b.w))
+            yield b
+    monkeypatch.setattr(search, "_batches", recording)
+    call()
+    return stages[-1]
+
+
+@pytest.mark.parametrize("call, pieces, ws", [
+    # the 104 representatives at 3 worlds, domain 2: 6 hole bits under 6
+    # existence bits, one frame to the first block
+    pytest.param(lambda: barcan_sweep(3, 2), [1, 2, 4, 8, *[16] * 5, 9],
+                 [12, 13, 14, 15, *[16] * 6], id="barcan_sweep(3, 2)"),
+    # K over p, q on the 65536 4-world frames: no instance bits under 8
+    # valuation bits, 16 frames to the first block, and the last piece's
+    # 16 in one block of 2**12
+    pytest.param(lambda: find_countermodel(SearchSpec(
+        parse("[](p => q) => ([]p => []q)"), max_worlds=4)),
+        [16, 32, 64, 128, *[256] * 255, 16],
+        [12, 13, 14, 15, *[16] * 255, 12], id="K over p, q at 4 worlds"),
+    # in blocks of 8 the 4 hole bits at 2 worlds, domain 2, leave no room:
+    # the 16 existence masks on each of the 10 representatives go one at a
+    # time, and never grow
+    pytest.param(lambda: _in_blocks_of_8(barcan_sweep, 2, 2), [1] * 160,
+                 [0] * 160, id="barcan_sweep(2, 2) in blocks of 8"),
+])
+def test_later_batches_grow_to_the_cap(monkeypatch, call, pieces, ws):
+    """A stage's first batch fills one block of 2**_BLOCK_BITS, as a
+    block always did, each later piece doubles its frames and its block,
+    and blocks stop at 2**(_BLOCK_BITS + _WIDE_BITS)."""
+    widths = _recorded_batches(monkeypatch, call)
+    assert widths == list(zip(pieces, ws))
+
+
+_K_PQ = SearchSpec(parse("[](p => q) => ([]p => []q)"))
+# (block bits, worker, stage, arg, perturbed): stages whose checks leave a
+# block room for candidates, so that batches grow, at both block widths;
+# the sweeps under perturbed exchanges, which report on every kind of
+# frame, and searches with no hit in the stage or one in a grown batch
+_GROWTH_CASES = {
+    "sweep (3, 2)": (12, search._sweep_chunk, (3, 2), None, True),
+    "sweep (2, 1) in blocks of 8": (3, search._sweep_chunk, (2, 1), None,
+                                    True),
+    "agree (3, 2)": (12, search._agree_chunk, (3, 2), None, True),
+    "agree (2, 1) in blocks of 8": (3, search._agree_chunk, (2, 1), None,
+                                    True),
+    "divergence (3, 2)": (12, search._div_chunk, (3, 2), None, False),
+    "divergence (2, 1) in blocks of 8": (3, search._div_chunk, (2, 1), None,
+                                         False),
+    "K over p, q": (12, search._spec_chunk, (3,), _K_PQ, False),
+    "K over p, q in blocks of 8": (3, search._spec_chunk, (3,), _K_PQ,
+                                   False),
+    "hit at frame 102": (12, search._spec_chunk, (3,), SearchSpec(
+        parse("~(p & q & <>(p & ~q) & <><>(~p & q))"),
+        premise_formulas=(parse("<>(p | ~p) & (p => <>~p)"),)), False),
+    "BF constant (3, 2)": (12, search._spec_chunk, (3, 2), SearchSpec(
+        BF_SCHEME, max_worlds=3, max_domain=2), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GROWTH_CASES))
+def test_growing_batches_give_what_one_block_gives(monkeypatch, case):
+    """Payload and Budget.used of each worker on the whole stage and on
+    two seeded sub-ranges, with blocks that grow and with _WIDE_BITS 0,
+    where every batch stays within one block of 2**_BLOCK_BITS."""
+    block_bits, worker, stage, arg, perturbed = _GROWTH_CASES[case]
+    if perturbed:   # the agreement sweep's exchange
+        def lhs(hole="P"):
+            return Forall("x", PredAtom(hole, (BoundVar("x"),)))
+        for module in (sem, search):
+            monkeypatch.setattr(module, "BF_LHS", lhs)
+            monkeypatch.setattr(module, "BF_RHS", lambda h="P": Box(lhs(h)))
+    rng = random.Random(case)
+    total = 1 << stage[0] ** 2
+    ranges = [range(total), *(range(*sorted(rng.sample(range(total + 1), 2)))
+                              for _ in range(2))]
+    real, widest = search._batches, Counter()
+
+    def measured(*args, **kwargs):
+        for b in real(*args, **kwargs):
+            widest[sem._WIDE_BITS] = max(widest[sem._WIDE_BITS], b.w)
+            yield b
+    monkeypatch.setattr(search, "_batches", measured)
+    with _block_bits(block_bits), \
+            (_perturbed_exchange() if perturbed else nullcontext()):
+        for masks in ranges:
+            outs = []
+            for wide in (sem._WIDE_BITS, 0):
+                with monkeypatch.context() as mp:
+                    mp.setattr(sem, "_WIDE_BITS", wide)
+                    bud = Budget(10**12)
+                    outs.append((_plain(worker(stage, masks, arg, bud)),
+                                 bud.used))
+            assert outs[0] == outs[1], masks
+            if masks == ranges[0]:
+                # the stage's batches grew, and the sweeps reported
+                assert widest[sem._WIDE_BITS] > widest[0], widest
+                assert not perturbed or outs[0][0][1]
+
+
 class TestCandidateColumnsMatchReference:
     """Bit c of the truth sets over the leaves of an instance space is
     evaluate on the model (and instantiation) that instance number c
@@ -1653,12 +1807,19 @@ class TestCandidateColumnsMatchReference:
 
 def main() -> int:
     """The generator against the relational reference on all 127
-    constraint sets at 4 worlds, whole and in sub-ranges; the orbit sweep
-    against the labelled oracle at 3 worlds, with perturbed schemes on
-    every sub-range and as barcan_sweep(3, 2)."""
+    constraint sets at 4 worlds, whole and in sub-ranges; the 4-world
+    classes that enumerate_frames dedups to against brute force; the orbit
+    sweep against the labelled oracle at 3 worlds, with perturbed schemes
+    on every sub-range and as barcan_sweep(3, 2)."""
     _check_generated_masks(4, _ALL_CONSTRAINT_SETS)
     print(f"_masks: {len(_ALL_CONSTRAINT_SETS)} constraint sets match the "
           "relational reference on all 65536 4-world frames")
+    reps = [frame_mask(f) for f in enumerate_frames(4, dedup=True)]
+    assert len(reps) == 3044, len(reps)
+    for m in reps:
+        assert min(relabel_orbit(4, m)) == m, m
+    print(f"enumerate_frames(4, dedup=True): {len(reps)} frames, each the "
+          "least of its brute-force relabelling class")
     with _perturbed_exchange():
         for stage in ((3, 1), (3, 2)):
             counts = _sweep_against_oracle(

@@ -931,17 +931,26 @@ class TestBudgets:
 
     def test_scheme_bit_ceiling_is_scanned_in_blocks(self):
         # 6 metavariables on 4 worlds: 2**24 instances at each world, all
-        # charged, with no column wider than one 2**12-instance block.
+        # charged, with no column wider than one 2**12-instance block.  The
+        # column cache is process-wide, and a search's wide batches leave
+        # wider columns in it, so this check reads only what this scan
+        # builds.
         fr = Frame(("a", "b", "c", "d"),
                    (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
                     ("a", "a")))
         k_or = "[](A => B) => ([]A => []B) | C & D & E & F"
         bud = Budget(10**8)
-        assert frame_valid(fr, parse(k_or), bud).holds
+        saved = dict(sem._COLUMNS)
+        sem._COLUMNS.clear()
+        try:
+            assert frame_valid(fr, parse(k_or), bud).holds
+            built = dict(sem._COLUMNS)
+        finally:
+            sem._COLUMNS.clear()
+            sem._COLUMNS.update(saved)
         assert bud.used == 4 * 2**24
-        assert sem._COLUMNS and all(c.bit_length() <= 1 << 12
-                                    for cols in sem._COLUMNS.values()
-                                    for c in cols)
+        assert built and all(c.bit_length() <= 1 << 12
+                             for cols in built.values() for c in cols)
         with pytest.raises(ResourceLimit, match=r"4\*7 = 28 bits"):
             frame_valid(fr, parse(k_or + " & G"), Budget(10**8))
 
