@@ -18,10 +18,11 @@ from typing import Mapping
 
 from .formula import Box, Formula, SchemeVar
 from .model import (DomainFrame, FoModel, Frame, FRAME_PROPERTIES,
-                    PropModel, domain_monotonicity, frame_property)
+                    PropModel, _bits, _pairs, _rows_pass,
+                    domain_monotonicity, frame_property)
 from .parser import parse
-from .semantics import (Verdict, _as_budget, _decode, _fields, _fo_verdicts,
-                        _leaves, _least, _scheme_bits, frame_valid)
+from .semantics import (_as_budget, _fields, _fo_least, _leaves, _least,
+                        _scheme_bits, frame_valid)
 
 __all__ = [
     "AXIOM_IDS", "AXIOM_SCHEMES", "AXIOM_PROPERTY", "axiom_scheme",
@@ -45,15 +46,15 @@ AXIOM_SCHEMES: Mapping[str, str | None] = {
 
 AXIOM_IDS = tuple(AXIOM_SCHEMES)
 
-# The relational property each axiom characterises; K and N hold on every
-# frame and have no property to pair with.
-AXIOM_PROPERTY: Mapping[str, str] = {
-    "T": "reflexive",
-    "4": "transitive",
-    "B": "symmetric",
-    "D": "serial",
-    "5": "euclidean",
-}
+# axiom_report's entries: the axiom, the relational property it characterises
+# (None for K and N, which hold on every frame), and the formulas and
+# metavariables charged: N is P and []P, and only K's instances span Q.
+_REPORT = (("K", None, 1, 2), ("T", "reflexive", 1, 1),
+           ("4", "transitive", 1, 1), ("B", "symmetric", 1, 1),
+           ("D", "serial", 1, 1), ("5", "euclidean", 1, 1), ("N", None, 2, 1))
+_REPORT_CHECKS = (0, 1, 2, 3, 4, 5, ((6,), 7))
+
+AXIOM_PROPERTY: Mapping[str, str] = {a: p for a, p, *_ in _REPORT if p}
 
 @lru_cache(maxsize=None)
 def axiom_scheme(axiom_id: str) -> Formula:
@@ -68,11 +69,6 @@ BF_SCHEME = parse(AXIOM_SCHEMES["BF"])
 CBF_SCHEME = parse(AXIOM_SCHEMES["CBF"])
 
 
-def _entry(verdict: Verdict, prop: bool) -> dict:
-    return {"holds": verdict.holds, "property": prop,     # then a witness
-            "consistent": verdict.holds == prop, **verdict.to_dict()}
-
-
 @lru_cache(maxsize=None)
 def _report_formulas() -> tuple[Formula, ...]:
     """K, T, 4, B, D, 5, and N's premise P and conclusion □P."""
@@ -82,25 +78,25 @@ def _report_formulas() -> tuple[Formula, ...]:
 def axiom_report(fr: Frame, budget=None) -> dict:
     """Schematic validity of K/T/4/B/D/5 plus the meta rule N on a frame,
     against the frame's relational properties.  The instances are K's, P's
-    world mask above Q's, where a scheme in P alone first fails at Q = {}."""
+    world mask above Q's."""
     bud = _as_budget(budget)
-    props = {p: frame_property(fr, p) for p in FRAME_PROPERTIES}
-    worlds, n = fr.worlds, len(fr.worlds)
-    bits, fields = _scheme_bits(n, 2), _fields(n, 0, (), ("P", "Q"))
+    rows, worlds, n = fr.rows, fr.worlds, len(fr.worlds)
+    props = {p: _rows_pass(rows, p) for p in FRAME_PROPERTIES}
+    bits = _scheme_bits(n, 2)
     axioms: dict[str, dict] = {}
-    for aid, best in zip("KT4BD5N", _least(
-            PropModel(fr, {}), _report_formulas(),
-            [0, 1, 2, 3, 4, 5, ((6,), 7)], bits, _leaves(fields, (), n))):
-        # K spans P and Q, the rest P alone (fields[1:]), N is two formulas
-        bud.charge((1 + (aid == "N")) * n << (bits if aid == "K" else n))
-        prop = AXIOM_PROPERTY.get(aid)
+    for (aid, prop, k, v), best in zip(_REPORT, _least(
+            PropModel(fr, {}), _report_formulas(), _REPORT_CHECKS, bits,
+            _leaves(_fields(n, 0, (), ("P", "Q")), (), n))):
+        bud.charge(k * n << v * n)
         has = prop is None or props[prop]
         e = axioms[aid] = {"holds": best is None, "property": has,
                            "consistent": (best is None) == has}
         if best:
-            val = _decode(fields[aid != "K":], (), worlds, best[1])[0]
-            e["witness"] = {"world": worlds[best[0]], "assignment": {
-                k: list(v) for k, v in sorted(val.items())}}
+            wi, i = best
+            val = {"P": list(_bits(worlds, i >> n))}
+            if v == 2:
+                val["Q"] = list(_bits(worlds, i & (1 << n) - 1))
+            e["witness"] = {"world": worlds[wi], "assignment": val}
         if prop:
             e["frame_property"] = prop
     return {"properties": props, "axioms": axioms}
@@ -114,13 +110,19 @@ def barcan_report(df: DomainFrame, budget=None) -> dict:
     bud = _as_budget(budget)
     fm = FoModel(df, "varying")
     mono = domain_monotonicity(df)
-    bf, cbf = _fo_verdicts(fm, (BF_SCHEME, CBF_SCHEME), "P", bud)
+    bests = _fo_least(fm, (BF_SCHEME, CBF_SCHEME), "P", bud)
     symmetric = frame_property(df.frame, "symmetric")
+    axioms: dict[str, dict] = {}
+    for aid, has, best in zip(("BF", "CBF"), (mono.nonincreasing,
+                                              mono.nondecreasing), bests):
+        e = axioms[aid] = {"holds": best is None, "property": has,
+                           "consistent": (best is None) == has}
+        if best:
+            e["witness"] = {"world": fm.worlds[best[0]], "interpretation": [
+                list(p) for p in _pairs(fm.domain, fm.worlds, best[1])]}
     return {"monotonicity": mono._asdict(), "symmetric": symmetric,
-            "axioms": {"BF": _entry(bf, mono.nonincreasing),
-                       "CBF": _entry(cbf, mono.nondecreasing)},
-            "bf_iff_cbf_on_symmetric": (not symmetric)
-            or (bf.holds == cbf.holds)}
+            "axioms": axioms, "bf_iff_cbf_on_symmetric": (not symmetric)
+            or (bests[0] is None) == (bests[1] is None)}
 
 
 def refute_on_frame(fr: Frame, scheme: Formula, budget=None

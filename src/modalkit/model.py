@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
@@ -48,10 +48,15 @@ class ModelError(ValueError):
 # elements, cells and edges.  Search certificates carry these masks, so the
 # bit layouts are part of the output format.
 
-@lru_cache(maxsize=4096)
 def _bits(items: Sequence, mask: int) -> tuple:
-    """The items whose bit is set in mask: bit i stands for items[i]."""
-    return tuple(x for i, x in enumerate(items) if mask >> i & 1)
+    """The items whose bit is set in mask: bit i stands for items[i].  It
+    walks the set bits, so a sparse mask over many items costs little."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(items[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
 
 
 def _pairs(rows: Sequence, cols: Sequence, mask: int) -> tuple:
@@ -175,11 +180,8 @@ class Frame:
 
     @cached_property
     def succ(self) -> tuple[tuple[int, ...], ...]:
-        """Per world, the indices of its successors, ascending (cached)."""
-        idx, out = self.index, [[] for _ in self.worlds]
-        for a, b in self.access:
-            out[idx[a]].append(idx[b])
-        return tuple(tuple(sorted(s)) for s in out)
+        """Per world, its successors' indices, ascending, read off rows."""
+        return tuple(_bits(range(len(self.worlds)), r) for r in self.rows)
 
 
 FRAME_PROPERTIES = ("reflexive", "transitive", "symmetric", "serial",

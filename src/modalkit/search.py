@@ -84,21 +84,25 @@ def frame_mask(fr: Frame) -> int:
     return sum(r << (i * len(fr.rows)) for i, r in enumerate(fr.rows))
 
 
+@lru_cache(maxsize=4096)
+def _chunk_table(cols: tuple[int, ...]) -> tuple[int, ...]:
+    """table[v]: the value v of a chunk of up to 4 columns with column j
+    moved to cols[j]; shared by every row and permutation that moves a
+    chunk to the same columns."""
+    table = [0]
+    for j in cols:
+        table += [t | 1 << j for t in table]
+    return tuple(table)
+
+
 @lru_cache(maxsize=1024)
 def _row_tables(perm: tuple[int, ...], width: int, cols: tuple[int, ...]):
     """_relabel's lookups, built on first use: per chunk of 4 columns of
-    each row i, (its offset in the mask, its value mask, table, perm[i] *
-    width), where table[v] is the chunk's value v with column j moved to
-    cols[j]; a table has at most 16 entries, shared by every row, so each
-    permutation's tables are cheap to build."""
-    chunks = []
-    for k in range(0, width, 4):
-        table = [0]
-        for j in cols[k:k + 4]:
-            table += [t | 1 << j for t in table]
-        chunks.append((k, len(table) - 1, tuple(table)))
-    return tuple((i * width + k, v, table, p * width)
-                 for i, p in enumerate(perm) for k, v, table in chunks)
+    each row i, (its offset in the mask, its value mask, _chunk_table,
+    perm[i] * width), so each permutation's tables are cheap to build."""
+    chunks = [(k, _chunk_table(cols[k:k + 4])) for k in range(0, width, 4)]
+    return tuple((i * width + k, len(table) - 1, table, p * width)
+                 for i, p in enumerate(perm) for k, table in chunks)
 
 
 def _relabel(perm: tuple[int, ...], mask: int, width: int,

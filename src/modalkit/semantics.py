@@ -410,8 +410,8 @@ def _program(fs: tuple, names: frozenset, preds: tuple, sig: tuple | None):
 
 def _compiled(m, fs: Sequence[Formula], leaves: Mapping, preds=None):
     """The program of fs on m over blocks with the keys of ``leaves``, from
-    a cache of the 64 last used (a search or report uses a few), keyed by
-    the formulas' ids; an entry refers to its formulas weakly, so a dead
+    a cache of the 64 last compiled (a search or report uses a few), keyed
+    by the formulas' ids; an entry refers to its formulas weakly, so a dead
     one's id, reused, is a miss."""
     fs, sig = tuple(fs), None
     if isinstance(m, FoModel):
@@ -421,10 +421,11 @@ def _compiled(m, fs: Sequence[Formula], leaves: Mapping, preds=None):
     shape = (frozenset(k for k in leaves if type(k) is str),
              tuple(sorted((preds or {}).items())), sig)
     key = (*map(id, fs), shape)
-    entry = _PROGRAMS.pop(key, None)
-    if entry is None or any(r() is None for r in entry[1]):  # ids reused
-        entry = _program(fs, *shape), [ref(f) for f in fs]
-    _PROGRAMS[key] = entry
+    entry = _PROGRAMS.get(key)
+    if entry is not None and all(r() is not None for r in entry[1]):
+        return entry[0]
+    _PROGRAMS.pop(key, None)    # a dead entry goes; the new one is newest
+    entry = _PROGRAMS[key] = _program(fs, *shape), [ref(f) for f in fs]
     if len(_PROGRAMS) > 64:
         del _PROGRAMS[next(iter(_PROGRAMS))]
     return entry[0]
@@ -479,16 +480,6 @@ def _pack(xs: Sequence[int], w: int) -> int:
     return v
 
 
-def _offsets(cells, w: int) -> dict[int, int]:
-    """The offset masks over blocks of 2**w of a relation's cells (i, j,
-    column): under d << w, world i's block holds cell (i, i + d)'s."""
-    out: dict[int, int] = {}
-    for i, j, col in cells:
-        if col:
-            out[j - i << w] = out.get(j - i << w, 0) | col << (i << w)
-    return out
-
-
 def _fold(x: int, n: int, w: int) -> int:
     """The OR of packed x's n world blocks of 2**w bits."""
     s = 1 << w
@@ -506,24 +497,40 @@ def _least(m, fs: Sequence[Formula], checks: Sequence, bits: int, leaves,
     first in world-major order, or (premise indexes, conclusion index), the
     meta reading: the least instance where the premises hold everywhere and
     the conclusion does not, at its least failing world.  One program labels
-    fs per block, with m's offset masks, built once, and leaves(cols, w)
-    from the block's instance columns."""
+    fs per block, with leaves(cols, w) from the block's instance columns
+    (_columns' own when one block holds every instance) and m's offset
+    masks, built once; each failure is the lowest bit of a truth set's
+    misses, the meta reading's at the lowest of its failing instances."""
+    n, span = len(m.worlds), bits if span is None else span
+    w = min(span, _BLOCK_BITS)
+    every, block = (1 << (n << w)) - 1, (1 << (1 << w)) - 1
+    box: dict[int, int] = {}    # offset d << w: blocks of worlds i -> i + d
+    for i, s in enumerate(m.frame.succ):
+        at = block << (i << w)
+        for j in s:
+            box[j - i << w] = box.get(j - i << w, 0) | at
+    blocks = ([(start, w, _columns(w) if w else ())]
+              if span == bits <= _BLOCK_BITS else _blocks(bits, span, start))
     best, prog, todo = [None] * len(checks), None, list(range(len(checks)))
-    for first, w, cols in _blocks(bits, span, start):
-        if prog is None:
-            box = _offsets([(i, j, (1 << (1 << w)) - 1) for i, s in enumerate(
-                m.frame.succ) for j in s], w)
+    for first, w, cols in blocks:
         lv = {Box: box, **leaves(cols, w)}
         prog = prog or _compiled(m, fs, lv, preds)
         sets = _run(prog, m, lv, w)
-        for ci, (holds, least) in zip(todo, _checked(
-                sets, [checks[ci] for ci in todo], len(m.worlds), w, 1, bool)):
-            if not holds:
-                wi, i = least(1)
+        for ci in todo:
+            c = checks[ci]
+            if type(c) is int:
+                miss = every ^ sets[c]
+            else:
+                miss = every ^ sets[c[1]]
+                fail = _fold(miss, n, w) & ~_fold(every ^ reduce(
+                    and_, (sets[p] for p in c[0]), every), n, w)
+                miss &= _pack([fail & -fail] * n, w)
+            if miss:
+                wi, i = divmod((miss & -miss).bit_length() - 1, 1 << w)
                 if best[ci] is None or wi < best[ci][0]:
                     best[ci] = (wi, first - start + i)
         todo = [ci for ci in todo if best[ci] is None
-                or isinstance(checks[ci], int) and best[ci][0]]
+                or type(checks[ci]) is int and best[ci][0]]
         if not todo:
             break
     return best
@@ -531,15 +538,15 @@ def _least(m, fs: Sequence[Formula], checks: Sequence, bits: int, leaves,
 
 def _checked(sets, checks: Sequence, n: int, w: int, base: int, any_
              ) -> list:
-    """Each check (as for _least) over the groups of a block of 2**w on n
-    worlds, one from each bit of base: (the groups where it holds, least),
-    least(c) the (world index, instance in the group) of the least failure
-    of group bit c.  any_(x) marks the groups with a bit set in x."""
+    """Each check (as for _least) over a batch's groups in a block of 2**w
+    on n worlds, one from each of base's two or more bits: (the groups where
+    it holds, least), least(c) the (world index, instance in the group) of
+    group bit c's least failure.  any_(x) marks the groups x has bits in."""
     every, out = (1 << (n << w)) - 1, []
     for c in checks:
         if isinstance(c, int):
             miss, fail = every ^ sets[c], None
-            bad = miss if base == 1 else _fold(miss, n, w)
+            bad = _fold(miss, n, w)
         else:
             ok = reduce(and_, (sets[p] for p in c[0]), every)
             miss = every ^ sets[c[1]]
@@ -865,20 +872,22 @@ def fo_scheme_valid(fm: FoModel, scheme: Formula, hole: str,
     element-major bitmask order."""
     if free_vars(scheme):
         raise ValueError(f"scheme must be closed, free: {free_vars(scheme)}")
-    return _fo_verdicts(fm, (scheme,), hole, _as_budget(budget))[0]
+    best, = _fo_least(fm, (scheme,), hole, _as_budget(budget))
+    return _verdict(fm.worlds, best, lambda i: {
+        "interpretation": _pairs(fm.domain, fm.worlds, i)})
 
 
-def _fo_verdicts(fm: FoModel, fs: tuple, hole: str, bud: Budget) -> list:
-    """fo_scheme_valid's verdict on each of fs, one program labelling them
-    all, each charged in turn."""
+def _fo_least(fm: FoModel, fs: tuple, hole: str, bud: Budget) -> list:
+    """_least's least failure of each of fs for every interpretation of
+    the hole (as for fo_scheme_valid), one program labelling them all, each
+    charged in turn."""
     worlds, domain = fm.worlds, fm.domain
     n, bits = len(worlds), _fo_bits(fm)
     bests = _least(fm, fs, range(len(fs)), bits, _leaves(
         _fields(n, len(domain), ((hole, 1),), ()), domain, n), {hole: 1})
     for _ in fs:
         bud.charge(n << bits)
-    return [_verdict(worlds, best, lambda i: {
-        "interpretation": _pairs(domain, worlds, i)}) for best in bests]
+    return bests
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,10 @@ from modalkit import (AXIOM_IDS, AXIOM_PROPERTY, AXIOM_SCHEMES, BF_SCHEME,
                       refute_on_frame, render)
 from modalkit.model import FRAME_PROPERTIES
 from modalkit.search import enumerate_frames, frame_from_mask
+import modalkit.correspondence as corr
 import modalkit.semantics as sem
+
+from test_semantics import _block_bits
 
 
 EQUIV = Frame(("a", "b"),
@@ -85,6 +88,16 @@ class TestAxiomReport:
         assert t["witness"] == {"world": "a", "assignment": {"P": ["b"]}}
         assert rep["axioms"]["K"]["holds"]
         assert rep["axioms"]["N"]["holds"]
+
+    def test_k_witness_decodes_p_and_q(self, monkeypatch):
+        # K holds on every frame, so its witness, the one that spans Q, is
+        # decoded only under a scheme that fails: it is frame_valid's.
+        f = parse("P & Q => []~P")
+        forms = corr._report_formulas()
+        monkeypatch.setattr(corr, "_report_formulas", lambda: (f, *forms[1:]))
+        k = axiom_report(NONREFL)["axioms"]["K"]
+        assert k["witness"] == frame_valid(NONREFL, f).to_dict()["witness"]
+        assert k["witness"]["assignment"] == {"P": ["a", "b"], "Q": ["a"]}
 
     def test_consistent_on_all_small_frames(self):
         for n in (1, 2, 3):
@@ -315,6 +328,23 @@ class TestReportsMatchOracles:
             for n, fmask, emask in _barcan_points(2, d):
                 _same_report(barcan_report, oracle_barcan_report,
                              _barcan_point(n, fmask, emask, d))
+
+    def test_one_block_scan_matches_several_blocks(self):
+        """Each report's instances in the one block of 2**12 that holds
+        them all, and in _blocks' blocks of 2**2, give the same bytes and
+        Budget.used: every frame to 3 worlds, and a seeded sample of
+        barcan_sweep(3, 2) points."""
+        cases = [(axiom_report, frame_from_mask(n, mask))
+                 for n in (1, 2, 3) for mask in range(1 << n * n)]
+        cases += [(barcan_report, _barcan_point(*p))
+                  for p in random.Random(33).sample(_barcan_points(), 200)]
+        for report, x in cases:
+            got = []
+            for bits in (12, 2):
+                bud = Budget(10**9)
+                with _block_bits(bits):
+                    got.append((json.dumps(report(x, bud)), bud.used))
+            assert got[0] == got[1], x
 
     def test_replay_refutes_a_moved_witness(self):
         rep = axiom_report(NONREFL)

@@ -1548,9 +1548,12 @@ def _pairwise_relabel(perm, mask, width, cols=None):
 
 def test_row_table_relabel_matches_the_pairwise_definition():
     """Every world permutation to 4 worlds on seeded frame masks (with
-    cols=perm) and existence masks to domain 3 (without), and seeded
-    permutations of 5, 9 and 12 worlds, whose rows span two or three
-    4-column chunks."""
+    cols=perm) and existence masks to domain 3 (without); seeded
+    permutations of 1 to 8 worlds, on frame masks and on existence masks
+    of widths 1 to 5, whose last chunk is narrower than 4 columns and
+    whose chunk tables are shared across permutations; and seeded
+    permutations of 9 and 12 worlds, whose rows span three 4-column
+    chunks."""
     rng = random.Random(0)
     for n in range(1, 5):
         for perm in permutations(range(n)):
@@ -1563,12 +1566,16 @@ def test_row_table_relabel_matches_the_pairwise_definition():
                 for mask in {0, (1 << d * n) - 1, rng.getrandbits(d * n)}:
                     assert search._relabel(perm, mask, d) == \
                         _pairwise_relabel(perm, mask, d), (perm, d, mask)
-    for n in (5, 9, 12):
+    for n in (*range(1, 9), 9, 12):
         for _ in range(8):
             perm = tuple(rng.sample(range(n), n))
             mask = rng.getrandbits(n * n)
             assert search._relabel(perm, mask, n, perm) == \
                 _pairwise_relabel(perm, mask, n, perm), (perm, mask)
+            for d in range(1, 6) if n < 9 else ():
+                mask = rng.getrandbits(d * n)
+                assert search._relabel(perm, mask, d) == \
+                    _pairwise_relabel(perm, mask, d), (perm, d, mask)
 
 
 def _in_blocks_of_8(call, *args):

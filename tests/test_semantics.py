@@ -433,10 +433,20 @@ def _charged(call, used, limit):
     return result
 
 
+def _offsets(cells, w):
+    """The offset masks over blocks of 2**w of a relation's cells (i, j,
+    column): under d << w, world i's block holds cell (i, i + d)'s."""
+    out = {}
+    for i, j, col in cells:
+        if col:
+            out[j - i << w] = out.get(j - i << w, 0) | col << (i << w)
+    return out
+
+
 def _box(fr, w):
     """The offset masks of fr's accessibility over blocks of 2**w."""
-    return sem._offsets([(i, j, (1 << (1 << w)) - 1)
-                         for i, s in enumerate(fr.succ) for j in s], w)
+    return _offsets([(i, j, (1 << (1 << w)) - 1)
+                     for i, s in enumerate(fr.succ) for j in s], w)
 
 
 def _edges_by_cell(n, frames, slot, w):
@@ -444,10 +454,10 @@ def _edges_by_cell(n, frames, slot, w):
     world i's block in offset j - i's mask."""
     slot = min(slot, w)
     ones = (1 << (1 << slot)) - 1
-    return sem._offsets([(i, j, sum(ones << (k << slot)
-                                    for k, m in enumerate(frames)
-                                    if m >> i * n + j & 1))
-                         for i in range(n) for j in range(n)], w)
+    return _offsets([(i, j, sum(ones << (k << slot)
+                                for k, m in enumerate(frames)
+                                if m >> i * n + j & 1))
+                     for i in range(n) for j in range(n)], w)
 
 
 @pytest.mark.parametrize("block_bits", [12, 3])
