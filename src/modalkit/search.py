@@ -12,15 +12,17 @@ the scan charged, and one already partly spent trips that much sooner.
 Candidate models are not built one at a time: their existence, predicate
 and valuation bits are instance columns above each check's own instance
 bits, so one truth-set pass labels them all, and a candidate's verdict is
-a reduction over its group of bits.  Each check a candidate reaches, up to
-and including the hit candidate, charges the budget the check's full size,
-formulas x 2**(instance bits) x worlds.  Every scan, the sweeps and the
-deduction-gap search (whose candidates are its metavariables'
-instantiations) included, shares these batches: a stage's frames sit above
-their candidates, with the edges as columns, and a frame and a model are
-built only for a witness or a reported disagreement.  The Barcan sweep,
-whose verdicts survive any renaming of worlds, scans one frame per
-relabelling class and reports labelled counts, charges and violations.
+a reduction over its group of bits.  The searches and the agreement sweep
+find their hits by one scan, ``_hits``, under one charge rule: each check a
+candidate reaches, up to and including a hit, charges the budget its full
+size, formulas x 2**(instance bits) x worlds, before that hit is yielded.
+Every scan, the sweeps and the deduction gap (whose candidates are its
+metavariables' instantiations) included, shares these batches: a stage's
+frames sit above their candidates, with the edges as columns, and a frame
+and a model are built only for a witness or a reported disagreement.  The
+Barcan sweep, whose verdicts survive any renaming of worlds, scans one
+frame per relabelling class and reports labelled counts, charges and
+violations.
 Every search returns through ``_first``, which re-checks what the
 witness's certificate reports with the plain reference evaluator, and the
 spec's frame constraints by their definitions on the access pairs, apart
@@ -352,43 +354,52 @@ def _conclusion_names(spec: SearchSpec) -> list[str]:
     return scheme_vars(c) if is_propositional(c) else []
 
 
+def _check(n: int, names, f) -> tuple:
+    """(instance bits, unit, run) of the validity of formula f, or of the
+    meta reading of a pair (lhs, rhs), over every instantiation of the
+    metavariables names: unit, the check's size, is what it charges each
+    candidate that reaches it, and run(batch) gives (holds, witness) per
+    candidate.  Too many instances raise ResourceLimit here, unscanned."""
+    ib = _scheme_bits(n, len(names))
+    inst = _leaves(_fields(n, 0, (), tuple(names)), (), n)
+    fs, c = (f, ((0,), 1)) if isinstance(f, tuple) else ((f,), 0)
+    return ib, len(fs) * n << ib, lambda b: b.run(fs, [c], ib, inst)[0]
+
+
 def _checks(spec: SearchSpec, n: int) -> list:
-    """(instance bits, unit, run) for each check a candidate passes
-    through, in order: premise formulas (valid), premise schemes
-    (scheme_valid), then the conclusion (scheme_valid or valid, or
-    meta_implies).  unit is the check's size, what it charges each
-    candidate that reaches it; run(batch) gives (holds, witness) per
-    candidate.  A check with too many instances to enumerate raises
-    ResourceLimit here, before any candidate is scanned."""
-    def check(names, f):
-        ib = _scheme_bits(n, len(names))
-        inst = _leaves(_fields(n, 0, (), tuple(names)), (), n)
-        fs, c = (f, ((0,), 1)) if isinstance(f, tuple) else ((f,), 0)
-        return ib, len(fs) * n << ib, lambda b: b.run(fs, [c], ib, inst)[0]
-
+    """The _check of each check a candidate passes through, in order: the
+    premise formulas, the premise schemes, then the conclusion."""
     c = spec.conclusion
-    return [*(check((), p) for p in spec.premise_formulas),
-            *(check(scheme_vars(s), s) for s in spec.premise_schemes),
-            check(_conclusion_names(spec),
-                  (c.lhs, c.rhs) if spec.reading == "meta" else c)]
+    return [*(_check(n, (), p) for p in spec.premise_formulas),
+            *(_check(n, scheme_vars(s), s) for s in spec.premise_schemes),
+            _check(n, _conclusion_names(spec),
+                   (c.lhs, c.rhs) if spec.reading == "meta" else c)]
 
 
-def _hit(batch, checks, bud: Budget):
-    """The least candidate bit of batch at which every check but the last
-    holds and the last fails (0 when none does), and the last check's
-    witness function.  Charges each check's unit per candidate that reaches
-    it, up to the hit or over the whole batch.  A check runs only on a
-    batch that some candidate reaches it in."""
-    reach, spent, witness = batch.live, [], None
-    for j, (_, unit, run) in enumerate(checks):
-        if not reach:
-            break
-        holds, witness = run(batch)
-        spent.append((unit, reach))
-        reach &= holds if j < len(checks) - 1 else ~holds
-    hit = reach & -reach
-    bud.charge(sum(u * (r & (2 * hit - 1)).bit_count() for u, r in spent))
-    return hit, witness
+def _hits(m, cb: int, checks, cand, frames, preds, bud: Budget) -> Iterator:
+    """(frame mask, candidate, the last check's witness) of each candidate,
+    in scan order, at which every check but the last holds and the last
+    fails, over the _batches of 2**cb candidates on frames' masks.  The one
+    charge rule of every search: each check charges its unit for each
+    candidate that reaches it, up to and including a hit, before that hit
+    is yielded, and over the rest of the batch after its last hit.  A check
+    runs only on a batch that some candidate reaches it in."""
+    for b in _batches(m, cb, [c[0] for c in checks], cand, frames, preds):
+        reach, spent, done = b.live, [], 0
+        for j, (_, unit, run) in enumerate(checks):
+            if not reach:
+                break
+            holds, witness = run(b)
+            spent.append((unit, reach))
+            reach &= holds if j < len(checks) - 1 else ~holds
+        while True:
+            hit = reach & -reach
+            new = (2 * hit - 1) & ~done     # up to the hit, or to the end
+            bud.charge(sum(u * (r & new).bit_count() for u, r in spent))
+            if not hit:
+                break
+            reach, done = reach ^ hit, done | new
+            yield (*b.number(hit), witness(hit))
 
 
 def _certificate(spec: SearchSpec, worlds, wi: int, i: int) -> dict:
@@ -485,22 +496,20 @@ def _spec_chunk(stage, masks, spec: SearchSpec, bud: Budget):
     preds, atoms = _signature(spec)
     varying = spec.mode == "varying" and domain is not None
     fields = _fields(n, d, tuple(preds.items()), tuple(atoms), varying)
-    cb = sum(f[3] for f in fields)
-    checks = _checks(spec, n)
-    frames = _masks(n, masks, spec.frame_constraints)
-    for batch in _batches(_blank(n, domain), cb, [c[0] for c in checks],
-                          _leaves(fields, domain or (), n), frames, preds):
-        hit, witness = _hit(batch, checks, bud)
-        if hit:
-            fmask, c = batch.number(hit)
-            fr = frame_from_mask(n, fmask)
-            cert = {**_stage_frontier(stage), "frame_mask": fmask}
-            if domain is not None:
-                cert["exists_mask"] = (c >> fields[-1][2] if varying
-                                       else (1 << d * n) - 1)
-            return (_candidate(fr, domain, spec.mode, fields, c),
-                    {**cert, **_certificate(spec, fr.worlds, *witness(hit))})
-    return None
+    hit = next(_hits(_blank(n, domain), sum(f[3] for f in fields),
+                     _checks(spec, n), _leaves(fields, domain or (), n),
+                     _masks(n, masks, spec.frame_constraints), preds, bud),
+               None)
+    if hit is None:
+        return None
+    fmask, c, witness = hit
+    fr = frame_from_mask(n, fmask)
+    cert = {**_stage_frontier(stage), "frame_mask": fmask}
+    if domain is not None:
+        cert["exists_mask"] = (c >> fields[-1][2] if varying
+                               else (1 << d * n) - 1)
+    return (_candidate(fr, domain, spec.mode, fields, c),
+            {**cert, **_certificate(spec, fr.worlds, *witness)})
 
 
 # ---------------------------------------------------------------------------
@@ -577,30 +586,27 @@ def _divergences(stage, masks, varying: bool, bud: Budget) -> Iterator:
     """(frame mask, candidate, model, its BfReadings) of each model, in scan
     order, where the rule reading of the exchange holds and the implication
     fails: over the stage's constant-domain frames, or its existence masks
-    when varying.  Each model is charged bf_readings' size, by that call for
-    those yielded, whose readings it gives."""
+    when varying.  The scan is one _hits check of bf_readings' size, which
+    labels both sides and the implication in one program and fails where
+    the rule reading holds and the implication does not; _hits charges it
+    to bud, so a hit's readings are recomputed on a budget of their own."""
     n, d = stage
     m = _blank(n, _domain_names(d))
     bits = _fo_bits(m)
     fields = _fields(n, d, (), (), varying)
     hole = _leaves(_fields(n, d, (("P", 1),), ()), m.domain, n)
     fs = _exchange(BF_LHS("P"), BF_RHS("P"))[:3]
-    for b in _batches(m, d * n if varying else 0, [bits],
-                      _leaves(fields, m.domain, n), masks, {"P": 1}):
-        rest = b.live
-        (rule, _), (imp, _) = b.run(fs, [((0,), 1), 2], bits, hole)
-        div = rest & rule & ~imp
-        while True:
-            hit = div & -div
-            bud.charge((2 * n << bits) * (rest & (hit - 1)).bit_count())
-            if not hit:
-                break
-            div ^= hit
-            rest &= -2 * hit
-            fmask, c = b.number(hit)
-            fm = _candidate(frame_from_mask(n, fmask), m.domain,
-                            "varying" if varying else "constant", fields, c)
-            yield fmask, c, fm, bf_readings(fm, "P", bud)
+
+    def run(b):
+        (rule, _), (imp, witness) = b.run(fs, [((0,), 1), 2], bits, hole)
+        return imp | ~rule, witness
+    for fmask, c, _ in _hits(m, d * n if varying else 0,
+                             [(bits, 2 * n << bits, run)],
+                             _leaves(fields, m.domain, n), masks, {"P": 1},
+                             bud):
+        fm = _candidate(frame_from_mask(n, fmask), m.domain,
+                        "varying" if varying else "constant", fields, c)
+        yield fmask, c, fm, bf_readings(fm, "P", Budget(2 * n << bits))
 
 
 def _div_chunk(stage, masks, _, bud: Budget):
@@ -773,33 +779,26 @@ def bf_agreement_sweep(max_worlds: int = 3, max_domain: int = 2,
 def _gap_chunk(stage, masks, conclusion: Imp, bud: Budget):
     """The least gap over masks as (model, certificate), or None.
     The metavariables' world masks are the candidate fields, one instance
-    per candidate."""
+    per candidate; the checks are the rule reading, then the implication."""
     (n,) = stage
     fields = _fields(n, 0, (), tuple(scheme_vars(conclusion)))
-    for b in _batches(_blank(n, None), n * len(fields), [0],
-                      _leaves(fields, (), n), masks):
-        (lhs, _), (rhs, _), (imp, witness) = b.run(
-            (conclusion.lhs, conclusion.rhs, conclusion), [0, 1, 2], 0,
-            lambda cols, w: {})
-        rule = b.live & ~(lhs & ~rhs)
-        gap = rule & ~imp
-        hit = gap & -gap
-        upto = (2 * hit - 1) & b.live
-        bud.charge(n * (2 * upto.bit_count() + (upto & rule).bit_count()))
-        if hit:
-            fmask, c = b.number(hit)
-            m = PropModel(frame_from_mask(n, fmask), {})
-            val = _decode(fields, (), m.worlds, c)[0]
-            return m, {
-                "worlds": n, "frame_mask": fmask,
-                "kind": "deduction_gap",
-                "conclusion": render(conclusion, "ascii"),
-                "assignment": {k: list(v) for k, v in sorted(val.items())},
-                "world": m.worlds[witness(hit)[0]],
-                "lhs_valid": bool(lhs & hit),
-                "rhs_valid": bool(rhs & hit),
-            }
-    return None
+    checks = [_check(n, (), (conclusion.lhs, conclusion.rhs)),
+              _check(n, (), conclusion)]
+    hit = next(_hits(_blank(n, None), n * len(fields), checks,
+                     _leaves(fields, (), n), masks, None, bud), None)
+    if hit is None:
+        return None
+    fmask, c, (wi, _) = hit
+    m = PropModel(frame_from_mask(n, fmask), {})
+    val = _decode(fields, (), m.worlds, c)[0]
+    return m, {
+        "worlds": n, "frame_mask": fmask,
+        "kind": "deduction_gap",
+        "conclusion": render(conclusion, "ascii"),
+        "assignment": {k: list(v) for k, v in sorted(val.items())},
+        "world": m.worlds[wi],
+        "lhs_valid": False, "rhs_valid": False,
+    }
 
 
 def _revalidate_gap(m, cert: dict, conclusion: Imp) -> None:
@@ -820,10 +819,11 @@ def find_deduction_gap(conclusion: Formula | None = None,
     implication formula itself fails — the deduction-theorem direction that
     modal consequence lacks.  Default conclusion: P => Q over metavariables.
 
-    The metavariables' instantiations are the candidates of the shared
-    truth-set batches.  Each candidate up to the hit charges the budget one
-    unit per world for each side of the implication, and for the
-    implication itself where the rule reading holds.  The witness is
+    The metavariables' instantiations are the candidates of _hits, whose
+    checks are the rule reading, one unit per world for each side, then the
+    implication, one per world where the rule reading holds.  Neither side
+    is valid in a gap: the consequent fails at the witness world, so the
+    rule reading needs the antecedent to fail too.  The witness is
     re-checked with the reference evaluator before it is returned.  No such
     gap fits in a single world; the least witnesses appear at two."""
     if conclusion is None:

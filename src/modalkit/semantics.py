@@ -83,7 +83,7 @@ class ResourceLimit(Exception):
         self.frontier = frontier
 
     def __reduce__(self):
-        # keep the frontier when crossing a process boundary
+        # keep the frontier through pickling
         return (type(self), (self.args[0], self.frontier))
 
 

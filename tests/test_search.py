@@ -5,8 +5,9 @@ Run as a script, this file checks the constrained frame generator against
 the relational reference on all 127 constraint sets at 4 worlds, the 3044
 frames ``enumerate_frames(4, dedup=True)`` gives against brute force, and
 the Barcan sweep, which scans one frame per relabelling class, against the
-labelled oracle at 3 worlds (under a minute):
-``PYTHONPATH=src python tests/test_search.py``.
+labelled oracle at 3 worlds, and the agreement sweep, under a perturbed
+exchange, and the divergence search against their per-model oracles at 3
+worlds (under a minute): ``PYTHONPATH=src python tests/test_search.py``.
 """
 
 import multiprocessing.pool
@@ -16,7 +17,7 @@ import subprocess
 import sys
 from collections import Counter
 from contextlib import contextmanager, nullcontext
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1482,22 +1483,64 @@ def test_sweep_reports_violations_as_the_oracle_does(block_bits):
         {("bf_iff_cbf_on_symmetric", True)}
 
 
-def _sweep_against_oracle(stage, ranges):
-    """_sweep_chunk, which scans one frame per relabelling class, against
-    the labelled oracle on each range of the stage's frames at block widths
-    12 and 3: the same violations in the same order, and Budget.used.
-    Returns the number of violations on each range."""
-    counts = []
+def _against_oracle(worker, oracle, stage, ranges):
+    """worker against the per-model oracle on each range of the stage's
+    frames at block widths 12 and 3: the same payload and Budget.used.
+    Returns the oracle's payloads."""
+    payloads = []
     for masks in ranges:
         bud = Budget(10**12)
-        want = _oracle_sweep_chunk(stage, masks, None, bud), bud.used
+        want = _plain(oracle(stage, masks, None, bud)), bud.used
         for bits in (12, 3):
             with _block_bits(bits):
                 bud = Budget(10**12)
-                got = search._sweep_chunk(stage, masks, None, bud), bud.used
+                got = _plain(worker(stage, masks, None, bud)), bud.used
             assert got == want, (stage, masks, bits)
-        counts.append(len(want[0][1]))
-    return counts
+        payloads.append(want[0])
+    return payloads
+
+
+def _sweep_against_oracle(stage, ranges):
+    """_sweep_chunk, which scans one frame per relabelling class, against
+    the labelled oracle (_against_oracle): the same violations in the same
+    order, and Budget.used.  Returns the number of violations on each
+    range."""
+    return [len(p[1]) for p in _against_oracle(
+        search._sweep_chunk, _oracle_sweep_chunk, stage, ranges)]
+
+
+@contextmanager
+def _perturbed_readings():
+    """An exchange whose readings disagree on constant domains, for the
+    agreement sweep and its oracle: forall x P(x) against its boxed form,
+    in place of BF_LHS and BF_RHS."""
+    def lhs(hole="P"):
+        return Forall("x", PredAtom(hole, (BoundVar("x"),)))
+    with pytest.MonkeyPatch.context() as mp:
+        for m in (sem, search):
+            mp.setattr(m, "BF_LHS", lhs)
+            mp.setattr(m, "BF_RHS", lambda hole="P": Box(lhs(hole)))
+        yield
+
+
+@pytest.mark.parametrize("stage, count", [((2, 1), 12), ((3, 1), 504)])
+def test_agreement_sweep_charges_every_hit_as_the_oracle_does(stage, count):
+    """Under a perturbed exchange most models of a batch are hits of
+    _hits, each yielded once and in order: the disagreements and
+    Budget.used of the whole stage and of two seeded sub-ranges are the
+    per-model oracle's, at block widths 12 and 3."""
+    rng = random.Random(stage[0])
+    total = 1 << stage[0] ** 2
+    ranges = [range(total), *(range(*sorted(rng.sample(range(total + 1), 2)))
+                              for _ in range(2))]
+    with _perturbed_readings():
+        want = _oracle_agree_chunk(stage, ranges[0], None, Budget(10**12))[1]
+        hits = islice(search._divergences(stage, ranges[0], False,
+                                          Budget(10**12)), count + 1)
+        assert [h[0] for h in hits] == [x["frame_mask"] for x in want]
+        _against_oracle(search._agree_chunk, _oracle_agree_chunk, stage,
+                        ranges)
+    assert len(want) == count
 
 
 @pytest.mark.parametrize("stage", [(3, 1), (3, 2)])
@@ -1817,7 +1860,9 @@ def main() -> int:
     constraint sets at 4 worlds, whole and in sub-ranges; the 4-world
     classes that enumerate_frames dedups to against brute force; the orbit
     sweep against the labelled oracle at 3 worlds, with perturbed schemes
-    on every sub-range and as barcan_sweep(3, 2)."""
+    on every sub-range and as barcan_sweep(3, 2); the agreement sweep, with
+    a perturbed exchange, and the divergence search against their
+    per-model oracles on the 3-world stages and every sub-range."""
     _check_generated_masks(4, _ALL_CONSTRAINT_SETS)
     print(f"_masks: {len(_ALL_CONSTRAINT_SETS)} constraint sets match the "
           "relational reference on all 65536 4-world frames")
@@ -1827,13 +1872,25 @@ def main() -> int:
         assert min(relabel_orbit(4, m)) == m, m
     print(f"enumerate_frames(4, dedup=True): {len(reps)} frames, each the "
           "least of its brute-force relabelling class")
+    ranges = [range(512), *(range(*r) for r in _ranges(512))]
     with _perturbed_exchange():
         for stage in ((3, 1), (3, 2)):
-            counts = _sweep_against_oracle(
-                stage, [range(512), *(range(*r) for r in _ranges(512))])
+            counts = _sweep_against_oracle(stage, ranges)
             print(f"_sweep_chunk{stage}: {counts[0]} violations under "
                   "perturbed schemes, as the labelled oracle gives them, "
                   f"whole and on {len(counts) - 1} sub-ranges")
+    for stage in ((3, 1), (3, 2)):
+        with _perturbed_readings():
+            got = _against_oracle(search._agree_chunk, _oracle_agree_chunk,
+                                  stage, ranges)
+        print(f"_agree_chunk{stage}: {len(got[0][1])} disagreements under a "
+              "perturbed exchange, as the per-model oracle gives them, "
+              f"whole and on {len(got) - 1} sub-ranges")
+        got = _against_oracle(search._div_chunk, _oracle_div_chunk, stage,
+                              ranges)
+        print(f"_div_chunk{stage}: the least divergence, as the per-model "
+              f"oracle gives it, whole and on {len(got) - 1} sub-ranges, "
+              f"{sum(p is not None for p in got[1:])} of which hold one")
     runs = []
     for chunk in (search._sweep_chunk, _oracle_sweep_chunk):
         search._sweep_chunk, real = chunk, search._sweep_chunk
