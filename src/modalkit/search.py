@@ -354,44 +354,48 @@ def _conclusion_names(spec: SearchSpec) -> list[str]:
     return scheme_vars(c) if is_propositional(c) else []
 
 
-def _check(n: int, names, f) -> tuple:
-    """(instance bits, unit, run) of the validity of formula f, or of the
-    meta reading of a pair (lhs, rhs), over every instantiation of the
-    metavariables names: unit, the check's size, is what it charges each
-    candidate that reaches it, and run(batch) gives (holds, witness) per
-    candidate.  Too many instances raise ResourceLimit here, unscanned."""
+def _check(n: int, names, fs: tuple, readings=None) -> tuple:
+    """The _hits group of fs over every instantiation of the metavariables
+    names, each reading (check, k) charged k * n << bits, by default one
+    object reading per formula (k 1); too wide a group raises ResourceLimit."""
     ib = _scheme_bits(n, len(names))
-    inst = _leaves(_fields(n, 0, (), tuple(names)), (), n)
-    fs, c = (f, ((0,), 1)) if isinstance(f, tuple) else ((f,), 0)
-    return ib, len(fs) * n << ib, lambda b: b.run(fs, [c], ib, inst)[0]
+    readings = readings or [(i, 1) for i in range(len(fs))]
+    return (ib, _leaves(_fields(n, 0, (), tuple(names)), (), n), fs,
+            [(c, k * n << ib) for c, k in readings])
 
 
 def _checks(spec: SearchSpec, n: int) -> list:
-    """The _check of each check a candidate passes through, in order: the
-    premise formulas, the premise schemes, then the conclusion."""
-    c = spec.conclusion
-    return [*(_check(n, (), p) for p in spec.premise_formulas),
-            *(_check(n, scheme_vars(s), s) for s in spec.premise_schemes),
-            _check(n, _conclusion_names(spec),
-                   (c.lhs, c.rhs) if spec.reading == "meta" else c)]
+    """The check groups a candidate passes through, in order: the premise
+    formulas, one reading each, each premise scheme, then the conclusion."""
+    c, fs = spec.conclusion, spec.premise_formulas
+    groups = [_check(n, (), fs)] if fs else []
+    groups += [_check(n, scheme_vars(s), (s,)) for s in spec.premise_schemes]
+    if spec.reading == "meta":
+        return [*groups, _check(n, _conclusion_names(spec), (c.lhs, c.rhs),
+                                [(((0,), 1), 2)])]
+    return [*groups, _check(n, _conclusion_names(spec), (c,))]
 
 
-def _hits(m, cb: int, checks, cand, frames, preds, bud: Budget) -> Iterator:
-    """(frame mask, candidate, the last check's witness) of each candidate,
-    in scan order, at which every check but the last holds and the last
-    fails, over the _batches of 2**cb candidates on frames' masks.  The one
-    charge rule of every search: each check charges its unit for each
-    candidate that reaches it, up to and including a hit, before that hit
-    is yielded, and over the rest of the batch after its last hit.  A check
-    runs only on a batch that some candidate reaches it in."""
-    for b in _batches(m, cb, [c[0] for c in checks], cand, frames, preds):
+def _hits(m, cb: int, groups, cand, frames, preds, bud: Budget) -> Iterator:
+    """(frame mask, candidate, the last reading's witness) of each
+    candidate, in scan order, at which every reading but the last holds and
+    the last fails, over the _batches of 2**cb candidates on frames' masks.
+    A group, (instance bits, their leaves, formulas, readings), runs one
+    program per batch that a candidate reaches it in, and each reading, a
+    check on its formulas (as for _least) and a unit, narrows the reach.
+    The one charge rule: each reading charges its unit for each candidate
+    that reaches it, up to and including a hit, before the hit is yielded,
+    and over the rest of the batch after its last hit."""
+    last = sum(len(g[3]) for g in groups)
+    for b in _batches(m, cb, [g[0] for g in groups], cand, frames, preds):
         reach, spent, done = b.live, [], 0
-        for j, (_, unit, run) in enumerate(checks):
+        for ib, inst, fs, readings in groups:
             if not reach:
                 break
-            holds, witness = run(b)
-            spent.append((unit, reach))
-            reach &= holds if j < len(checks) - 1 else ~holds
+            for (_, unit), (holds, witness) in zip(readings, b.run(
+                    fs, [c for c, _ in readings], ib, inst)):
+                spent.append((unit, reach))
+                reach &= holds if len(spent) < last else ~holds
         while True:
             hit = reach & -reach
             new = (2 * hit - 1) & ~done     # up to the hit, or to the end
@@ -586,22 +590,17 @@ def _divergences(stage, masks, varying: bool, bud: Budget) -> Iterator:
     """(frame mask, candidate, model, its BfReadings) of each model, in scan
     order, where the rule reading of the exchange holds and the implication
     fails: over the stage's constant-domain frames, or its existence masks
-    when varying.  The scan is one _hits check of bf_readings' size, which
-    labels both sides and the implication in one program and fails where
-    the rule reading holds and the implication does not; _hits charges it
-    to bud, so a hit's readings are recomputed on a budget of their own."""
+    when varying.  One _hits group labels both sides and the implication,
+    read as "the rule holds", at bf_readings' size, then "the implication
+    fails"; as bud is charged, a hit's readings have a budget of their own."""
     n, d = stage
     m = _blank(n, _domain_names(d))
     bits = _fo_bits(m)
     fields = _fields(n, d, (), (), varying)
     hole = _leaves(_fields(n, d, (("P", 1),), ()), m.domain, n)
-    fs = _exchange(BF_LHS("P"), BF_RHS("P"))[:3]
-
-    def run(b):
-        (rule, _), (imp, witness) = b.run(fs, [((0,), 1), 2], bits, hole)
-        return imp | ~rule, witness
-    for fmask, c, _ in _hits(m, d * n if varying else 0,
-                             [(bits, 2 * n << bits, run)],
+    group = (bits, hole, _exchange(BF_LHS("P"), BF_RHS("P"))[:3],
+             [(((0,), 1), 2 * n << bits), (2, 0)])
+    for fmask, c, _ in _hits(m, d * n if varying else 0, [group],
                              _leaves(fields, m.domain, n), masks, {"P": 1},
                              bud):
         fm = _candidate(frame_from_mask(n, fmask), m.domain,
@@ -779,12 +778,12 @@ def bf_agreement_sweep(max_worlds: int = 3, max_domain: int = 2,
 def _gap_chunk(stage, masks, conclusion: Imp, bud: Budget):
     """The least gap over masks as (model, certificate), or None.
     The metavariables' world masks are the candidate fields, one instance
-    per candidate; the checks are the rule reading, then the implication."""
+    per candidate; one group reads the rule, then the implication."""
     (n,) = stage
     fields = _fields(n, 0, (), tuple(scheme_vars(conclusion)))
-    checks = [_check(n, (), (conclusion.lhs, conclusion.rhs)),
-              _check(n, (), conclusion)]
-    hit = next(_hits(_blank(n, None), n * len(fields), checks,
+    group = _check(n, (), (conclusion.lhs, conclusion.rhs, conclusion),
+                   [(((0,), 1), 2), (2, 1)])
+    hit = next(_hits(_blank(n, None), n * len(fields), [group],
                      _leaves(fields, (), n), masks, None, bud), None)
     if hit is None:
         return None
@@ -819,8 +818,8 @@ def find_deduction_gap(conclusion: Formula | None = None,
     implication formula itself fails — the deduction-theorem direction that
     modal consequence lacks.  Default conclusion: P => Q over metavariables.
 
-    The metavariables' instantiations are the candidates of _hits, whose
-    checks are the rule reading, one unit per world for each side, then the
+    The metavariables' instantiations are the candidates of _hits, and one
+    program reads the rule, one unit per world for each side, then the
     implication, one per world where the rule reading holds.  Neither side
     is valid in a gap: the consequent fails at the witness world, so the
     rule reading needs the antecedent to fail too.  The witness is

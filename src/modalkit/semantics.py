@@ -303,20 +303,21 @@ def _columns(width: int) -> tuple[int, ...]:
     return cols
 
 
-def _blocks(bits: int, span: int | None = None, start: int = 0,
-            cap: int | None = None):
+def _constant(c: int, k: int, w: int) -> tuple[int, ...]:
+    """c's low k bits as columns, each constant over a block of 2**w."""
+    full = (1 << (1 << w)) - 1
+    return tuple(full if c >> j & 1 else 0 for j in range(k))
+
+
+def _blocks(bits: int):
     """Yield (first instance, w, cols) for each block of 2**w, w at most
-    cap (by default _BLOCK_BITS), of the 2**span instances from start (all
-    2**bits by default), ascending; cols[b] is instance bit b over the
-    block, a cached column for the low bits and constant for the block's
-    own."""
-    span = bits if span is None else span
-    width = min(span, _BLOCK_BITS if cap is None else cap)
-    full = (1 << (1 << width)) - 1
-    low = _columns(width) if width else ()
-    for first in range(start, start + (1 << span), 1 << width):
-        yield first, width, low + tuple(
-            full if first >> j & 1 else 0 for j in range(width, bits))
+    _BLOCK_BITS, of the 2**bits instances, ascending; cols[b] is instance
+    bit b over the block, a cached column for the block's low bits and
+    constant for its own number above them."""
+    w = min(bits, _BLOCK_BITS)
+    low = _columns(w) if w else ()
+    for first in range(0, 1 << bits, 1 << w):
+        yield first, w, low + _constant(first >> w, bits - w, w)
 
 
 # opcodes: the leaves, then the ops (_BOX: at every successor, _DIA: at
@@ -489,46 +490,50 @@ def _fold(x: int, n: int, w: int) -> int:
     return x & (1 << (1 << w)) - 1
 
 
+def _misses(sets, c, n: int, w: int, every: int) -> tuple:
+    """(miss, fail) of check c (as for _least) over a block's truth sets:
+    where its formula (the meta reading's conclusion) fails, and None or
+    the instances where the premises hold at all n worlds and it does not."""
+    if type(c) is int:
+        return every ^ sets[c], None
+    miss = every ^ sets[c[1]]
+    return miss, _fold(miss, n, w) & ~_fold(every ^ reduce(
+        and_, (sets[p] for p in c[0]), every), n, w)
+
+
 def _least(m, fs: Sequence[Formula], checks: Sequence, bits: int, leaves,
-           preds=None, span=None, start: int = 0) -> list:
+           preds=None) -> list:
     """Per check, the (world index, instance) of its least failure over the
-    2**span instances from start (all 2**bits by default; counted from
-    start), or None.  A check is the index of a formula of fs, failing
-    first in world-major order, or (premise indexes, conclusion index), the
-    meta reading: the least instance where the premises hold everywhere and
-    the conclusion does not, at its least failing world.  One program labels
-    fs per block, with leaves(cols, w) from the block's instance columns
-    (_columns' own when one block holds every instance) and m's offset
-    masks, built once; each failure is the lowest bit of a truth set's
-    misses, the meta reading's at the lowest of its failing instances."""
-    n, span = len(m.worlds), bits if span is None else span
-    w = min(span, _BLOCK_BITS)
+    2**bits instances, or None.  A check is the index of a formula of fs,
+    failing first in world-major order, or (premise indexes, conclusion
+    index), the meta reading: the least instance where the premises hold
+    everywhere and the conclusion does not, at its least failing world.
+    One program labels fs per block, with leaves(cols, w) from the block's
+    instance columns (_columns' own when one block holds every instance)
+    and m's offset masks, built once; each failure is the lowest of
+    _misses', the meta reading's at the lowest of its failing instances."""
+    n, w = len(m.worlds), min(bits, _BLOCK_BITS)
     every, block = (1 << (n << w)) - 1, (1 << (1 << w)) - 1
     box: dict[int, int] = {}    # offset d << w: blocks of worlds i -> i + d
     for i, s in enumerate(m.frame.succ):
         at = block << (i << w)
         for j in s:
             box[j - i << w] = box.get(j - i << w, 0) | at
-    blocks = ([(start, w, _columns(w) if w else ())]
-              if span == bits <= _BLOCK_BITS else _blocks(bits, span, start))
+    blocks = ([(0, w, _columns(w) if w else ())] if bits <= _BLOCK_BITS
+              else _blocks(bits))
     best, prog, todo = [None] * len(checks), None, list(range(len(checks)))
     for first, w, cols in blocks:
         lv = {Box: box, **leaves(cols, w)}
         prog = prog or _compiled(m, fs, lv, preds)
         sets = _run(prog, m, lv, w)
         for ci in todo:
-            c = checks[ci]
-            if type(c) is int:
-                miss = every ^ sets[c]
-            else:
-                miss = every ^ sets[c[1]]
-                fail = _fold(miss, n, w) & ~_fold(every ^ reduce(
-                    and_, (sets[p] for p in c[0]), every), n, w)
+            miss, fail = _misses(sets, checks[ci], n, w, every)
+            if fail is not None:
                 miss &= _pack([fail & -fail] * n, w)
             if miss:
                 wi, i = divmod((miss & -miss).bit_length() - 1, 1 << w)
                 if best[ci] is None or wi < best[ci][0]:
-                    best[ci] = (wi, first - start + i)
+                    best[ci] = (wi, first + i)
         todo = [ci for ci in todo if best[ci] is None
                 or type(checks[ci]) is int and best[ci][0]]
         if not todo:
@@ -538,19 +543,14 @@ def _least(m, fs: Sequence[Formula], checks: Sequence, bits: int, leaves,
 
 def _checked(sets, checks: Sequence, n: int, w: int, base: int, any_
              ) -> list:
-    """Each check (as for _least) over a batch's groups in a block of 2**w
-    on n worlds, one from each of base's two or more bits: (the groups where
+    """Each check over a batch's groups in a block of 2**w on n worlds, one
+    from each of base's two or more bits, read by _misses: (the groups where
     it holds, least), least(c) the (world index, instance in the group) of
     group bit c's least failure.  any_(x) marks the groups x has bits in."""
     every, out = (1 << (n << w)) - 1, []
     for c in checks:
-        if isinstance(c, int):
-            miss, fail = every ^ sets[c], None
-            bad = _fold(miss, n, w)
-        else:
-            ok = reduce(and_, (sets[p] for p in c[0]), every)
-            miss = every ^ sets[c[1]]
-            bad = fail = _fold(miss, n, w) & ~_fold(every ^ ok, n, w)
+        miss, fail = _misses(sets, c, n, w, every)
+        bad = _fold(miss, n, w) if fail is None else fail
         out.append((base ^ any_(bad), partial(_failure, miss, fail, n, w,
                                               base)))
     return out
@@ -700,22 +700,22 @@ class _Batch:
     each of ``frames`` (masks) over the base model m: candidate k << cb | c
     is candidate c on frames[k], and ``cand(cols, w)`` gives its leaves
     from the columns of the candidate bits.  A batch is one block of 2**w,
-    w = g + cbb, which _batches keeps to at most _BLOCK_BITS + _WIDE_BITS.
-    Candidate c0 + i is group i, 2**g bits, of each world's block, its mask
-    the group's bit 0 (bit 0 for a batch of one); frames' slots of
-    2**(g + cb) bits give the offset masks, and live drops from base the
-    slots past the end of frames.  The checks give (holds, witness): the
-    candidates where the check holds, and witness(c) the (world index,
-    instance) of candidate bit c's failure."""
+    w = g + cbb (at most _BLOCK_BITS + _WIDE_BITS): columns _columns(w),
+    then the candidate bits above them, constant.  Candidate c0 + i is group
+    i, 2**g bits, of each world's block, its mask the group's bit 0 (bit 0
+    for a batch of one); frames' slots of 2**(g + cb) bits give the offset
+    masks, and live drops from base the slots past the end of frames.  A
+    check gives (holds, witness(c)), c's (world index, instance) failure."""
 
     def __init__(self, m, cb: int, c0: int, cbb: int, g: int, cand, preds,
                  frames):
         self.m, self.cb, self.c0, self.cbb, self.g = m, cb, c0, cbb, g
         self.cand, self.preds, self.frames = cand, preds, frames
-        _, self.w, self.cols = next(_blocks(g + cb, g + cbb, c0 << g,
-                                            g + cbb))
-        self.n, self.full = len(m.worlds), (1 << (1 << self.w)) - 1
-        self.every = (1 << (self.n << self.w)) - 1
+        self.w = w = g + cbb
+        self.cols = (_columns(w) if w else ()) + _constant(c0 >> cbb,
+                                                           cb - cbb, w)
+        self.n, self.full = len(m.worlds), (1 << (1 << w)) - 1
+        self.every = (1 << (self.n << w)) - 1
         self.base = self.live = self.full // ((1 << (1 << g)) - 1)
         self.top = self.base << (1 << g) - 1    # each group's last bit
         self.slots = frames[c0 >> cb:(c0 >> cb) + (1 << max(0, cbb - cb))]
@@ -737,13 +737,14 @@ class _Batch:
 
     def run(self, fs: Sequence[Formula], checks: Sequence, ib: int, inst
             ) -> list:
-        """Each check over fs (as for _least) over 2**ib instances with
-        leaves inst(cols, w); witness bits above the check's repeat them."""
-        if not self.cbb:    # one candidate, over _least's blocks
+        """Each check over fs (as for _least), read off one program over
+        2**ib instances with leaves inst(cols, w); witness bits above the
+        check's repeat them.  One candidate is _least's scan, its bits set."""
+        if not self.cbb:
             box = _edges(self.n, self.slots, ib, min(ib, _BLOCK_BITS))
-            bests = _least(self.m, fs, checks, ib + self.cb, lambda cols, w: {
-                **inst(cols, w), **self.cand(cols[ib:], w), Box: box},
-                self.preds, ib, self.c0 << ib)
+            bests = _least(self.m, fs, checks, ib, lambda cols, w: {
+                **inst(cols, w), **self.cand(_constant(self.c0, self.cb, w),
+                                             w), Box: box}, self.preds)
             return [(int(b is None), lambda c, b=b: b) for b in bests]
         lv = {**inst(self.cols, self.w), **self.leaves}
         sets = _run(_compiled(self.m, fs, lv, self.preds), self.m, lv, self.w)
@@ -752,7 +753,7 @@ class _Batch:
 
 def _batches(m, cb: int, ibs: Sequence[int], cand, frames, preds=None):
     """The batches of 2**cb candidates on each of the masks ``frames``
-    gives, in turn (see _Batch), as many to a block as the widest of checks
+    gives, in turn (see _Batch), as many to a block as the widest of groups
     with ``ibs`` instance bits leaves room for; the masks are drawn lazily,
     a piece at a time.  The first piece fills one block of 2**_BLOCK_BITS,
     so an early hit costs no more than that, and each later piece doubles

@@ -1483,18 +1483,18 @@ def test_sweep_reports_violations_as_the_oracle_does(block_bits):
         {("bf_iff_cbf_on_symmetric", True)}
 
 
-def _against_oracle(worker, oracle, stage, ranges):
+def _against_oracle(worker, oracle, stage, ranges, arg=None):
     """worker against the per-model oracle on each range of the stage's
-    frames at block widths 12 and 3: the same payload and Budget.used.
-    Returns the oracle's payloads."""
+    frames at block widths 12 and 3, both given arg: the same payload and
+    Budget.used.  Returns the oracle's payloads."""
     payloads = []
     for masks in ranges:
         bud = Budget(10**12)
-        want = _plain(oracle(stage, masks, None, bud)), bud.used
+        want = _plain(oracle(stage, masks, arg, bud)), bud.used
         for bits in (12, 3):
             with _block_bits(bits):
                 bud = Budget(10**12)
-                got = _plain(worker(stage, masks, None, bud)), bud.used
+                got = _plain(worker(stage, masks, arg, bud)), bud.used
             assert got == want, (stage, masks, bits)
         payloads.append(want[0])
     return payloads
@@ -1665,6 +1665,37 @@ def test_later_batches_grow_to_the_cap(monkeypatch, call, pieces, ws):
     and blocks stop at 2**(_BLOCK_BITS + _WIDE_BITS)."""
     widths = _recorded_batches(monkeypatch, call)
     assert widths == list(zip(pieces, ws))
+
+
+@pytest.mark.parametrize("call, runs", [
+    # one group over lhs, rhs and the implication: the rule reading and
+    # then the implication are read off one program
+    pytest.param(lambda: find_deduction_gap(), [3], id="find_deduction_gap"),
+    # the premise formulas, which hold on every candidate, labelled in one
+    # program, then the conclusion, which holds too
+    pytest.param(lambda: find_countermodel(SearchSpec(
+        parse("[](p => q) => ([]p => []q)"),
+        premise_formulas=(parse("p | ~p"), parse("<>q | []~q")))), [2, 1],
+        id="two premise formulas"),
+])
+def test_one_program_run_per_check_group_per_batch(monkeypatch, call, runs):
+    """Every batch a scan's _batches yields runs one program per check
+    group that a candidate reaches: semantics._run calls, each with the
+    number of formulas it labels, counted per batch."""
+    real_batches, real_run, batches = search._batches, sem._run, []
+
+    def recording(*args, **kwargs):
+        for b in real_batches(*args, **kwargs):
+            batches.append([])
+            yield b
+
+    def counted(prog, *args):
+        batches[-1].append(len(prog[1]))
+        return real_run(prog, *args)
+    monkeypatch.setattr(search, "_batches", recording)
+    monkeypatch.setattr(sem, "_run", counted)
+    call()
+    assert batches and all(b == runs for b in batches), batches
 
 
 _K_PQ = SearchSpec(parse("[](p => q) => ([]p => []q)"))
@@ -1855,6 +1886,12 @@ class TestCandidateColumnsMatchReference:
                         assert not want or least(c) == want[0], (fmask, val)
 
 
+# two premise formulas, read off one program, and a scheme premise
+_TWO_PREMISES = SearchSpec(parse("<>[]p => []<>q"), premise_formulas=(
+    parse("<>(p | q)"), parse("p => <>~q")),
+    premise_schemes=(parse("[]P => [][]P"),))
+
+
 def main() -> int:
     """The generator against the relational reference on all 127
     constraint sets at 4 worlds, whole and in sub-ranges; the 4-world
@@ -1862,7 +1899,10 @@ def main() -> int:
     sweep against the labelled oracle at 3 worlds, with perturbed schemes
     on every sub-range and as barcan_sweep(3, 2); the agreement sweep, with
     a perturbed exchange, and the divergence search against their
-    per-model oracles on the 3-world stages and every sub-range."""
+    per-model oracles on the 3-world stages and every sub-range; the
+    deduction gap at 1 to 3 worlds, and a spec with two premise formulas
+    and a scheme premise at 3, against theirs on every stage and
+    sub-range."""
     _check_generated_masks(4, _ALL_CONSTRAINT_SETS)
     print(f"_masks: {len(_ALL_CONSTRAINT_SETS)} constraint sets match the "
           "relational reference on all 65536 4-world frames")
@@ -1891,6 +1931,22 @@ def main() -> int:
         print(f"_div_chunk{stage}: the least divergence, as the per-model "
               f"oracle gives it, whole and on {len(got) - 1} sub-ranges, "
               f"{sum(p is not None for p in got[1:])} of which hold one")
+    for text in ("P => Q", "P => []P"):
+        for n in (1, 2, 3):
+            got = _against_oracle(
+                search._gap_chunk, _oracle_gap_chunk, (n,),
+                [range(1 << n * n), *(range(*r) for r in _ranges(1 << n * n))],
+                parse(text))
+            print(f"_gap_chunk({n},) for {text}: the least gap, as the "
+                  "per-instance oracle gives it, whole and on "
+                  f"{len(got) - 1} sub-ranges, "
+                  f"{sum(p is not None for p in got[1:])} of which hold one")
+    got = _against_oracle(search._spec_chunk, _oracle_spec_chunk, (3,),
+                          ranges, _TWO_PREMISES)
+    print("_spec_chunk(3,) with two premise formulas and a scheme premise: "
+          "the least countermodel, as the per-model oracle gives it, whole "
+          f"and on {len(got) - 1} sub-ranges, "
+          f"{sum(p is not None for p in got[1:])} of which hold one")
     runs = []
     for chunk in (search._sweep_chunk, _oracle_sweep_chunk):
         search._sweep_chunk, real = chunk, search._sweep_chunk
